@@ -18,7 +18,7 @@ import numpy as np
 from .augment import PerturbationRange, analytic_homography, augment_scene, collect_pairs, fit_homography, perturb_pose
 from .depth import DATASET_DEPTH_RANGES, DepthDecouplingConfig, metric_to_scale_invariant, scale_invariant_to_metric
 from .geometry import Intrinsics
-from .metrics import MetricConfig, UndefinedAPError, evaluate
+from .metrics import UndefinedAPError, evaluate
 from .ordinal import DATASET_SCHEMES, assign_label, make_scheme, ordinal_loss, ordinal_loss_grad, reverse_gradient
 from .pnm import read_pnm, write_pnm
 from .scene import (
@@ -42,12 +42,15 @@ class InputError(ValueError):
     """Bad file contents or inconsistent flags; maps to exit code 2."""
 
 
-def _load_json(path: str):
+def _load_json(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as handle:
-            return json.load(handle)
+            data = json.load(handle)
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"{path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise InputError(f"{path}: expected a JSON object at the top level, got {type(data).__name__}")
+    return data
 
 
 def _out_dir(args) -> Path:
@@ -234,19 +237,6 @@ def _cmd_ordinal_loss(args) -> int:
     return 0
 
 
-def _metric_config(args, cfg: RunConfig) -> MetricConfig:
-    if args.metrics_config:
-        data = _load_json(args.metrics_config)
-        return MetricConfig(
-            distance_thresholds=tuple(data.get("distance_thresholds", MetricConfig.distance_thresholds)),
-            tp_threshold=data.get("tp_threshold", MetricConfig.tp_threshold),
-            range_limit=data.get("range_limit", MetricConfig.range_limit),
-            recall_floor=data.get("recall_floor", MetricConfig.recall_floor),
-            precision_floor=data.get("precision_floor", MetricConfig.precision_floor),
-        )
-    return cfg.metrics
-
-
 def _format_report_table(report) -> str:
     rows = [
         ("mAP", report.m_ap),
@@ -267,9 +257,8 @@ def _cmd_evaluate(args) -> int:
     cfg = _load_run_config(args)
     gts = records_from_dict(_load_json(args.gt))
     dets = records_from_dict(_load_json(args.pred))
-    metric_cfg = _metric_config(args, cfg)
     try:
-        report = evaluate(gts, dets, metric_cfg, workers=args.workers)
+        report = evaluate(gts, dets, cfg.metrics, workers=args.workers)
     except UndefinedAPError as exc:
         raise InputError(str(exc)) from exc
     out = _out_dir(args)
@@ -356,8 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--gt", required=True)
     p.add_argument("--pred", required=True)
-    p.add_argument("--metrics-config", default=None, help="metric-config JSON path")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help="accepted for compatibility; has no effect")
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("selftest", help="run the built-in oracle checks")
@@ -372,10 +360,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

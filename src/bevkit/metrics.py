@@ -9,12 +9,14 @@ True-positive errors (translation, scale, orientation) are plain means
 over the matches at a single threshold, and the summary score is
 
     NDS* = (3 * mAP + sum over the three errors of (1 - min(1, err))) / 6.
+
+Evaluation is single-threaded: each sample's detection x ground-truth
+distance table is computed once and matched at every threshold.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -179,28 +181,43 @@ def _score_order(dets: Sequence[DetectionRecord]) -> list[int]:
     return sorted(range(len(dets)), key=lambda i: (-dets[i].box.score, dets[i].sample_id, i))
 
 
-def _match_sample(
+def _greedy_matches(
     gts: Sequence[DetectionRecord],
-    gt_indices: list[int],
     dets: Sequence[DetectionRecord],
-    det_indices: list[int],
-    threshold: float,
-) -> list[Match]:
-    matches: list[Match] = []
-    unmatched = list(gt_indices)
-    for det_index in det_indices:
-        det_box = dets[det_index].box
-        best_gt = -1
-        best_distance = math.inf
-        for gt_index in unmatched:
-            distance = ground_distance(det_box, gts[gt_index].box)
-            if distance < threshold and distance < best_distance:
-                best_distance = distance
-                best_gt = gt_index
-        if best_gt >= 0:
-            unmatched.remove(best_gt)
-            matches.append(Match(det_index, best_gt, best_distance))
-    return matches
+    thresholds: Sequence[float],
+) -> tuple[list[int], list[dict[int, Match]]]:
+    """Score order of ``dets`` and, per threshold, its matches keyed by detection index.
+
+    Samples are visited one at a time: each sample's detection x ground-truth
+    distance table is computed once, shared by every threshold, and dropped
+    before the next sample, so only one table is ever held.
+    """
+    order = _score_order(dets)
+    dets_by_sample: dict[str, list[int]] = {}
+    for det_index in order:
+        dets_by_sample.setdefault(dets[det_index].sample_id, []).append(det_index)
+    gts_by_sample: dict[str, list[int]] = {}
+    for gt_index, gt in enumerate(gts):
+        gts_by_sample.setdefault(gt.sample_id, []).append(gt_index)
+
+    matched: list[dict[int, Match]] = [{} for _ in thresholds]
+    for sample_id, det_indices in dets_by_sample.items():
+        gt_indices = gts_by_sample.get(sample_id, [])
+        table = [[ground_distance(dets[d].box, gts[g].box) for g in gt_indices] for d in det_indices]
+        for threshold, by_det in zip(thresholds, matched):
+            unmatched = list(range(len(gt_indices)))
+            for det_index, row in zip(det_indices, table):
+                best = -1
+                best_distance = math.inf
+                for column in unmatched:
+                    distance = row[column]
+                    if distance < threshold and distance < best_distance:
+                        best_distance = distance
+                        best = column
+                if best >= 0:
+                    unmatched.remove(best)
+                    by_det[det_index] = Match(det_index, gt_indices[best], best_distance)
+    return order, matched
 
 
 def match_detections(
@@ -215,35 +232,34 @@ def match_detections(
     sample at strictly less than ``threshold`` meters; each ground truth
     is claimed at most once.  Equidistant candidates resolve to the lower
     ground-truth input index.  The result is in detection processing
-    order and is independent of the worker count (samples are disjoint).
+    order.  ``workers`` is accepted for compatibility and has no effect.
     """
-    order = _score_order(dets)
-    dets_by_sample: dict[str, list[int]] = {}
-    for det_index in order:
-        dets_by_sample.setdefault(dets[det_index].sample_id, []).append(det_index)
-    gts_by_sample: dict[str, list[int]] = {}
-    for gt_index, gt in enumerate(gts):
-        gts_by_sample.setdefault(gt.sample_id, []).append(gt_index)
-
-    sample_ids = sorted(dets_by_sample)
-    if workers > 1 and len(sample_ids) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_sample = list(
-                pool.map(
-                    lambda sid: _match_sample(
-                        gts, gts_by_sample.get(sid, []), dets, dets_by_sample[sid], threshold
-                    ),
-                    sample_ids,
-                )
-            )
-    else:
-        per_sample = [
-            _match_sample(gts, gts_by_sample.get(sid, []), dets, dets_by_sample[sid], threshold)
-            for sid in sample_ids
-        ]
-
-    by_det = {match.det_index: match for sample in per_sample for match in sample}
+    order, (by_det,) = _greedy_matches(gts, dets, (threshold,))
     return [by_det[det_index] for det_index in order if det_index in by_det]
+
+
+def _precision_area(
+    tp_flags: Sequence[bool], num_gts: int, recall_floor: float, precision_floor: float
+) -> float:
+    """AP integral over true-positive flags given in detection processing order."""
+    if not tp_flags:
+        return 0.0
+    grid = np.linspace(0.0, 1.0, 101)
+    start = int(round(100 * recall_floor)) + 1
+    flags = np.array(tp_flags, dtype=float)
+    tp_cum = np.cumsum(flags)
+    fp_cum = np.cumsum(1.0 - flags)
+    recall = tp_cum / num_gts
+    precision = tp_cum / (tp_cum + fp_cum)
+
+    # best precision at recall >= r, per grid point
+    right_max = np.maximum.accumulate(precision[::-1])[::-1]
+    insert = np.searchsorted(recall, grid, side="left")
+    grid_precision = np.where(insert < len(recall), right_max[np.minimum(insert, len(recall) - 1)], 0.0)
+
+    clipped = np.clip(grid_precision[start:] - precision_floor, 0.0, None)
+    ap = float(np.mean(clipped)) / (1.0 - precision_floor)
+    return min(1.0, max(0.0, ap))
 
 
 def average_precision(
@@ -252,7 +268,6 @@ def average_precision(
     threshold: float,
     recall_floor: float = 0.1,
     precision_floor: float = 0.1,
-    workers: int = 1,
 ) -> float:
     """AP on the 101-point recall grid above the recall/precision floors.
 
@@ -265,27 +280,8 @@ def average_precision(
     """
     if not gts:
         raise UndefinedAPError(f"no ground truths at threshold {threshold}")
-    order = _score_order(dets)
-    grid = np.linspace(0.0, 1.0, 101)
-    start = int(round(100 * recall_floor)) + 1
-    if not dets:
-        return 0.0
-
-    matched = {match.det_index for match in match_detections(gts, dets, threshold, workers=workers)}
-    tp_flags = np.array([1.0 if det_index in matched else 0.0 for det_index in order])
-    tp_cum = np.cumsum(tp_flags)
-    fp_cum = np.cumsum(1.0 - tp_flags)
-    recall = tp_cum / len(gts)
-    precision = tp_cum / (tp_cum + fp_cum)
-
-    # best precision at recall >= r, per grid point
-    right_max = np.maximum.accumulate(precision[::-1])[::-1]
-    insert = np.searchsorted(recall, grid, side="left")
-    grid_precision = np.where(insert < len(recall), right_max[np.minimum(insert, len(recall) - 1)], 0.0)
-
-    clipped = np.clip(grid_precision[start:] - precision_floor, 0.0, None)
-    ap = float(np.mean(clipped)) / (1.0 - precision_floor)
-    return min(1.0, max(0.0, ap))
+    order, (by_det,) = _greedy_matches(gts, dets, (threshold,))
+    return _precision_area([i in by_det for i in order], len(gts), recall_floor, precision_floor)
 
 
 def tp_errors(matched_boxes: Sequence[tuple[Box3D, Box3D]]) -> TPErrors:
@@ -328,37 +324,34 @@ def evaluate(
     """Full single-class report: range filter, per-threshold AP, TP errors, NDS*.
 
     Both sets are filtered to ``cfg.range_limit`` on ground-plane center
-    norm before anything else.  Raises UndefinedAPError when no ground
-    truths survive the filter.
+    norm before anything else.  One matching pass serves every threshold;
+    AP, the TP errors at ``cfg.tp_threshold`` and the match counts all come
+    from it.  Raises UndefinedAPError when no ground truths survive the
+    filter.  ``workers`` is accepted for compatibility and has no effect.
     """
     cfg = cfg or MetricConfig()
     gts_kept = [gt for gt in gts if _within_range(gt, cfg.range_limit)]
     dets_kept = [det for det in dets if _within_range(det, cfg.range_limit)]
+    if not gts_kept:
+        raise UndefinedAPError(f"no ground truths at threshold {cfg.distance_thresholds[0]}")
 
-    per_threshold_ap = {
-        threshold: average_precision(
-            gts_kept,
-            dets_kept,
-            threshold,
-            recall_floor=cfg.recall_floor,
-            precision_floor=cfg.precision_floor,
-            workers=workers,
-        )
-        for threshold in cfg.distance_thresholds
-    }
-    m_ap = sum(per_threshold_ap.values()) / len(per_threshold_ap)
-
-    tp_matches = match_detections(gts_kept, dets_kept, cfg.tp_threshold, workers=workers)
-    pairs = [(gts_kept[m.gt_index].box, dets_kept[m.det_index].box) for m in tp_matches]
-    errors = tp_errors(pairs)
-
+    order, matched = _greedy_matches(gts_kept, dets_kept, cfg.distance_thresholds)
+    per_threshold_ap: dict[float, float] = {}
     match_counts = {
         "ground_truths": len(gts_kept),
         "detections": len(dets_kept),
     }
-    for threshold in cfg.distance_thresholds:
-        count = len(match_detections(gts_kept, dets_kept, threshold, workers=workers))
-        match_counts[f"matches@{threshold:g}"] = count
+    for threshold, by_det in zip(cfg.distance_thresholds, matched):
+        tp_flags = [i in by_det for i in order]
+        per_threshold_ap[threshold] = _precision_area(
+            tp_flags, len(gts_kept), cfg.recall_floor, cfg.precision_floor
+        )
+        match_counts[f"matches@{threshold:g}"] = len(by_det)
+    m_ap = sum(per_threshold_ap.values()) / len(per_threshold_ap)
+
+    tp_matches = matched[cfg.distance_thresholds.index(cfg.tp_threshold)]
+    pairs = [(gts_kept[tp_matches[i].gt_index].box, dets_kept[i].box) for i in order if i in tp_matches]
+    errors = tp_errors(pairs)
 
     return MetricReport(
         m_ap=m_ap,

@@ -91,6 +91,13 @@ def _require(data: dict, key: str, context: str):
     return data[key]
 
 
+def _section(data: dict, key: str) -> dict:
+    section = data[key]
+    if not isinstance(section, dict):
+        raise ValueError(f"run config: {key!r} must be an object, got {type(section).__name__}")
+    return section
+
+
 def intrinsics_to_dict(intr: Intrinsics) -> dict:
     return {
         "fx": intr.fx,
@@ -245,7 +252,7 @@ def run_config_from_dict(data: dict) -> RunConfig:
     if "seed" in data:
         kwargs["seed"] = int(data["seed"])
     if "perturbation" in data:
-        p = data["perturbation"]
+        p = _section(data, "perturbation")
         kwargs["perturbation"] = PerturbationRange(
             d_yaw=float(p.get("d_yaw", 0.02)),
             d_pitch=float(p.get("d_pitch", 0.01)),
@@ -253,7 +260,7 @@ def run_config_from_dict(data: dict) -> RunConfig:
             seed=int(p.get("seed", kwargs.get("seed", 0))),
         )
     if "depth" in data:
-        d = data["depth"]
+        d = _section(data, "depth")
         depth_kwargs = {}
         if "reference_pixel_size" in d:
             depth_kwargs["reference_pixel_size"] = float(d["reference_pixel_size"])
@@ -261,14 +268,14 @@ def run_config_from_dict(data: dict) -> RunConfig:
             depth_kwargs["metric_depth_range"] = tuple(float(v) for v in d["metric_depth_range"])
         kwargs["depth"] = DepthDecouplingConfig(**depth_kwargs)
     if "scheme" in data:
-        s = data["scheme"]
+        s = _section(data, "scheme")
         kwargs["scheme"] = make_scheme(
             float(_require(s, "alpha", "scheme")),
             float(_require(s, "beta", "scheme")),
             int(_require(s, "num_subintervals", "scheme")),
         )
     if "metrics" in data:
-        m = data["metrics"]
+        m = _section(data, "metrics")
         metric_kwargs = {}
         if "distance_thresholds" in m:
             metric_kwargs["distance_thresholds"] = tuple(float(v) for v in m["distance_thresholds"])

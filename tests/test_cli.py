@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from bevkit.scene import dumps_canonical, records_to_dict
 from bevkit.boxes import Box3D
 from bevkit.metrics import DetectionRecord
 
+SCHEMAS = Path(__file__).resolve().parents[1] / "docs" / "schemas"
 
 def read_tree(root):
     return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
@@ -268,6 +270,37 @@ class TestEvaluateCommand:
         broken = tmp_path / "broken.json"
         broken.write_text("{not json")
         assert main(["evaluate", "--gt", str(gt_path), "--pred", str(broken), "--output-dir", str(tmp_path / "x")]) == 2
+
+    @pytest.mark.parametrize(
+        "flag, content",
+        [
+            ("--config", [1, 2]),
+            ("--gt", [1, 2]),
+            ("--pred", [1, 2]),
+            ("--config", {"metrics": {"distance_thresholds": 5}}),
+            ("--config", {"metrics": []}),
+        ],
+    )
+    def test_malformed_structure_exits_2(self, tmp_path, eval_files, capsys, flag, content):
+        gt_path, pred_path = eval_files
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(content))
+        paths = {"--gt": str(gt_path), "--pred": str(pred_path), flag: str(bad)}
+        argv = ["evaluate", "--output-dir", str(tmp_path / "out")]
+        for name, path in paths.items():
+            argv += [name, path]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out" / "metric_report.json").exists()
+
+    def test_report_matches_schema(self, tmp_path, eval_files):
+        import jsonschema
+
+        gt_path, pred_path = eval_files
+        out = tmp_path / "report"
+        assert main(["evaluate", "--gt", str(gt_path), "--pred", str(pred_path), "--output-dir", str(out)]) == 0
+        schema = json.loads((SCHEMAS / "metric_report.schema.json").read_text())
+        jsonschema.validate(json.loads((out / "metric_report.json").read_text()), schema)
 
     def test_missing_file_exits_2(self, tmp_path, eval_files):
         gt_path, _ = eval_files

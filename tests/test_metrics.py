@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import bevkit.metrics as metrics_module
 from bevkit.boxes import Box3D
 from bevkit.metrics import (
     DetectionRecord,
@@ -29,11 +30,17 @@ def det(x, y, score, dims=(4.0, 2.0, 1.5), yaw=0.0, sample="s0"):
     return DetectionRecord(Box3D((x, y, dims[2] / 2.0), dims, yaw, score=score), sample)
 
 
-def brute_force_ap(gts, dets, threshold, recall_floor=0.1, precision_floor=0.1):
-    """Independent AP: explicit greedy walk and grid-point loop."""
+RECALL_GRID = np.linspace(0.0, 1.0, 101)  # the protocol's 101-point grid, as in the nuScenes devkit
+
+
+def brute_force_matches(gts, dets, threshold):
+    """Independent greedy walk: explicit score order, nearest unclaimed same-sample GT.
+
+    Returns the processing order and (det index, gt index, distance) in that order.
+    """
     order = sorted(range(len(dets)), key=lambda i: (-dets[i].box.score, dets[i].sample_id, i))
     claimed = set()
-    flags = []
+    matches = []
     for i in order:
         candidates = [
             (math.hypot(dets[i].box.center[0] - g.box.center[0], dets[i].box.center[1] - g.box.center[1]), j)
@@ -42,26 +49,54 @@ def brute_force_ap(gts, dets, threshold, recall_floor=0.1, precision_floor=0.1):
         ]
         candidates = [(d, j) for d, j in candidates if d < threshold]
         if candidates:
-            _, j = min(candidates)
+            d, j = min(candidates)
             claimed.add(j)
-            flags.append(1)
-        else:
-            flags.append(0)
+            matches.append((i, j, d))
+    return order, matches
+
+
+def brute_force_ap(gts, dets, threshold, recall_floor=0.1, precision_floor=0.1):
+    """Independent AP: explicit greedy walk and grid-point loop."""
+    order, matches = brute_force_matches(gts, dets, threshold)
+    matched = {i for i, _, _ in matches}
     precisions, recalls = [], []
     tp = fp = 0
-    for flag in flags:
-        tp += flag
-        fp += 1 - flag
+    for i in order:
+        tp += i in matched
+        fp += i not in matched
         precisions.append(tp / (tp + fp))
         recalls.append(tp / len(gts))
-    total = 0.0
-    count = 0
-    for i in range(int(round(100 * recall_floor)) + 1, 101):
-        r = i / 100.0
+    clipped = []
+    for r in RECALL_GRID[int(round(100 * recall_floor)) + 1 :]:
         best = max((p for p, rr in zip(precisions, recalls) if rr >= r), default=0.0)
-        total += max(0.0, best - precision_floor)
-        count += 1
-    return total / count / (1.0 - precision_floor)
+        clipped.append(max(0.0, best - precision_floor))
+    return min(1.0, max(0.0, float(np.mean(clipped)) / (1.0 - precision_floor)))
+
+
+def brute_force_evaluate(gts, dets, cfg):
+    """Per-threshold AP, TP errors at cfg.tp_threshold and match counts, one pass per threshold."""
+
+    def kept(records):
+        return [r for r in records if math.hypot(r.box.center[0], r.box.center[1]) <= cfg.range_limit]
+
+    gts, dets = kept(gts), kept(dets)
+    if not gts:
+        raise UndefinedAPError("no ground truths in range")
+    per_threshold_ap = {
+        t: brute_force_ap(gts, dets, t, cfg.recall_floor, cfg.precision_floor) for t in cfg.distance_thresholds
+    }
+    counts = {"ground_truths": len(gts), "detections": len(dets)}
+    for t in cfg.distance_thresholds:
+        counts[f"matches@{t:g}"] = len(brute_force_matches(gts, dets, t)[1])
+    pairs = [(gts[j].box, dets[i].box) for i, j, _ in brute_force_matches(gts, dets, cfg.tp_threshold)[1]]
+    if pairs:
+        errors = tuple(
+            sum(f(g, d) for g, d in pairs) / len(pairs)
+            for f in (ground_distance, lambda g, d: 1.0 - aligned_iou(g, d), yaw_difference)
+        )
+    else:
+        errors = (1.0, 1.0, 1.0)
+    return gts, dets, per_threshold_ap, errors, counts
 
 
 class TestMatchDetections:
@@ -315,6 +350,21 @@ class TestEvaluate:
                 )
         assert evaluate(gts, dets, workers=1) == evaluate(gts, dets, workers=4)
 
+    def test_each_pair_distance_computed_once(self, monkeypatch):
+        rng = np.random.default_rng(42)
+        gts, dets = [], []
+        for sample in ("a", "b", "c"):
+            for _ in range(6):
+                x, y = rng.uniform(-30, 30, size=2)  # all within the 50 m range limit
+                gts.append(gt(float(x), float(y), sample=sample))
+                dets.append(det(float(x + rng.normal(0, 0.8)), float(y), float(rng.uniform(0, 1)), sample=sample))
+        calls = []
+        real = metrics_module.ground_distance
+        monkeypatch.setattr(metrics_module, "ground_distance", lambda a, b: calls.append(None) or real(a, b))
+        report = evaluate(gts, dets)
+        # 3 samples x 6 x 6 same-sample pairs for matching, plus the mATE term of each TP match
+        assert len(calls) == 3 * 6 * 6 + report.match_counts["matches@2"]
+
     def test_report_roundtrip(self):
         gts, dets = self.fixture()
         report = evaluate(gts, dets)
@@ -331,6 +381,44 @@ class TestEvaluate:
                 per_threshold_ap={2.0: 0.5},
                 match_counts={},
             )
+
+    def test_random_inputs_match_brute_force_exactly(self):
+        # half-meter lattice: many equidistant GTs and distances exactly at a threshold;
+        # three score levels: many ties; range limit inside the lattice: records dropped
+        rng = np.random.default_rng(51)
+        configs = [
+            MetricConfig(),
+            MetricConfig(distance_thresholds=(0.5, 1.0, 1.5, 3.0), tp_threshold=1.0, range_limit=4.0),
+            MetricConfig(distance_thresholds=(1.0, 2.0), tp_threshold=1.0, range_limit=3.5, recall_floor=0.0),
+        ]
+        checked = 0
+        for trial in range(150):
+            cfg = configs[trial % len(configs)]
+            samples = [f"s{k}" for k in range(int(rng.integers(1, 4)))]
+            gts, dets = [], []
+            for _ in range(int(rng.integers(1, 10))):
+                x, y = rng.integers(-10, 11, size=2) / 2.0
+                gts.append(gt(float(x), float(y), yaw=float(rng.uniform(-3, 3)), sample=str(rng.choice(samples))))
+            for _ in range(int(rng.integers(0, 14))):
+                x, y = rng.integers(-10, 11, size=2) / 2.0
+                dims = (float(rng.uniform(3, 5)), float(rng.uniform(1.5, 2.5)), 1.5)
+                score = float(rng.choice([0.2, 0.5, 0.9]))
+                yaw = float(rng.uniform(-3, 3))
+                dets.append(det(float(x), float(y), score, dims=dims, yaw=yaw, sample=str(rng.choice(samples))))
+            try:
+                gts_kept, dets_kept, per_threshold_ap, errors, counts = brute_force_evaluate(gts, dets, cfg)
+            except UndefinedAPError:
+                with pytest.raises(UndefinedAPError):
+                    evaluate(gts, dets, cfg)
+                continue
+            report = evaluate(gts, dets, cfg)
+            assert report.per_threshold_ap == per_threshold_ap
+            assert (report.m_ate, report.m_ase, report.m_aoe) == errors
+            assert report.match_counts == counts
+            for t in cfg.distance_thresholds:
+                assert match_detections(gts_kept, dets_kept, t) == brute_force_matches(gts_kept, dets_kept, t)[1]
+            checked += 1
+        assert checked > 100
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

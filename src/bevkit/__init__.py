@@ -2,6 +2,7 @@
 
 from .augment import (
     AugmentedView,
+    CameraPlan,
     DegenerateFitError,
     Homography,
     MatchedPairSet,
@@ -11,6 +12,7 @@ from .augment import (
     collect_pairs,
     fit_homography,
     perturb_pose,
+    plan_camera,
 )
 from .boxes import Box3D, bottom_points, footprint_corners
 from .depth import (

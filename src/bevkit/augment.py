@@ -6,8 +6,9 @@ The augmentation pipeline for one camera:
 2. project the 5 bottom anchor points of every box with the original and
    the perturbed pose, keeping pairs visible in both views,
 3. with at least 4 pairs, fit the homography that maps original pixels to
-   perturbed pixels (DLT, least squares); otherwise fall back to the
-   identity and leave the image untouched,
+   perturbed pixels (DLT, least squares); with fewer pairs, or pairs that
+   leave the fit degenerate, fall back to the identity and leave the image
+   untouched,
 4. warp the image with the fitted map.
 
 The closed-form plane-induced homography K (R + t n^T / d) K^-1 between
@@ -42,11 +43,13 @@ __all__ = [
     "PerturbationRange",
     "Homography",
     "MatchedPairSet",
+    "CameraPlan",
     "AugmentedView",
     "perturb_pose",
     "collect_pairs",
     "fit_homography",
     "analytic_homography",
+    "plan_camera",
     "augment_scene",
 ]
 
@@ -87,7 +90,7 @@ class Homography:
     last element non-negative, so equal maps compare equal.  ``provenance``
     records how the matrix was obtained: "fitted" (least squares on
     correspondences), "analytic" (closed form from known motion), or
-    "identity-fallback" (too few correspondences).
+    "identity-fallback" (too few or degenerate correspondences).
     """
 
     matrix: np.ndarray
@@ -158,6 +161,18 @@ class MatchedPairSet:
 
     def __len__(self) -> int:
         return self.source.shape[0]
+
+
+class CameraPlan(NamedTuple):
+    """One camera's augmentation decision.
+
+    ``perturbed`` is the drawn pose, ``pairs`` the co-visible anchor pairs
+    under it, and ``homography`` the map applied to the image.
+    """
+
+    perturbed: Pose
+    pairs: MatchedPairSet
+    homography: Homography
 
 
 class AugmentedView(NamedTuple):
@@ -297,27 +312,31 @@ def analytic_homography(
     return Homography(k @ core @ np.linalg.inv(k), provenance="analytic")
 
 
-def _augment_camera(
+def plan_camera(
     cam: CameraModel,
-    image: np.ndarray,
     boxes: Sequence[Box3D],
     limits: PerturbationRange,
     camera_index: int,
-) -> AugmentedView:
+) -> CameraPlan:
+    """Draw one camera's pose and decide the map augmentation applies to it.
+
+    Randomness is keyed by (seed, camera index).  Zero offsets give the
+    exact analytic identity.  Otherwise the map is fitted to the anchor
+    pairs; with fewer than MIN_PAIRS_FOR_FIT pairs, or with pairs that do
+    not determine a homography (for example a zero-size box), the camera
+    falls back to the identity.  The pairs are collected in every case.
+    """
     rng = np.random.default_rng([limits.seed, camera_index])
     perturbed = perturb_pose(cam.pose, limits, rng)
-    if perturbed == cam.pose:
-        # Zero offsets: the exact map is the identity, skip the fit so the
-        # raster is returned untouched.
-        return AugmentedView(image, cam.pose, Homography(np.eye(3), provenance="analytic"))
     pairs = collect_pairs(cam, perturbed, boxes)
-    if len(pairs) < MIN_PAIRS_FOR_FIT:
-        # The image stays unwarped, so the pose that matches it is the
-        # original one.
-        return AugmentedView(image, cam.pose, Homography.identity_fallback())
-    homography = fit_homography(pairs)
-    warped = warp_image(image, homography, (cam.intrinsics.width, cam.intrinsics.height))
-    return AugmentedView(warped, perturbed, homography)
+    if perturbed == cam.pose:
+        homography = Homography(np.eye(3), provenance="analytic")
+    else:
+        try:
+            homography = fit_homography(pairs)
+        except DegenerateFitError:
+            homography = Homography.identity_fallback()
+    return CameraPlan(perturbed, pairs, homography)
 
 
 def augment_scene(
@@ -327,24 +346,24 @@ def augment_scene(
     limits: PerturbationRange,
     workers: int = 1,
 ) -> list[AugmentedView]:
-    """Perturb, fit, and warp every camera of a rig.
+    """Plan and warp every camera of a rig.
 
     Randomness is keyed by (seed, camera index), so results are identical
-    across runs and across worker counts.  Cameras whose fit falls back to
-    the identity keep their original image and pose.
+    across runs and across worker counts.  Only a fitted map warps the
+    image; every other camera keeps its original image and pose.
     """
     if len(rig) != len(images):
         raise ValueError(f"got {len(rig)} cameras but {len(images)} images")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    if workers == 1 or len(rig) <= 1:
-        return [
-            _augment_camera(cam, image, boxes, limits, index)
-            for index, (cam, image) in enumerate(zip(rig, images))
-        ]
+
+    def augment_camera(index: int) -> AugmentedView:
+        cam, image = rig[index], images[index]
+        plan = plan_camera(cam, boxes, limits, index)
+        if plan.homography.provenance != "fitted":
+            return AugmentedView(image, cam.pose, plan.homography)
+        warped = warp_image(image, plan.homography, (cam.intrinsics.width, cam.intrinsics.height))
+        return AugmentedView(warped, plan.perturbed, plan.homography)
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(_augment_camera, cam, image, boxes, limits, index)
-            for index, (cam, image) in enumerate(zip(rig, images))
-        ]
-        return [future.result() for future in futures]
+        return list(pool.map(augment_camera, range(len(rig))))

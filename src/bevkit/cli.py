@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .augment import PerturbationRange, analytic_homography, augment_scene, collect_pairs, fit_homography, perturb_pose
+from .augment import PerturbationRange, analytic_homography, augment_scene, plan_camera
 from .depth import DATASET_DEPTH_RANGES, DepthDecouplingConfig, metric_to_scale_invariant, scale_invariant_to_metric
 from .geometry import Intrinsics
 from .metrics import UndefinedAPError, evaluate
@@ -60,7 +60,7 @@ def _out_dir(args) -> Path:
 
 
 def _load_run_config(args) -> RunConfig:
-    if getattr(args, "config", None):
+    if args.config:
         return run_config_from_dict(_load_json(args.config))
     return RunConfig()
 
@@ -139,20 +139,17 @@ def _cmd_homography(args) -> int:
 
     entries = []
     for index, cam in enumerate(scene.cameras):
-        rng = np.random.default_rng([limits.seed, index])
-        perturbed = perturb_pose(cam.pose, limits, rng)
-        pairs = collect_pairs(cam, perturbed, scene.boxes)
-        fitted = fit_homography(pairs)
+        perturbed, pairs, applied = plan_camera(cam, scene.boxes, limits, index)
         closed_form = analytic_homography(cam, perturbed)
         if len(pairs):
-            residual = float(np.max(np.linalg.norm(fitted.apply(pairs.source) - pairs.target, axis=1)))
+            residual = float(np.max(np.linalg.norm(applied.apply(pairs.source) - pairs.target, axis=1)))
         else:
             residual = None
         entries.append(
             {
                 "camera_id": cam.camera_id,
                 "num_pairs": len(pairs),
-                "fitted": {"matrix_row_major": fitted.row_major(), "provenance": fitted.provenance},
+                "fitted": {"matrix_row_major": applied.row_major(), "provenance": applied.provenance},
                 "analytic_pure_rotation": {"matrix_row_major": closed_form.row_major()},
                 "max_reprojection_residual_px": residual,
                 "perturbed_pose": pose_to_dict(perturbed),
@@ -281,14 +278,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="bevkit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, output_dir=True):
-        p.add_argument("--seed", type=int, default=None, help="seed overriding the config value")
-        p.add_argument("--config", default=None, help="run-config JSON path")
-        if output_dir:
-            p.add_argument("--output-dir", default=".", help="directory for output files")
+    common = {
+        "--seed": {"type": int, "default": None, "help": "RNG seed (overrides the run config's)"},
+        "--config": {"default": None, "help": "run-config JSON path"},
+        "--output-dir": {"default": ".", "help": "directory for output files"},
+    }
+
+    def add_common(p, *flags):
+        for flag in flags:
+            p.add_argument(flag, **common[flag])
 
     p = sub.add_parser("gen-scene", help="generate a deterministic synthetic scene")
-    add_common(p)
+    add_common(p, "--seed", "--output-dir")
     p.add_argument("--cameras", type=int, default=6, choices=(5, 6))
     p.add_argument("--boxes", type=int, default=12)
     p.add_argument("--style", default="ring", help=f"rig layout, one of {RIG_STYLES}")
@@ -296,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_gen_scene)
 
     p = sub.add_parser("augment", help="perturb poses and warp scene images")
-    add_common(p)
+    add_common(p, "--seed", "--config", "--output-dir")
     p.add_argument("--scene", required=True)
     p.add_argument("--d-yaw", type=float, default=None)
     p.add_argument("--d-pitch", type=float, default=None)
@@ -305,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_augment)
 
     p = sub.add_parser("homography", help="fit and report per-camera homographies")
-    add_common(p)
+    add_common(p, "--seed", "--config", "--output-dir")
     p.add_argument("--scene", required=True)
     p.add_argument("--d-yaw", type=float, default=None)
     p.add_argument("--d-pitch", type=float, default=None)
@@ -313,7 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_homography)
 
     p = sub.add_parser("depth-convert", help="convert metric and scale-invariant depth")
-    add_common(p, output_dir=False)
     p.add_argument("--direction", required=True, choices=("to-scale-invariant", "to-metric"))
     p.add_argument("--fx", type=float, required=True)
     p.add_argument("--fy", type=float, required=True)
@@ -326,7 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_depth_convert)
 
     p = sub.add_parser("bin-focal", help="map focal lengths to pseudo-domain labels")
-    add_common(p, output_dir=False)
     p.add_argument("--alpha", type=float, default=500.0)
     p.add_argument("--beta", type=float, default=750.0)
     p.add_argument("--subintervals", type=int, default=5)
@@ -335,21 +334,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_bin_focal)
 
     p = sub.add_parser("ordinal-loss", help="evaluate the ordinal loss and its gradient")
-    add_common(p, output_dir=False)
     p.add_argument("--logits-json", required=True, help="JSON file with a 'logits' array")
     p.add_argument("--label", type=int, required=True)
     p.add_argument("--grl-lambda", type=float, default=None, help="also emit the reversed gradient")
     p.set_defaults(func=_cmd_ordinal_loss)
 
     p = sub.add_parser("evaluate", help="score detections against ground truth")
-    add_common(p)
+    add_common(p, "--config", "--output-dir")
     p.add_argument("--gt", required=True)
     p.add_argument("--pred", required=True)
     p.add_argument("--workers", type=int, default=1, help="accepted for compatibility; has no effect")
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("selftest", help="run the built-in oracle checks")
-    add_common(p, output_dir=False)
+    add_common(p, "--seed")
     p.set_defaults(func=_cmd_selftest)
 
     return parser

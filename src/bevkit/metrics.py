@@ -333,7 +333,7 @@ def evaluate(
     gts_kept = [gt for gt in gts if _within_range(gt, cfg.range_limit)]
     dets_kept = [det for det in dets if _within_range(det, cfg.range_limit)]
     if not gts_kept:
-        raise UndefinedAPError(f"no ground truths at threshold {cfg.distance_thresholds[0]}")
+        raise UndefinedAPError(f"no ground truths within range_limit {cfg.range_limit} m")
 
     order, matched = _greedy_matches(gts_kept, dets_kept, cfg.distance_thresholds)
     per_threshold_ap: dict[float, float] = {}

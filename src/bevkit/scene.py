@@ -251,14 +251,14 @@ def run_config_from_dict(data: dict) -> RunConfig:
     kwargs = {}
     if "seed" in data:
         kwargs["seed"] = int(data["seed"])
-    if "perturbation" in data:
-        p = _section(data, "perturbation")
-        kwargs["perturbation"] = PerturbationRange(
-            d_yaw=float(p.get("d_yaw", 0.02)),
-            d_pitch=float(p.get("d_pitch", 0.01)),
-            d_roll=float(p.get("d_roll", 0.02)),
-            seed=int(p.get("seed", kwargs.get("seed", 0))),
-        )
+    # The top-level seed is the perturbation seed's default, section or not.
+    p = _section(data, "perturbation") if "perturbation" in data else {}
+    kwargs["perturbation"] = PerturbationRange(
+        d_yaw=float(p.get("d_yaw", 0.02)),
+        d_pitch=float(p.get("d_pitch", 0.01)),
+        d_roll=float(p.get("d_roll", 0.02)),
+        seed=int(p.get("seed", kwargs.get("seed", 0))),
+    )
     if "depth" in data:
         d = _section(data, "depth")
         depth_kwargs = {}

@@ -5,6 +5,7 @@ import pytest
 from scipy.spatial.transform import Rotation
 
 from bevkit.augment import (
+    MIN_PAIRS_FOR_FIT,
     DegenerateFitError,
     Homography,
     MatchedPairSet,
@@ -14,6 +15,7 @@ from bevkit.augment import (
     collect_pairs,
     fit_homography,
     perturb_pose,
+    plan_camera,
 )
 from bevkit.boxes import Box3D, bottom_points
 from bevkit.geometry import CameraModel, Intrinsics, Pose, ego_to_camera_rotation
@@ -342,6 +344,31 @@ class TestAugmentScene:
         assert views[1].homography.provenance == "identity-fallback"
         assert views[1].pose == rig[1].pose
         assert np.array_equal(views[1].image, images[1])
+
+    def test_degenerate_camera_falls_back_alone(self):
+        rig = self.make_rig(n=2)
+        images = [render_pattern_image(704, 256, i) for i in range(2)]
+        # camera 0 sees only a zero-size box: its five anchors coincide
+        boxes = [Box3D((20.0, 0.0, 0.0), (0.0, 0.0, 0.0), 0.0)] + [
+            Box3D((-20.0, d, 0.75), (4.0, 2.0, 1.5), 0.1 * d) for d in (-4.0, 0.0, 4.0)
+        ]
+        limits = PerturbationRange(0.02, 0.01, 0.02, seed=3)
+        plan = plan_camera(rig[0], boxes, limits, 0)
+        assert len(plan.pairs) >= MIN_PAIRS_FOR_FIT
+        assert plan.homography.provenance == "identity-fallback"
+        views = augment_scene(rig, images, boxes, limits)
+        assert views[0].homography.provenance == "identity-fallback"
+        assert views[0].pose == rig[0].pose
+        assert np.array_equal(views[0].image, images[0])
+        assert views[1].homography.provenance == "fitted"
+
+    def test_zero_offsets_plan_is_analytic_and_keeps_pairs(self):
+        rig = self.make_rig(n=1)
+        plan = plan_camera(rig[0], self.boxes_for_rig(), PerturbationRange(0.0, 0.0, 0.0, seed=5), 0)
+        assert plan.perturbed == rig[0].pose
+        assert plan.homography.provenance == "analytic"
+        assert plan.homography.is_identity()
+        assert len(plan.pairs) >= MIN_PAIRS_FOR_FIT
 
     def test_deterministic_across_runs_and_workers(self):
         rig = self.make_rig(n=6)

@@ -5,8 +5,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bevkit.cli import main
-from bevkit.scene import dumps_canonical, records_to_dict
+from bevkit.augment import collect_pairs
+from bevkit.cli import build_parser, main
+from bevkit.geometry import ego_to_camera_rotation
+from bevkit.scene import dumps_canonical, records_to_dict, scene_from_dict
 from bevkit.boxes import Box3D
 from bevkit.metrics import DetectionRecord
 
@@ -14,6 +16,15 @@ SCHEMAS = Path(__file__).resolve().parents[1] / "docs" / "schemas"
 
 def read_tree(root):
     return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def validate(data, schema_name, definition=None):
+    import jsonschema
+
+    schema = json.loads((SCHEMAS / schema_name).read_text())
+    if definition is not None:
+        schema = {**schema, "$ref": f"#/$defs/{definition}"}
+    jsonschema.validate(data, schema)
 
 
 def write_records(path, records):
@@ -50,6 +61,10 @@ class TestGenScene:
         assert len(scene["image_paths"]) == 6
         for rel in scene["image_paths"]:
             assert (out / rel).exists()
+
+    def test_scene_matches_schema(self, tmp_path):
+        assert main(["gen-scene", "--seed", "4", "--with-images", "--output-dir", str(tmp_path)]) == 0
+        validate(json.loads((tmp_path / "scene.json").read_text()), "scene.schema.json")
 
     def test_bad_style_exits_2(self, tmp_path, capsys):
         code = main(["gen-scene", "--style", "spiral", "--output-dir", str(tmp_path)])
@@ -96,6 +111,50 @@ class TestAugmentCommand:
             assert len(matrix) == 9
             assert abs(np.linalg.norm(matrix) - 1.0) < 1e-9
 
+    def test_outputs_match_schema(self, tmp_path):
+        tree = {str(k): v for k, v in self.run_augment(tmp_path, "w1", 1).items()}
+        validate(json.loads(tree["poses.json"]), "augment_outputs.schema.json", "poses_file")
+        validate(json.loads(tree["homographies.json"]), "augment_outputs.schema.json", "homographies_file")
+
+    def test_run_config_seed_without_perturbation_section(self, tmp_path):
+        expected = self.run_augment(tmp_path, "flag", 1)
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps({"seed": 5}))
+        out = tmp_path / "config"
+        scene = str(tmp_path / "scene" / "scene.json")
+        assert main(["augment", "--scene", scene, "--config", str(config_path), "--output-dir", str(out)]) == 0
+        assert read_tree(out) == expected
+
+    def test_degenerate_camera_falls_back_alone(self, tmp_path):
+        scene_dir = tmp_path / "scene"
+        assert main(["gen-scene", "--seed", "3", "--boxes", "40", "--with-images", "--output-dir", str(scene_dir)]) == 0
+        scene_path = scene_dir / "scene.json"
+        data = json.loads(scene_path.read_text())
+        scene = scene_from_dict(data)
+        cam = scene.cameras[0]
+        # drop every box cam_00 sees, then put a zero-size box on its optical axis
+        data["boxes"] = [
+            entry for entry, box in zip(data["boxes"], scene.boxes) if not len(collect_pairs(cam, cam.pose, [box]))
+        ]
+        axis_point = ego_to_camera_rotation(cam.pose).T @ (np.array([0.0, 0.0, 10.0]) - cam.pose.translation_vector())
+        data["boxes"].append({"center": [float(v) for v in axis_point], "dims": [0.0, 0.0, 0.0], "yaw": 0.0})
+        scene_path.write_text(dumps_canonical(data), encoding="utf-8")
+
+        out = tmp_path / "aug"
+        assert main(["augment", "--scene", str(scene_path), "--seed", "5", "--output-dir", str(out)]) == 0
+        applied = json.loads((out / "homographies.json").read_text())["homographies"]
+        assert applied[0]["provenance"] == "identity-fallback"
+        assert all(entry["provenance"] == "fitted" for entry in applied[1:])
+        assert (out / "augmented" / "cam_00.pgm").read_bytes() == (scene_dir / data["image_paths"][0]).read_bytes()
+        poses = json.loads((out / "poses.json").read_text())["poses"]
+        assert poses[0]["pose"] == data["cameras"][0]["pose"]
+
+        report_dir = tmp_path / "hom"
+        assert main(["homography", "--scene", str(scene_path), "--seed", "5", "--output-dir", str(report_dir)]) == 0
+        reported = json.loads((report_dir / "homographies.json").read_text())["cameras"]
+        assert reported[0]["fitted"]["provenance"] == "identity-fallback"
+        assert reported[0]["num_pairs"] >= 4
+
     def test_scene_without_images_exits_2(self, tmp_path, capsys):
         scene_dir = tmp_path / "noimg"
         assert main(["gen-scene", "--seed", "3", "--output-dir", str(scene_dir)]) == 0
@@ -118,6 +177,22 @@ class TestHomographyCommand:
         for entry in data["cameras"]:
             assert entry["fitted"]["provenance"] in ("fitted", "identity-fallback")
             assert len(entry["analytic_pure_rotation"]["matrix_row_major"]) == 9
+
+
+    @pytest.mark.parametrize("offsets", [[], ["--d-yaw", "0", "--d-pitch", "0", "--d-roll", "0"]], ids=["drawn", "zero"])
+    def test_reports_the_map_augment_applies(self, tmp_path, offsets):
+        scene_dir = tmp_path / "scene"
+        assert main(["gen-scene", "--seed", "9", "--boxes", "40", "--with-images", "--output-dir", str(scene_dir)]) == 0
+        scene = str(scene_dir / "scene.json")
+        assert main(["augment", "--scene", scene, "--seed", "2", *offsets, "--output-dir", str(tmp_path / "a")]) == 0
+        assert main(["homography", "--scene", scene, "--seed", "2", *offsets, "--output-dir", str(tmp_path / "h")]) == 0
+        applied = json.loads((tmp_path / "a" / "homographies.json").read_text())["homographies"]
+        reported = json.loads((tmp_path / "h" / "homographies.json").read_text())["cameras"]
+        assert [entry["camera_id"] for entry in reported] == [entry["camera_id"] for entry in applied]
+        for entry, report in zip(applied, reported):
+            assert report["fitted"] == {k: entry[k] for k in ("matrix_row_major", "provenance")}
+        expected = "analytic" if offsets else "fitted"
+        assert {entry["provenance"] for entry in applied} == {expected}
 
 
 class TestDepthConvert:
@@ -316,6 +391,16 @@ class TestEvaluateCommand:
         assert code == 2
         assert "ground truths" in capsys.readouterr().err
 
+    def test_all_ground_truth_out_of_range_names_range_limit(self, tmp_path, capsys):
+        gts = [DetectionRecord(Box3D((120.0, 0.0, 0.75), (4.0, 2.0, 1.5), 0.0), "s0")]
+        gt_path = tmp_path / "far_gt.json"
+        write_records(gt_path, gts)
+        code = main(["evaluate", "--gt", str(gt_path), "--pred", str(gt_path), "--output-dir", str(tmp_path / "z")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "range_limit" in err
+        assert "threshold" not in err
+
     def test_run_config_controls_metrics(self, tmp_path, eval_files, capsys):
         gt_path, pred_path = eval_files
         config_path = tmp_path / "run.json"
@@ -350,3 +435,36 @@ class TestSelftestCommand:
         main(["selftest", "--seed", "0"])
         second = capsys.readouterr().out
         assert first == second
+
+
+class TestFlags:
+    BASE = {
+        "gen-scene": ["gen-scene"],
+        "depth-convert": ["depth-convert", "--direction", "to-metric", "--fx", "1000", "--fy", "1000", "--values", "1"],
+        "bin-focal": ["bin-focal", "--focals", "700"],
+        "ordinal-loss": ["ordinal-loss", "--logits-json", "logits.json", "--label", "1"],
+        "evaluate": ["evaluate", "--gt", "gt.json", "--pred", "pred.json"],
+        "selftest": ["selftest"],
+    }
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("gen-scene", "--config"),
+            ("depth-convert", "--config"),
+            ("bin-focal", "--config"),
+            ("ordinal-loss", "--config"),
+            ("selftest", "--config"),
+            ("depth-convert", "--seed"),
+            ("bin-focal", "--seed"),
+            ("ordinal-loss", "--seed"),
+            ("evaluate", "--seed"),
+        ],
+    )
+    def test_unread_flag_rejected(self, command, flag, capsys):
+        parser = build_parser()
+        parser.parse_args(self.BASE[command])
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args([*self.BASE[command], flag, "1"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err

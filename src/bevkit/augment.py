@@ -260,13 +260,16 @@ def fit_homography(pairs: MatchedPairSet) -> Homography:
     src = np.hstack([pairs.source, ones]) @ t_src.T
     dst = np.hstack([pairs.target, ones]) @ t_dst.T
 
-    rows = []
-    for (x, y, _), (xh, yh, _) in zip(src, dst):
-        rows.append([-x, -y, -1.0, 0.0, 0.0, 0.0, xh * x, xh * y, xh])
-        rows.append([0.0, 0.0, 0.0, -x, -y, -1.0, yh * x, yh * y, yh])
-    system = np.array(rows)
+    # Rows 2i and 2i + 1 belong to pair i; the third column of src is 1.
+    system = np.zeros((2 * len(pairs), 9))
+    system[0::2, 0:3] = -src
+    system[1::2, 3:6] = -src
+    system[0::2, 6:9] = dst[:, 0:1] * src
+    system[1::2, 6:9] = dst[:, 1:2] * src
 
-    _, singular, vt = np.linalg.svd(system)
+    # Only vt is used, so U stays reduced; V stays full while the system has
+    # fewer than 9 rows (4 pairs), where vt[-1] is otherwise not the null vector.
+    _, singular, vt = np.linalg.svd(system, full_matrices=len(system) < 9)
     rank = int(np.sum(singular > 1e-9 * singular[0])) if singular[0] > 0.0 else 0
     if rank < 8:
         raise DegenerateFitError(

@@ -6,6 +6,10 @@ import numpy as np
 
 __all__ = ["warp_image"]
 
+# Output pixels per block of rows.  Bounds the float64 temporaries of one
+# block to a few MiB, whatever the frame size.
+_BLOCK_PIXELS = 16 * 1600
+
 
 def _as_matrix(homography) -> np.ndarray:
     matrix = getattr(homography, "matrix", homography)
@@ -20,6 +24,9 @@ def warp_image(image: np.ndarray, homography, out_size: tuple[int, int]) -> np.n
 
     ``image`` is (h, w) or (h, w, channels); ``out_size`` is (width,
     height).  Samples falling outside the source are filled with 0.
+    The output is filled one block of rows at a time and only the valid
+    samples are widened to float64, so memory stays small at any frame
+    size; the bytes equal those of full-frame bilinear sampling.
     Accepts a Homography value or a raw 3x3 array; raises ValueError if
     the matrix is singular.
     """
@@ -39,49 +46,53 @@ def warp_image(image: np.ndarray, homography, out_size: tuple[int, int]) -> np.n
     if out_width <= 0 or out_height <= 0:
         raise ValueError(f"out_size must be positive, got {out_size!r}")
     src_height, src_width = image.shape[:2]
+    channels = image.shape[2:]
+    # The source as (h*w,) or (h*w, c): a neighbour is gathered by its flat
+    # pixel index, in the source's own dtype.
+    source = image.reshape((src_height * src_width,) + channels)
+    out = np.zeros((out_height, out_width) + channels, dtype=image.dtype)
+    out_pixels = out.reshape((out_height * out_width,) + channels)
+    info = np.iinfo(image.dtype) if np.issubdtype(image.dtype, np.integer) else None
 
-    u, v = np.meshgrid(np.arange(out_width, dtype=float), np.arange(out_height, dtype=float))
-    denom = inverse[2, 0] * u + inverse[2, 1] * v + inverse[2, 2]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        x = (inverse[0, 0] * u + inverse[0, 1] * v + inverse[0, 2]) / denom
-        y = (inverse[1, 0] * u + inverse[1, 1] * v + inverse[1, 2]) / denom
+    u = np.arange(out_width, dtype=float)
+    block_rows = max(1, _BLOCK_PIXELS // out_width)
+    for top in range(0, out_height, block_rows):
+        v = np.arange(top, min(top + block_rows, out_height), dtype=float)[:, None]
+        denom = inverse[2, 0] * u + inverse[2, 1] * v + inverse[2, 2]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x = (inverse[0, 0] * u + inverse[0, 1] * v + inverse[0, 2]) / denom
+            y = (inverse[1, 0] * u + inverse[1, 1] * v + inverse[1, 2]) / denom
 
-    valid = (
-        np.isfinite(x)
-        & np.isfinite(y)
-        & (np.abs(denom) > 1e-15)
-        & (x >= 0.0)
-        & (x <= src_width - 1.0)
-        & (y >= 0.0)
-        & (y <= src_height - 1.0)
-    )
-    x = np.where(valid, x, 0.0)
-    y = np.where(valid, y, 0.0)
+        # NaN and inf fail the bounds tests, so they need no test of their own.
+        valid = (
+            (np.abs(denom) > 1e-15)
+            & (x >= 0.0)
+            & (x <= src_width - 1.0)
+            & (y >= 0.0)
+            & (y <= src_height - 1.0)
+        )
+        index = np.flatnonzero(valid)
+        x = np.take(x, index)
+        y = np.take(y, index)
 
-    x0 = np.floor(x).astype(int)
-    y0 = np.floor(y).astype(int)
-    fx = x - x0
-    fy = y - y0
-    x1 = np.minimum(x0 + 1, src_width - 1)
-    y1 = np.minimum(y0 + 1, src_height - 1)
+        x0 = np.floor(x).astype(int)
+        y0 = np.floor(y).astype(int)
+        fx = x - x0
+        fy = y - y0
+        x1 = np.minimum(x0 + 1, src_width - 1)
+        row0 = y0 * src_width
+        row1 = np.minimum(y0 + 1, src_height - 1) * src_width
+        if channels:
+            fx = fx[:, None]
+            fy = fy[:, None]
 
-    source = image.astype(float)
-    if image.ndim == 3:
-        fx = fx[..., None]
-        fy = fy[..., None]
-        valid_mask = valid[..., None]
-    else:
-        valid_mask = valid
-
-    value = (
-        (1.0 - fx) * (1.0 - fy) * source[y0, x0]
-        + fx * (1.0 - fy) * source[y0, x1]
-        + (1.0 - fx) * fy * source[y1, x0]
-        + fx * fy * source[y1, x1]
-    )
-    value = np.where(valid_mask, value, 0.0)
-
-    if np.issubdtype(image.dtype, np.integer):
-        info = np.iinfo(image.dtype)
-        return np.clip(np.rint(value), info.min, info.max).astype(image.dtype)
-    return value.astype(image.dtype)
+        value = (
+            (1.0 - fx) * (1.0 - fy) * np.take(source, row0 + x0, axis=0)
+            + fx * (1.0 - fy) * np.take(source, row0 + x1, axis=0)
+            + (1.0 - fx) * fy * np.take(source, row1 + x0, axis=0)
+            + fx * fy * np.take(source, row1 + x1, axis=0)
+        )
+        if info is not None:
+            value = np.clip(np.rint(value), info.min, info.max)
+        out_pixels[top * out_width + index] = value.astype(image.dtype)
+    return out

@@ -16,6 +16,7 @@ from bevkit.augment import (
     fit_homography,
     perturb_pose,
     plan_camera,
+    _hartley_normalization,
 )
 from bevkit.boxes import Box3D, bottom_points
 from bevkit.geometry import CameraModel, Intrinsics, Pose, ego_to_camera_rotation
@@ -23,6 +24,21 @@ from bevkit.scene import render_pattern_image
 from bevkit.selftest import pure_rotation_case
 
 INTR = Intrinsics(fx=1000.0, fy=1000.0, px=352.0, py=128.0, width=704, height=256)
+
+
+def reference_fit_matrix(source, target):
+    """Normalized DLT with a per-pair row loop and the full SVD."""
+    t_src = _hartley_normalization(source)
+    t_dst = _hartley_normalization(target)
+    ones = np.ones((len(source), 1))
+    src = np.hstack([source, ones]) @ t_src.T
+    dst = np.hstack([target, ones]) @ t_dst.T
+    rows = []
+    for (x, y, _), (xh, yh, _) in zip(src, dst):
+        rows.append([-x, -y, -1.0, 0.0, 0.0, 0.0, xh * x, xh * y, xh])
+        rows.append([0.0, 0.0, 0.0, -x, -y, -1.0, yh * x, yh * y, yh])
+    _, _, vt = np.linalg.svd(np.array(rows), full_matrices=True)
+    return Homography(np.linalg.inv(t_dst) @ vt[-1].reshape(3, 3) @ t_src).matrix
 
 
 def dehomogenize(matrix: np.ndarray, pixels: np.ndarray) -> np.ndarray:
@@ -194,6 +210,23 @@ class TestFitHomography:
     def test_collinear_points_degenerate(self):
         source = np.array([[10.0, 10.0], [20.0, 20.0], [30.0, 30.0], [40.0, 40.0]])
         target = source + 5.0
+        with pytest.raises(DegenerateFitError, match="rank"):
+            fit_homography(MatchedPairSet("c0", source, target))
+
+    def test_matches_full_svd_reference_bit_for_bit(self):
+        for seed in range(50):
+            rng = np.random.default_rng(seed)
+            count = int(rng.integers(MIN_PAIRS_FOR_FIT, 9)) if seed % 5 == 0 else int(rng.integers(9, 800))
+            source = rng.uniform((0.0, 0.0), (1600.0, 900.0), size=(count, 2))
+            target = dehomogenize(self.known_rotation_map(seed), source)
+            target += rng.normal(0.0, 0.5 * (seed % 2), size=target.shape)
+            fitted = fit_homography(MatchedPairSet("c0", source, target))
+            assert np.array_equal(fitted.matrix, reference_fit_matrix(source, target)), (seed, count)
+
+    def test_many_collinear_points_degenerate(self):
+        line = np.linspace(0.0, 1.0, 40)[:, None]
+        source = (10.0, 20.0) + line * (600.0, 150.0)
+        target = 2.0 * source + 5.0
         with pytest.raises(DegenerateFitError, match="rank"):
             fit_homography(MatchedPairSet("c0", source, target))
 

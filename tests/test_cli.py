@@ -194,6 +194,14 @@ class TestHomographyCommand:
         expected = "analytic" if offsets else "fitted"
         assert {entry["provenance"] for entry in applied} == {expected}
 
+    @pytest.mark.parametrize("offsets", [[], ["--d-yaw", "0", "--d-pitch", "0", "--d-roll", "0"]], ids=["drawn", "zero"])
+    def test_report_matches_schema(self, tmp_path, offsets):
+        scene_dir = tmp_path / "scene"
+        assert main(["gen-scene", "--seed", "9", "--boxes", "40", "--output-dir", str(scene_dir)]) == 0
+        scene = str(scene_dir / "scene.json")
+        assert main(["homography", "--scene", scene, "--seed", "2", *offsets, "--output-dir", str(tmp_path / "h")]) == 0
+        validate(json.loads((tmp_path / "h" / "homographies.json").read_text()), "homography_report.schema.json")
+
 
 class TestDepthConvert:
     def test_known_conversion(self, capsys):

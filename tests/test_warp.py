@@ -1,9 +1,92 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import bevkit.warp as warp_module
 from bevkit.augment import Homography
 from bevkit.scene import render_pattern_image
 from bevkit.warp import warp_image
+
+
+def reference_warp(image, homography, out_size):
+    """Full-frame bilinear sampling that warp_image must match byte for byte."""
+    inverse = np.linalg.inv(np.asarray(getattr(homography, "matrix", homography), dtype=float))
+    if abs(inverse[2, 2]) > 1e-12:
+        inverse = inverse / inverse[2, 2]
+    out_width, out_height = out_size
+    src_height, src_width = image.shape[:2]
+
+    u, v = np.meshgrid(np.arange(out_width, dtype=float), np.arange(out_height, dtype=float))
+    denom = inverse[2, 0] * u + inverse[2, 1] * v + inverse[2, 2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = (inverse[0, 0] * u + inverse[0, 1] * v + inverse[0, 2]) / denom
+        y = (inverse[1, 0] * u + inverse[1, 1] * v + inverse[1, 2]) / denom
+
+    valid = (
+        np.isfinite(x)
+        & np.isfinite(y)
+        & (np.abs(denom) > 1e-15)
+        & (x >= 0.0)
+        & (x <= src_width - 1.0)
+        & (y >= 0.0)
+        & (y <= src_height - 1.0)
+    )
+    x = np.where(valid, x, 0.0)
+    y = np.where(valid, y, 0.0)
+
+    x0 = np.floor(x).astype(int)
+    y0 = np.floor(y).astype(int)
+    fx = x - x0
+    fy = y - y0
+    x1 = np.minimum(x0 + 1, src_width - 1)
+    y1 = np.minimum(y0 + 1, src_height - 1)
+
+    source = image.astype(float)
+    if image.ndim == 3:
+        fx = fx[..., None]
+        fy = fy[..., None]
+        valid_mask = valid[..., None]
+    else:
+        valid_mask = valid
+
+    value = (
+        (1.0 - fx) * (1.0 - fy) * source[y0, x0]
+        + fx * (1.0 - fy) * source[y0, x1]
+        + (1.0 - fx) * fy * source[y1, x0]
+        + fx * fy * source[y1, x1]
+    )
+    value = np.where(valid_mask, value, 0.0)
+
+    if np.issubdtype(image.dtype, np.integer):
+        info = np.iinfo(image.dtype)
+        return np.clip(np.rint(value), info.min, info.max).astype(image.dtype)
+    return value.astype(image.dtype)
+
+
+def random_raster(rng, height, width, dtype, color):
+    shape = (height, width, 3) if color else (height, width)
+    if dtype == np.float64:
+        return rng.normal(0.0, 100.0, size=shape)
+    return rng.integers(0, np.iinfo(dtype).max, size=shape, endpoint=True, dtype=dtype)
+
+
+def random_map(rng, kind, src_size, out_size):
+    """A forward homography of the given kind for a src_size -> out_size warp."""
+    src_width, src_height = src_size
+    out_width, out_height = out_size
+    if kind == "near-identity":
+        return np.eye(3) + rng.normal(0.0, [[1e-2, 1e-2, 1.0], [1e-2, 1e-2, 1.0], [1e-5, 1e-5, 0.0]])
+    if kind == "leaves-source":
+        shift = rng.choice([-1.0, 1.0], size=2) * (np.array([src_width, src_height]) + out_width + out_height)
+        return np.array([[1.0, 0.0, shift[0]], [0.0, 1.0, shift[1]], [0.0, 0.0, 1.0]])
+    # inverse map whose denominator is zero on a line through the canvas
+    u0, v0 = rng.uniform(0.0, out_width), rng.uniform(0.0, out_height)
+    a, b = rng.normal(size=2) / max(out_width, out_height)
+    inverse = np.eye(3) + rng.normal(0.0, 0.05, size=(3, 3))
+    inverse[2] = [a, b, -(a * u0 + b * v0)]
+    inverse[:2] *= rng.uniform(0.2, 2.0)
+    return np.linalg.inv(inverse)
 
 
 class TestWarpImage:
@@ -95,3 +178,64 @@ class TestWarpImage:
         image = render_pattern_image(10, 10, 0)
         with pytest.raises(ValueError):
             warp_image(image, np.eye(3), (0, 10))
+
+    def test_matches_full_frame_reference_byte_for_byte(self, monkeypatch):
+        kinds = ("near-identity", "leaves-source", "horizon")
+        dtypes = (np.uint8, np.uint16, np.float64)
+        cases = 0
+        sampled = 0
+        for seed in range(120):
+            rng = np.random.default_rng(seed)
+            kind = kinds[seed % 3]
+            dtype = dtypes[(seed // 3) % 3]
+            color = bool((seed // 9) % 2)
+            src_width, src_height = (int(n) for n in rng.integers(1, 48, size=2))
+            canvas = seed % 5
+            if canvas == 0:
+                out_width, out_height = int(rng.integers(1, 64)), 1
+            elif canvas == 1:
+                out_width, out_height = 1, int(rng.integers(1, 64))
+            elif canvas == 2:  # larger canvas than the source
+                out_width, out_height = src_width + int(rng.integers(1, 24)), src_height + int(rng.integers(1, 24))
+            else:  # smaller or equal canvas
+                out_width, out_height = int(rng.integers(1, src_width + 1)), int(rng.integers(1, src_height + 1))
+            # blocks of one row up to the whole canvas; heights are rarely a
+            # multiple of the block height
+            block_pixels = int(rng.integers(1, 2 * out_width * out_height + 1))
+            monkeypatch.setattr(warp_module, "_BLOCK_PIXELS", block_pixels)
+
+            image = random_raster(rng, src_height, src_width, dtype, color)
+            matrix = random_map(rng, kind, (src_width, src_height), (out_width, out_height))
+            if abs(np.linalg.det(matrix)) < 1e-15:
+                continue
+            expected = reference_warp(image, matrix, (out_width, out_height))
+            got = warp_image(image, matrix, (out_width, out_height))
+            context = (seed, kind, dtype, color, (src_width, src_height), (out_width, out_height), block_pixels)
+            assert got.dtype == expected.dtype, context
+            assert np.array_equal(got, expected), context
+            cases += 1
+            sampled += int(np.count_nonzero(expected))
+        assert cases >= 100
+        assert sampled > 0
+
+    def test_default_block_height_matches_reference_at_frame_size(self):
+        # 900 rows are not a multiple of the 16-row blocks of a 1600-px canvas
+        rng = np.random.default_rng(7)
+        image = random_raster(rng, 900, 1600, np.uint8, color=True)
+        matrix = np.array([[1.02, 0.03, -12.0], [-0.01, 0.99, 7.0], [2e-5, -1e-5, 1.0]])
+        got = warp_image(image, matrix, (1600, 900))
+        assert got.dtype == np.uint8
+        assert np.array_equal(got, reference_warp(image, matrix, (1600, 900)))
+
+    def test_full_frame_warp_peak_memory_bounded(self):
+        image = render_pattern_image(1600, 900, 3)
+        image = np.stack([image, image // 2, 255 - image], axis=-1)
+        matrix = np.array([[1.02, 0.03, -12.0], [-0.01, 0.99, 7.0], [2e-5, -1e-5, 1.0]])
+        tracemalloc.start()
+        try:
+            warp_image(image, matrix, (1600, 900))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the output alone is 4.1 MiB; a full-frame float64 kernel needs ~265 MiB
+        assert peak < 32 * 2**20

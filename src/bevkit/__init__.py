@@ -64,7 +64,6 @@ from .ordinal import (
 )
 from .pnm import read_pnm, write_pnm
 from .scene import RunConfig, Scene, generate_synthetic_scene, render_pattern_image
-from .selftest import run_selftest
 from .warp import warp_image
 
 __version__ = "0.1.0"

@@ -79,7 +79,10 @@ class PerturbationRange:
             if not math.isfinite(value) or value < 0.0:
                 raise ValueError(f"{name} must be a non-negative half-width, got {value!r}")
             object.__setattr__(self, name, value)
-        object.__setattr__(self, "seed", int(self.seed))
+        seed = int(self.seed)
+        if seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {seed}")
+        object.__setattr__(self, "seed", seed)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,9 @@
 """Command-line entry point.
 
 Subcommands: gen-scene, augment, homography, depth-convert, bin-focal,
-ordinal-loss, evaluate, selftest.  Every subcommand is pure in (inputs,
-seed): identical invocations produce byte-identical files and stdout.
-Exit codes: 0 success, 1 selftest check failure, 2 input or format error.
+ordinal-loss, evaluate.  Every subcommand is pure in (inputs, seed):
+identical invocations produce byte-identical files and stdout.
+Exit codes: 0 success, 2 input or format error.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .scene import (
     scene_from_dict,
     scene_to_dict,
 )
-from .selftest import run_selftest
 
 __all__ = ["main"]
 
@@ -222,9 +221,12 @@ def _cmd_bin_focal(args) -> int:
 
 def _cmd_ordinal_loss(args) -> int:
     data = _load_json(args.logits_json)
-    if "logits" not in data:
-        raise InputError(f"{args.logits_json}: expected an object with a 'logits' array")
-    logits = [float(v) for v in data["logits"]]
+    logits = data.get("logits")
+    if not isinstance(logits, list) or not all(
+        isinstance(v, (int, float)) and not isinstance(v, bool) for v in logits
+    ):
+        raise InputError(f"{args.logits_json}: expected an object with a 'logits' array of numbers")
+    logits = [float(v) for v in logits]
     loss = ordinal_loss(logits, args.label)
     grad = ordinal_loss_grad(logits, args.label)
     result = {"label": args.label, "loss": loss, "gradient": [float(g) for g in grad]}
@@ -263,15 +265,6 @@ def _cmd_evaluate(args) -> int:
     report_path.write_text(dumps_canonical(report.to_dict()), encoding="utf-8")
     print(_format_report_table(report))
     return 0
-
-
-def _cmd_selftest(args) -> int:
-    report = run_selftest(seed=0 if args.seed is None else args.seed)
-    for line in report.lines():
-        print(line)
-    passed = sum(r.passed for r in report.results)
-    print(f"{passed}/{len(report.results)} checks passed")
-    return 0 if report.all_passed else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -345,10 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pred", required=True)
     p.add_argument("--workers", type=int, default=1, help="accepted for compatibility; has no effect")
     p.set_defaults(func=_cmd_evaluate)
-
-    p = sub.add_parser("selftest", help="run the built-in oracle checks")
-    add_common(p, "--seed")
-    p.set_defaults(func=_cmd_selftest)
 
     return parser
 

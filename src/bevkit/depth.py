@@ -100,8 +100,8 @@ def metric_to_scale_invariant(d_m: float, intr: Intrinsics, cfg: DepthDecoupling
 def scale_invariant_to_metric(d: float, intr: Intrinsics, cfg: DepthDecouplingConfig) -> float:
     """Exact inverse of metric_to_scale_invariant: d_m = (c / s) * d."""
     d = float(d)
-    if d <= 0.0:
-        raise ValueError(f"scale-invariant depth must be positive, got {d}")
+    if not math.isfinite(d) or d <= 0.0:
+        raise ValueError(f"scale-invariant depth must be positive and finite, got {d}")
     return cfg.reference_pixel_size / pixel_size(intr) * d
 
 

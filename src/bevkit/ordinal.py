@@ -92,6 +92,8 @@ def assign_label(scheme: OrdinalDomainScheme, focal: float) -> int:
     for focal in [t_i, t_{i+1}).
     """
     focal = float(focal)
+    if not math.isfinite(focal) or focal <= 0.0:
+        raise ValueError(f"focal length must be positive and finite, got {focal!r}")
     thresholds = scheme.thresholds
     if focal < thresholds[0]:
         return 0

@@ -81,8 +81,11 @@ class RunConfig:
 
 
 def dumps_canonical(data) -> str:
-    """Deterministic JSON: sorted keys, fixed indent, trailing newline."""
-    return json.dumps(data, sort_keys=True, indent=2) + "\n"
+    """Deterministic JSON: sorted keys, fixed indent, trailing newline.
+
+    NaN and infinities raise ValueError: they are not JSON.
+    """
+    return json.dumps(data, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _require(data: dict, key: str, context: str):
@@ -315,6 +318,8 @@ def generate_synthetic_scene(
         raise ValueError(f"n_boxes must be >= 0, got {n_boxes}")
     if rig_style not in RIG_STYLES:
         raise ValueError(f"unsupported rig_style {rig_style!r}; supported: {RIG_STYLES}")
+    if int(seed) < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     scheme = scheme or DATASET_SCHEMES["nuscenes"]
 
     cameras = []

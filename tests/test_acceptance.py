@@ -21,7 +21,7 @@ from bevkit.depth import DepthDecouplingConfig, metric_to_scale_invariant, scale
 from bevkit.geometry import Intrinsics
 from bevkit.metrics import DetectionRecord, nds_star, evaluate
 from bevkit.ordinal import make_scheme, ordinal_loss, ordinal_loss_grad
-from bevkit.selftest import REFERENCE_NDS_STAR_ROWS, pure_rotation_case
+from reference_cases import REFERENCE_NDS_STAR_ROWS, pure_rotation_case
 
 
 def read_tree(root):

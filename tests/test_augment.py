@@ -21,7 +21,7 @@ from bevkit.augment import (
 from bevkit.boxes import Box3D, bottom_points
 from bevkit.geometry import CameraModel, Intrinsics, Pose, ego_to_camera_rotation
 from bevkit.scene import render_pattern_image
-from bevkit.selftest import pure_rotation_case
+from reference_cases import pure_rotation_case
 
 INTR = Intrinsics(fx=1000.0, fy=1000.0, px=352.0, py=128.0, width=704, height=256)
 
@@ -75,6 +75,10 @@ class TestPerturbPose:
         perturbed = perturb_pose(pose, PerturbationRange(0.1, 0.1, 0.1), np.random.default_rng(1))
         assert perturbed.translation == pose.translation
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed"):
+            PerturbationRange(seed=-1)
+
     def test_negative_half_width_rejected(self):
         with pytest.raises(ValueError):
             PerturbationRange(d_yaw=-0.01)
@@ -96,10 +100,11 @@ class TestCollectPairs:
         boxes = [Box3D((-20.0, 0.0, 0.75), (4.0, 2.0, 1.5), 0.0)]
         assert len(collect_pairs(cam, cam.pose, boxes)) == 0
 
-    def test_counts_match_brute_force(self):
+    @pytest.mark.parametrize("translation", [(0.0, 0.0, 0.0), (0.0, -1.6, 1.5)], ids=["origin", "offset"])
+    def test_counts_match_brute_force(self, translation):
         # independent route: scipy rotation + intrinsic matrix product
-        cam = self.make_camera()
-        perturbed = Pose(0.015, -0.008, 0.01, translation=(0.0, 0.0, 0.0))
+        cam = CameraModel(INTR, Pose(0.0, 0.0, 0.0, translation=translation), "c0")
+        perturbed = Pose(0.015, -0.008, 0.01, translation=translation)
         boxes = [
             Box3D((18.0, 2.0, 0.75), (4.0, 2.0, 1.5), 0.3),
             Box3D((30.0, -4.0, 0.9), (4.5, 2.0, 1.8), -0.7),

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 from pathlib import Path
@@ -429,20 +430,63 @@ class TestEvaluateCommand:
         assert sorted(report["per_threshold_ap"]) == ["1.0", "2.0"]
 
 
-class TestSelftestCommand:
-    def test_passes_and_prints_per_check_lines(self, capsys):
-        assert main(["selftest", "--seed", "0"]) == 0
-        out = capsys.readouterr().out
-        lines = [line for line in out.splitlines() if line.startswith(("PASS", "FAIL"))]
-        assert len(lines) >= 10
-        assert all(line.startswith("PASS") for line in lines)
-
-    def test_report_identical_across_runs(self, capsys):
-        main(["selftest", "--seed", "0"])
-        first = capsys.readouterr().out
-        main(["selftest", "--seed", "0"])
-        second = capsys.readouterr().out
-        assert first == second
+class TestRejectedInput:
+    @pytest.mark.parametrize(
+        "argv, content, expected",
+        [
+            (["bin-focal", "--focals", "nan"], None, "focal length must be positive and finite, got nan"),
+            (["bin-focal", "--focals", "700", "inf"], None, "focal length must be positive and finite, got inf"),
+            (
+                ["depth-convert", "--direction", "to-metric", "--fx", "1000", "--fy", "1000", "--values", "nan"],
+                None,
+                "scale-invariant depth must be positive and finite, got nan",
+            ),
+            (
+                ["depth-convert", "--direction", "to-metric", "--fx", "1000", "--fy", "1000", "--values", "inf"],
+                None,
+                "scale-invariant depth must be positive and finite, got inf",
+            ),
+            (["gen-scene", "--seed", "-1", "--output-dir", "{out}"], None, "seed must be a non-negative integer, got -1"),
+            (["augment", "--scene", "{scene}", "--seed", "-1", "--output-dir", "{out}"], None, "seed must be a non-negative integer, got -1"),
+            (
+                ["augment", "--scene", "{scene}", "--config", "{file}", "--output-dir", "{out}"],
+                {"seed": -3},
+                "seed must be a non-negative integer, got -3",
+            ),
+            (
+                ["ordinal-loss", "--logits-json", "{file}", "--label", "0"],
+                {"logits": 5},
+                "{file}: expected an object with a 'logits' array of numbers",
+            ),
+            (
+                ["ordinal-loss", "--logits-json", "{file}", "--label", "0"],
+                {"logits": [1, None, 2, 3]},
+                "{file}: expected an object with a 'logits' array of numbers",
+            ),
+        ],
+        ids=[
+            "bin-focal-nan",
+            "bin-focal-inf",
+            "depth-convert-nan",
+            "depth-convert-inf",
+            "gen-scene-negative-seed",
+            "augment-negative-seed",
+            "augment-negative-config-seed",
+            "ordinal-loss-scalar-logits",
+            "ordinal-loss-null-logit",
+        ],
+    )
+    def test_exits_2_with_precise_message(self, tmp_path, capsys, argv, content, expected):
+        names = {"scene": tmp_path / "scene" / "scene.json", "file": tmp_path / "input.json", "out": tmp_path / "out"}
+        if "{scene}" in argv:
+            assert main(["gen-scene", "--boxes", "4", "--with-images", "--output-dir", str(names["scene"].parent)]) == 0
+            capsys.readouterr()
+        if content is not None:
+            names["file"].write_text(json.dumps(content))
+        assert main([arg.format(**names) for arg in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {expected.format(**names)}\n"
 
 
 class TestFlags:
@@ -452,7 +496,6 @@ class TestFlags:
         "bin-focal": ["bin-focal", "--focals", "700"],
         "ordinal-loss": ["ordinal-loss", "--logits-json", "logits.json", "--label", "1"],
         "evaluate": ["evaluate", "--gt", "gt.json", "--pred", "pred.json"],
-        "selftest": ["selftest"],
     }
 
     @pytest.mark.parametrize(
@@ -462,7 +505,6 @@ class TestFlags:
             ("depth-convert", "--config"),
             ("bin-focal", "--config"),
             ("ordinal-loss", "--config"),
-            ("selftest", "--config"),
             ("depth-convert", "--seed"),
             ("bin-focal", "--seed"),
             ("ordinal-loss", "--seed"),
@@ -476,3 +518,20 @@ class TestFlags:
             parser.parse_args([*self.BASE[command], flag, "1"])
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+    def test_subcommand_set(self, capsys):
+        parser = build_parser()
+        (subparsers,) = [action for action in parser._actions if isinstance(action, argparse._SubParsersAction)]
+        assert set(subparsers.choices) == {
+            "gen-scene",
+            "augment",
+            "homography",
+            "depth-convert",
+            "bin-focal",
+            "ordinal-loss",
+            "evaluate",
+        }
+        with pytest.raises(SystemExit) as exc:
+            main(["selftest"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'selftest'" in capsys.readouterr().err

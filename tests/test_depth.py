@@ -70,6 +70,12 @@ class TestScaleInvariantConversion:
         with pytest.raises(ValueError):
             scale_invariant_to_metric(0.0, intr, DepthDecouplingConfig())
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_scale_invariant_rejected(self, value):
+        intr = make_intrinsics(1000.0, 1000.0)
+        with pytest.raises(ValueError, match=str(value)):
+            scale_invariant_to_metric(value, intr, DepthDecouplingConfig())
+
     def test_roundtrip_identity(self):
         rng = np.random.default_rng(6)
         cfg = DepthDecouplingConfig()

@@ -19,7 +19,7 @@ from bevkit.metrics import (
     tp_errors,
     yaw_difference,
 )
-from bevkit.selftest import REFERENCE_NDS_STAR_ROWS
+from reference_cases import REFERENCE_NDS_STAR_ROWS
 
 
 def gt(x, y, dims=(4.0, 2.0, 1.5), yaw=0.0, sample="s0"):

@@ -68,6 +68,11 @@ class TestAssignLabel:
         for i, threshold in enumerate(self.scheme.thresholds):
             assert assign_label(self.scheme, threshold) == i + 1
 
+    @pytest.mark.parametrize("focal", [float("nan"), float("inf"), float("-inf"), 0.0, -700.0])
+    def test_non_finite_or_non_positive_focal_rejected(self, focal):
+        with pytest.raises(ValueError, match=repr(focal)):
+            assign_label(self.scheme, focal)
+
     def test_monotone_in_focal(self):
         rng = np.random.default_rng(3)
         focals = np.sort(rng.uniform(300.0, 1000.0, size=200))

@@ -62,6 +62,10 @@ class TestGenerateSyntheticScene:
         with pytest.raises(ValueError, match="ring"):
             generate_synthetic_scene(1, 6, 4, rig_style="spiral")
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed"):
+            generate_synthetic_scene(-1, 6, 4)
+
     def test_camera_count_restricted(self):
         with pytest.raises(ValueError):
             generate_synthetic_scene(1, 4, 4)
@@ -107,6 +111,11 @@ class TestSceneSerialization:
         data["schema_version"] = 99
         with pytest.raises(ValueError, match="schema_version"):
             scene_from_dict(data)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_float_rejected(self, value):
+        with pytest.raises(ValueError):
+            dumps_canonical({"values": [1.0, value]})
 
 
 class TestRunConfigSerialization:

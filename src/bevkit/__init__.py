@@ -39,6 +39,7 @@ from .geometry import (
 )
 from .metrics import (
     DetectionRecord,
+    DetectionTable,
     Match,
     MetricConfig,
     MetricReport,

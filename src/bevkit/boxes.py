@@ -45,9 +45,6 @@ class Box3D:
                 raise ValueError(f"score must be in [0, 1], got {score}")
             object.__setattr__(self, "score", score)
 
-    def ground_center(self) -> tuple[float, float]:
-        return self.center[0], self.center[1]
-
     def volume(self) -> float:
         return self.dims[0] * self.dims[1] * self.dims[2]
 

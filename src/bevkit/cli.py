@@ -27,11 +27,11 @@ from .scene import (
     dumps_canonical,
     generate_synthetic_scene,
     pose_to_dict,
-    records_from_dict,
     render_pattern_image,
     run_config_from_dict,
     scene_from_dict,
     scene_to_dict,
+    table_from_dict,
 )
 
 __all__ = ["main"]
@@ -254,8 +254,8 @@ def _format_report_table(report) -> str:
 
 def _cmd_evaluate(args) -> int:
     cfg = _load_run_config(args)
-    gts = records_from_dict(_load_json(args.gt))
-    dets = records_from_dict(_load_json(args.pred))
+    gts = table_from_dict(_load_json(args.gt))
+    dets = table_from_dict(_load_json(args.pred))
     try:
         report = evaluate(gts, dets, cfg.metrics, workers=args.workers)
     except UndefinedAPError as exc:

@@ -10,14 +10,23 @@ over the matches at a single threshold, and the summary score is
 
     NDS* = (3 * mAP + sum over the three errors of (1 - min(1, err))) / 6.
 
-Evaluation is single-threaded: each sample's detection x ground-truth
-distance table is computed once and matched at every threshold.
+Records are evaluated as a ``DetectionTable``: numpy columns of sample,
+class, center, dims, yaw, score and input index.  ``scene.table_from_dict``
+builds one from a detection file.  The range filter and the search for
+same-sample pairs within the largest threshold run on the columns; the
+greedy claim then runs in Python over those candidate pairs only, with
+every ``Match.distance`` computed by ``math.hypot`` so that reports are
+bit-for-bit those of the per-record definition.  ``evaluate``,
+``match_detections`` and ``average_precision`` also accept lists of
+``DetectionRecord``, which they turn into tables.  A prediction without a
+score is rejected before the range filter, naming its input index.
+Evaluation is single-threaded; ``workers`` is accepted and has no effect.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -27,6 +36,7 @@ from .boxes import Box3D
 __all__ = [
     "UndefinedAPError",
     "DetectionRecord",
+    "DetectionTable",
     "MetricConfig",
     "MetricReport",
     "Match",
@@ -55,6 +65,86 @@ class DetectionRecord:
     def __post_init__(self) -> None:
         if not isinstance(self.sample_id, str) or not self.sample_id:
             raise ValueError(f"sample_id must be a non-empty string, got {self.sample_id!r}")
+
+
+def _vocabulary(keys) -> tuple[tuple, np.ndarray]:
+    """Distinct keys in first-seen order, and each key's position among them."""
+    codes: dict = {}
+    index = np.array([codes.setdefault(key, len(codes)) for key in keys], dtype=np.int64)
+    return tuple(codes), index
+
+
+@dataclass(frozen=True, eq=False)
+class DetectionTable:
+    """Detection records as numpy columns; row ``i`` holds input record ``index[i]``.
+
+    ``sample`` and ``class_index`` index the ``sample_ids`` and
+    ``class_ids`` vocabularies.  ``center`` and ``dims`` are (n, 3) and
+    ``yaw`` lies in (-pi, pi], as on ``Box3D``; ``score`` is NaN for a
+    record without one.  The builders take values that are already
+    validated; ``select`` keeps the vocabularies and each row's input index.
+    """
+
+    sample_ids: tuple[str, ...]
+    class_ids: tuple[str, ...]
+    sample: np.ndarray
+    class_index: np.ndarray
+    center: np.ndarray
+    dims: np.ndarray
+    yaw: np.ndarray
+    score: np.ndarray
+    index: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    @classmethod
+    def from_columns(
+        cls, sample_ids: Sequence[str], class_ids: Sequence[str], center, dims, yaw, score
+    ) -> "DetectionTable":
+        """Table over per-record values given in input order."""
+        samples, sample = _vocabulary(sample_ids)
+        classes, class_index = _vocabulary(class_ids)
+        n = len(sample)
+        return cls(
+            sample_ids=samples,
+            class_ids=classes,
+            sample=sample,
+            class_index=class_index,
+            center=np.asarray(center, dtype=float).reshape(n, 3),
+            dims=np.asarray(dims, dtype=float).reshape(n, 3),
+            yaw=np.asarray(yaw, dtype=float).reshape(n),
+            score=np.asarray(score, dtype=float).reshape(n),
+            index=np.arange(n),
+        )
+
+    @classmethod
+    def from_records(cls, records: Sequence[DetectionRecord]) -> "DetectionTable":
+        return cls.from_columns(
+            [r.sample_id for r in records],
+            [r.box.class_id for r in records],
+            [r.box.center for r in records],
+            [r.box.dims for r in records],
+            [r.box.yaw for r in records],
+            [math.nan if r.box.score is None else r.box.score for r in records],
+        )
+
+    def select(self, keep: np.ndarray) -> "DetectionTable":
+        """The rows where ``keep`` is true."""
+        return replace(
+            self,
+            sample=self.sample[keep],
+            class_index=self.class_index[keep],
+            center=self.center[keep],
+            dims=self.dims[keep],
+            yaw=self.yaw[keep],
+            score=self.score[keep],
+            index=self.index[keep],
+        )
+
+
+def _as_table(records: DetectionTable | Sequence[DetectionRecord]) -> DetectionTable:
+    return records if isinstance(records, DetectionTable) else DetectionTable.from_records(records)
 
 
 @dataclass(frozen=True)
@@ -173,56 +263,111 @@ def yaw_difference(a: Box3D, b: Box3D) -> float:
     return min(delta, 2.0 * math.pi - delta)
 
 
-def _score_order(dets: Sequence[DetectionRecord]) -> list[int]:
-    """Deterministic processing order: score desc, ties by (sample_id, input index)."""
-    for index, det in enumerate(dets):
-        if det.box.score is None:
-            raise ValueError(f"detection {index} has no score")
-    return sorted(range(len(dets)), key=lambda i: (-dets[i].box.score, dets[i].sample_id, i))
+def _require_scores(dets: DetectionTable) -> None:
+    missing = np.flatnonzero(np.isnan(dets.score))
+    if len(missing):
+        raise ValueError(f"detection record {dets.index[missing[0]]} has no score")
+
+
+# Largest number of detection x ground-truth pairs one numpy pass of the
+# candidate search holds (a few MiB of index and distance arrays).
+_PAIR_BLOCK = 1 << 16
+
+
+def _candidate_pairs(
+    gt_sample: np.ndarray,
+    gt_center: np.ndarray,
+    det_sample: np.ndarray,
+    det_center: np.ndarray,
+    order: np.ndarray,
+    num_samples: int,
+    cutoff: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Same-sample (detection row, ground-truth row) pairs with ``np.hypot`` distance below ``cutoff``.
+
+    Detections come in ``order``, and each detection's ground truths in
+    ascending row order.  Pairs are formed for a run of detections at a
+    time, about ``_PAIR_BLOCK`` pairs per run, so memory stays bounded and
+    many small samples share one numpy pass.
+    """
+    gt_rows = np.argsort(gt_sample, kind="stable")
+    gt_count = np.bincount(gt_sample, minlength=num_samples)
+    gt_first = np.cumsum(gt_count) - gt_count
+    samples = det_sample[order]
+    per_det = gt_count[samples]
+    ends = np.cumsum(per_det)
+    det_pairs, gt_pairs = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    start = 0
+    while start < len(order):
+        stop = max(start + 1, int(np.searchsorted(ends, ends[start] - per_det[start] + _PAIR_BLOCK, "right")))
+        counts = per_det[start:stop]
+        det_rows = np.repeat(order[start:stop], counts)
+        within = np.arange(len(det_rows)) - np.repeat(np.cumsum(counts) - counts, counts)
+        pair_gts = gt_rows[np.repeat(gt_first[samples[start:stop]], counts) + within]
+        distance = np.hypot(
+            det_center[det_rows, 0] - gt_center[pair_gts, 0], det_center[det_rows, 1] - gt_center[pair_gts, 1]
+        )
+        keep = distance < cutoff
+        det_pairs.append(det_rows[keep])
+        gt_pairs.append(pair_gts[keep])
+        start = stop
+    return np.concatenate(det_pairs), np.concatenate(gt_pairs)
 
 
 def _greedy_matches(
-    gts: Sequence[DetectionRecord],
-    dets: Sequence[DetectionRecord],
-    thresholds: Sequence[float],
-) -> tuple[list[int], list[dict[int, Match]]]:
-    """Score order of ``dets`` and, per threshold, its matches keyed by detection index.
+    gts: DetectionTable, dets: DetectionTable, thresholds: Sequence[float]
+) -> tuple[np.ndarray, list[dict[int, Match]]]:
+    """Score order of ``dets`` rows and, per threshold, its matches keyed by detection row.
 
-    Samples are visited one at a time: each sample's detection x ground-truth
-    distance table is computed once, shared by every threshold, and dropped
-    before the next sample, so only one table is ever held.
+    The score order is score descending, then ``sample_id``, then input
+    index.  numpy finds the same-sample pairs within the largest threshold
+    (plus a margin for rounding); each one's ``Match.distance`` is
+    recomputed with ``math.hypot``, as ``ground_distance`` does, and the
+    greedy claim visits only those pairs.
     """
-    order = _score_order(dets)
-    dets_by_sample: dict[str, list[int]] = {}
-    for det_index in order:
-        dets_by_sample.setdefault(dets[det_index].sample_id, []).append(det_index)
-    gts_by_sample: dict[str, list[int]] = {}
-    for gt_index, gt in enumerate(gts):
-        gts_by_sample.setdefault(gt.sample_id, []).append(gt_index)
+    _require_scores(dets)
+    rank = {name: r for r, name in enumerate(sorted(set(gts.sample_ids).union(dets.sample_ids)))}
+    gt_sample = np.array([rank[name] for name in gts.sample_ids], dtype=np.int64)[gts.sample]
+    det_sample = np.array([rank[name] for name in dets.sample_ids], dtype=np.int64)[dets.sample]
+    order = np.lexsort((dets.index, det_sample, -dets.score))
+
+    largest = max(thresholds)
+    det_rows, gt_rows = _candidate_pairs(
+        gt_sample, gts.center, det_sample, dets.center, order, len(rank), largest + 1e-9 * max(1.0, largest)
+    )
+    dx = (dets.center[det_rows, 0] - gts.center[gt_rows, 0]).tolist()
+    dy = (dets.center[det_rows, 1] - gts.center[gt_rows, 1]).tolist()
+    candidates: list[tuple[int, list[tuple[int, float]]]] = []
+    for det_row, gt_row, distance in zip(det_rows.tolist(), gt_rows.tolist(), map(math.hypot, dx, dy)):
+        if not candidates or candidates[-1][0] != det_row:
+            candidates.append((det_row, []))
+        candidates[-1][1].append((gt_row, distance))
 
     matched: list[dict[int, Match]] = [{} for _ in thresholds]
-    for sample_id, det_indices in dets_by_sample.items():
-        gt_indices = gts_by_sample.get(sample_id, [])
-        table = [[ground_distance(dets[d].box, gts[g].box) for g in gt_indices] for d in det_indices]
-        for threshold, by_det in zip(thresholds, matched):
-            unmatched = list(range(len(gt_indices)))
-            for det_index, row in zip(det_indices, table):
-                best = -1
-                best_distance = math.inf
-                for column in unmatched:
-                    distance = row[column]
-                    if distance < threshold and distance < best_distance:
-                        best_distance = distance
-                        best = column
-                if best >= 0:
-                    unmatched.remove(best)
-                    by_det[det_index] = Match(det_index, gt_indices[best], best_distance)
+    for threshold, by_det in zip(thresholds, matched):
+        claimed: set[int] = set()
+        for det_row, pairs in candidates:
+            best = -1
+            best_distance = math.inf
+            for gt_row, distance in pairs:
+                if distance < threshold and distance < best_distance and gt_row not in claimed:
+                    best_distance = distance
+                    best = gt_row
+            if best >= 0:
+                claimed.add(best)
+                by_det[det_row] = Match(det_row, best, best_distance)
     return order, matched
 
 
+def _tp_flags(order: np.ndarray, by_det: dict[int, Match]) -> np.ndarray:
+    hit = np.zeros(len(order), dtype=bool)
+    hit[list(by_det)] = True
+    return hit[order]
+
+
 def match_detections(
-    gts: Sequence[DetectionRecord],
-    dets: Sequence[DetectionRecord],
+    gts: DetectionTable | Sequence[DetectionRecord],
+    dets: DetectionTable | Sequence[DetectionRecord],
     threshold: float,
     workers: int = 1,
 ) -> list[Match]:
@@ -232,17 +377,18 @@ def match_detections(
     sample at strictly less than ``threshold`` meters; each ground truth
     is claimed at most once.  Equidistant candidates resolve to the lower
     ground-truth input index.  The result is in detection processing
-    order.  ``workers`` is accepted for compatibility and has no effect.
+    order, with row indices into ``gts`` and ``dets``.  ``workers`` is
+    accepted for compatibility and has no effect.
     """
-    order, (by_det,) = _greedy_matches(gts, dets, (threshold,))
-    return [by_det[det_index] for det_index in order if det_index in by_det]
+    order, (by_det,) = _greedy_matches(_as_table(gts), _as_table(dets), (threshold,))
+    return [by_det[det_row] for det_row in order.tolist() if det_row in by_det]
 
 
 def _precision_area(
-    tp_flags: Sequence[bool], num_gts: int, recall_floor: float, precision_floor: float
+    tp_flags: np.ndarray, num_gts: int, recall_floor: float, precision_floor: float
 ) -> float:
     """AP integral over true-positive flags given in detection processing order."""
-    if not tp_flags:
+    if not len(tp_flags):
         return 0.0
     grid = np.linspace(0.0, 1.0, 101)
     start = int(round(100 * recall_floor)) + 1
@@ -263,8 +409,8 @@ def _precision_area(
 
 
 def average_precision(
-    gts: Sequence[DetectionRecord],
-    dets: Sequence[DetectionRecord],
+    gts: DetectionTable | Sequence[DetectionRecord],
+    dets: DetectionTable | Sequence[DetectionRecord],
     threshold: float,
     recall_floor: float = 0.1,
     precision_floor: float = 0.1,
@@ -278,10 +424,37 @@ def average_precision(
 
     Raises UndefinedAPError when there are no ground truths.
     """
-    if not gts:
+    gts, dets = _as_table(gts), _as_table(dets)
+    if not len(gts):
         raise UndefinedAPError(f"no ground truths at threshold {threshold}")
     order, (by_det,) = _greedy_matches(gts, dets, (threshold,))
-    return _precision_area([i in by_det for i in order], len(gts), recall_floor, precision_floor)
+    return _precision_area(_tp_flags(order, by_det), len(gts), recall_floor, precision_floor)
+
+
+def _mean_errors(
+    translation: list[float], gt_dims: np.ndarray, det_dims: np.ndarray, gt_yaw: np.ndarray, det_yaw: np.ndarray
+) -> TPErrors:
+    """``tp_errors`` over matched rows, given their ground distances.
+
+    Each term is the same floating-point expression as ``aligned_iou`` and
+    ``yaw_difference`` on the pair, and each mean is a left-to-right
+    ``sum`` in match order, so the result is bit-for-bit that of the
+    per-pair functions.
+    """
+    n = len(translation)
+    if not n:
+        return TPErrors(1.0, 1.0, 1.0)
+    overlap = (
+        np.minimum(gt_dims[:, 0], det_dims[:, 0])
+        * np.minimum(gt_dims[:, 1], det_dims[:, 1])
+        * np.minimum(gt_dims[:, 2], det_dims[:, 2])
+    )
+    union = gt_dims[:, 0] * gt_dims[:, 1] * gt_dims[:, 2] + det_dims[:, 0] * det_dims[:, 1] * det_dims[:, 2] - overlap
+    iou = np.ones(n)
+    np.divide(overlap, union, out=iou, where=~(union <= 0.0))
+    delta = np.abs(gt_yaw - det_yaw)
+    orientation = np.minimum(delta, 2.0 * math.pi - delta)
+    return TPErrors(sum(translation) / n, sum((1.0 - iou).tolist()) / n, sum(orientation.tolist()) / n)
 
 
 def tp_errors(matched_boxes: Sequence[tuple[Box3D, Box3D]]) -> TPErrors:
@@ -291,13 +464,15 @@ def tp_errors(matched_boxes: Sequence[tuple[Box3D, Box3D]]) -> TPErrors:
     1 - aligned_iou, orientation is the wrapped absolute yaw difference
     (radians).  With no matches each error defaults to 1.
     """
-    if not matched_boxes:
-        return TPErrors(1.0, 1.0, 1.0)
-    translation = [ground_distance(gt, det) for gt, det in matched_boxes]
-    scale = [1.0 - aligned_iou(gt, det) for gt, det in matched_boxes]
-    orientation = [yaw_difference(gt, det) for gt, det in matched_boxes]
-    n = len(matched_boxes)
-    return TPErrors(sum(translation) / n, sum(scale) / n, sum(orientation) / n)
+    gt_boxes = [gt for gt, _ in matched_boxes]
+    det_boxes = [det for _, det in matched_boxes]
+    return _mean_errors(
+        [ground_distance(gt, det) for gt, det in matched_boxes],
+        np.array([box.dims for box in gt_boxes], dtype=float).reshape(-1, 3),
+        np.array([box.dims for box in det_boxes], dtype=float).reshape(-1, 3),
+        np.array([box.yaw for box in gt_boxes], dtype=float),
+        np.array([box.yaw for box in det_boxes], dtype=float),
+    )
 
 
 def nds_star(m_ap: float, m_ate: float, m_ase: float, m_aoe: float) -> float:
@@ -311,47 +486,63 @@ def nds_star(m_ap: float, m_ate: float, m_ase: float, m_aoe: float) -> float:
     return (3.0 * m_ap + recovered) / 6.0
 
 
-def _within_range(record: DetectionRecord, range_limit: float) -> bool:
-    return math.hypot(record.box.center[0], record.box.center[1]) <= range_limit
+def _within_range(table: DetectionTable, range_limit: float) -> np.ndarray:
+    """Rows with ``math.hypot(x, y) <= range_limit``, bit for bit.
+
+    ``np.hypot`` may differ from ``math.hypot`` in the last bit, so rows
+    within rounding of the limit are decided by ``math.hypot``.
+    """
+    x, y = table.center[:, 0], table.center[:, 1]
+    norm = np.hypot(x, y)
+    keep = norm <= range_limit
+    for row in np.flatnonzero(np.abs(norm - range_limit) <= 1e-9 * range_limit).tolist():
+        keep[row] = math.hypot(x[row], y[row]) <= range_limit
+    return keep
 
 
 def evaluate(
-    gts: Sequence[DetectionRecord],
-    dets: Sequence[DetectionRecord],
+    gts: DetectionTable | Sequence[DetectionRecord],
+    dets: DetectionTable | Sequence[DetectionRecord],
     cfg: MetricConfig | None = None,
     workers: int = 1,
 ) -> MetricReport:
     """Full single-class report: range filter, per-threshold AP, TP errors, NDS*.
 
     Both sets are filtered to ``cfg.range_limit`` on ground-plane center
-    norm before anything else.  One matching pass serves every threshold;
-    AP, the TP errors at ``cfg.tp_threshold`` and the match counts all come
-    from it.  Raises UndefinedAPError when no ground truths survive the
-    filter.  ``workers`` is accepted for compatibility and has no effect.
+    norm; UndefinedAPError is raised when no ground truth survives, and
+    ValueError, naming its input index, when any detection, in range or
+    not, has no score.  One matching pass serves every threshold; AP, the
+    TP errors at ``cfg.tp_threshold`` and the match counts all come from
+    it.  ``workers`` is accepted for compatibility and has no effect.
     """
     cfg = cfg or MetricConfig()
-    gts_kept = [gt for gt in gts if _within_range(gt, cfg.range_limit)]
-    dets_kept = [det for det in dets if _within_range(det, cfg.range_limit)]
-    if not gts_kept:
+    gts, dets = _as_table(gts), _as_table(dets)
+    gts = gts.select(_within_range(gts, cfg.range_limit))
+    if not len(gts):
         raise UndefinedAPError(f"no ground truths within range_limit {cfg.range_limit} m")
+    _require_scores(dets)
+    dets = dets.select(_within_range(dets, cfg.range_limit))
 
-    order, matched = _greedy_matches(gts_kept, dets_kept, cfg.distance_thresholds)
+    order, matched = _greedy_matches(gts, dets, cfg.distance_thresholds)
     per_threshold_ap: dict[float, float] = {}
     match_counts = {
-        "ground_truths": len(gts_kept),
-        "detections": len(dets_kept),
+        "ground_truths": len(gts),
+        "detections": len(dets),
     }
     for threshold, by_det in zip(cfg.distance_thresholds, matched):
-        tp_flags = [i in by_det for i in order]
         per_threshold_ap[threshold] = _precision_area(
-            tp_flags, len(gts_kept), cfg.recall_floor, cfg.precision_floor
+            _tp_flags(order, by_det), len(gts), cfg.recall_floor, cfg.precision_floor
         )
         match_counts[f"matches@{threshold:g}"] = len(by_det)
     m_ap = sum(per_threshold_ap.values()) / len(per_threshold_ap)
 
     tp_matches = matched[cfg.distance_thresholds.index(cfg.tp_threshold)]
-    pairs = [(gts_kept[tp_matches[i].gt_index].box, dets_kept[i].box) for i in order if i in tp_matches]
-    errors = tp_errors(pairs)
+    tps = [tp_matches[det_row] for det_row in order.tolist() if det_row in tp_matches]
+    gt_rows = [m.gt_index for m in tps]
+    det_rows = [m.det_index for m in tps]
+    errors = _mean_errors(
+        [m.distance for m in tps], gts.dims[gt_rows], dets.dims[det_rows], gts.yaw[gt_rows], dets.yaw[det_rows]
+    )
 
     return MetricReport(
         m_ap=m_ap,

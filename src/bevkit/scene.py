@@ -17,8 +17,8 @@ import numpy as np
 from .augment import PerturbationRange
 from .boxes import Box3D
 from .depth import DepthDecouplingConfig
-from .geometry import CameraModel, Intrinsics, Pose, ego_to_camera_rotation
-from .metrics import DetectionRecord, MetricConfig
+from .geometry import CameraModel, Intrinsics, Pose, ego_to_camera_rotation, wrap_angle
+from .metrics import DetectionRecord, DetectionTable, MetricConfig
 from .ordinal import DATASET_SCHEMES, OrdinalDomainScheme, make_scheme
 
 __all__ = [
@@ -37,6 +37,7 @@ __all__ = [
     "box_from_dict",
     "records_to_dict",
     "records_from_dict",
+    "table_from_dict",
     "generate_synthetic_scene",
     "render_pattern_image",
 ]
@@ -78,6 +79,10 @@ class RunConfig:
     depth: DepthDecouplingConfig = field(default_factory=DepthDecouplingConfig)
     scheme: OrdinalDomainScheme = field(default_factory=lambda: DATASET_SCHEMES["nuscenes"])
     metrics: MetricConfig = field(default_factory=MetricConfig)
+
+    def __post_init__(self) -> None:
+        if int(self.seed) < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
 
 
 def dumps_canonical(data) -> str:
@@ -216,6 +221,64 @@ def records_from_dict(data: dict) -> list[DetectionRecord]:
             DetectionRecord(box=box_from_dict(entry), sample_id=str(_require(entry, "sample_id", "record")))
         )
     return records
+
+
+def _numeric_column(values: list, shape: tuple[int, ...]) -> np.ndarray | None:
+    """``values`` as a float array of ``shape`` if every value is a finite JSON number or bool."""
+    array = np.array(values)
+    if array.dtype.kind not in "biuf" or array.shape != shape:
+        return None
+    array = array.astype(float)
+    return array if np.isfinite(array).all() else None
+
+
+def _table_from_entries(entries: list) -> DetectionTable | None:
+    """Column-wise parse of well-formed records; None if any record needs the per-record path."""
+    n = len(entries)
+    try:
+        center = _numeric_column([e["center"] for e in entries], (n, 3))
+        dims = _numeric_column([e["dims"] for e in entries], (n, 3))
+        yaw = _numeric_column([e["yaw"] for e in entries], (n,))
+        sample_ids = [e["sample_id"] for e in entries]
+        class_ids = [e.get("class_id", "vehicle") for e in entries]
+        given_scores = [e.get("score") for e in entries]
+        given = np.array([s is not None for s in given_scores], dtype=bool)
+        scores = _numeric_column([s for s in given_scores if s is not None], (int(given.sum()),))
+    except (KeyError, TypeError, ValueError):  # a missing key, a non-object record, a ragged array
+        return None
+    if center is None or dims is None or yaw is None or scores is None:
+        return None
+    if (dims < 0.0).any() or not ((scores >= 0.0) & (scores <= 1.0)).all():
+        return None
+    score = np.full(n, np.nan)
+    score[given] = scores
+    outside = ~((yaw > -math.pi) & (yaw <= math.pi))
+    yaw[outside] = [wrap_angle(v) for v in yaw[outside].tolist()]
+    try:
+        table = DetectionTable.from_columns(sample_ids, class_ids, center, dims, yaw, score)
+    except TypeError:  # an unhashable sample_id or class_id
+        return None
+    if not all(type(s) is str and s for s in table.sample_ids) or not all(type(c) is str for c in table.class_ids):
+        return None
+    return table
+
+
+def table_from_dict(data: dict) -> DetectionTable:
+    """Detection records as a ``DetectionTable``; the same records and errors as ``records_from_dict``.
+
+    Well-formed files are parsed and validated column by column.  Any
+    record the columns cannot take as it is (a missing key, a value of the
+    wrong type or shape, a non-finite number, a negative extent, a score
+    outside [0, 1], an empty ``sample_id``) sends the file through
+    ``records_from_dict``, which raises its error for the first offending
+    record, or converts what the columns do not (numeric strings,
+    non-string ids) as it always has.
+    """
+    if data.get("schema_version", SCHEMA_VERSION) == SCHEMA_VERSION and type(data.get("records")) is list:
+        table = _table_from_entries(data["records"])
+        if table is not None:
+            return table
+    return DetectionTable.from_records(records_from_dict(data))
 
 
 def run_config_to_dict(cfg: RunConfig) -> dict:

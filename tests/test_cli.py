@@ -14,6 +14,7 @@ from bevkit.boxes import Box3D
 from bevkit.metrics import DetectionRecord
 
 SCHEMAS = Path(__file__).resolve().parents[1] / "docs" / "schemas"
+GOLDEN = Path(__file__).resolve().parent / "data" / "evaluate_golden"
 
 def read_tree(root):
     return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
@@ -313,6 +314,43 @@ class TestOrdinalLossCommand:
         assert main(["ordinal-loss", "--logits-json", str(bad), "--label", "0"]) == 2
 
 
+def golden_eval_inputs():
+    """Seeded gt/pred files: 50 samples of 40 GTs and 80 detections on a half-meter lattice.
+
+    Lattice positions give equidistant ground truths and distances exactly at
+    a threshold; five score levels give score ties; samples shifted up to
+    45 m put records on both sides of the 50 m range limit; yaws up to +-4
+    need wrapping.  Expected outputs in tests/data/evaluate_golden/ were
+    written by the per-record implementation this replaced.
+    """
+    rng = np.random.default_rng(20231)
+
+    def record(sample, x, y, score=None):
+        entry = {
+            "sample_id": sample,
+            "center": [float(x), float(y), 0.75],
+            "dims": [float(v) for v in rng.uniform([3.0, 1.5, 1.2], [5.0, 2.5, 2.0])],
+            "yaw": float(rng.uniform(-4.0, 4.0)),
+            "class_id": "vehicle",
+        }
+        if score is not None:
+            entry["score"] = score
+        return entry
+
+    gts, dets = [], []
+    for s in range(50):
+        sample = f"g{(s * 7) % 50:02d}"  # samples interleaved, not in sorted order
+        shift = np.array([5.0 * (s % 10), -2.5 * (s % 4)])
+        gt_xy = rng.integers(-24, 25, size=(40, 2)) / 2.0 + shift
+        near = gt_xy[rng.integers(0, 40, size=50)] + rng.integers(-5, 6, size=(50, 2)) / 2.0
+        anywhere = rng.integers(-24, 25, size=(30, 2)) / 2.0 + shift
+        gts += [record(sample, x, y) for x, y in gt_xy]
+        det_xy = np.concatenate([near, anywhere])[rng.permutation(80)]
+        dets += [record(sample, x, y, float(rng.choice([0.1, 0.3, 0.5, 0.7, 0.9]))) for x, y in det_xy]
+    order = rng.permutation(len(dets))
+    return {"schema_version": 1, "records": gts}, {"schema_version": 1, "records": [dets[i] for i in order]}
+
+
 class TestEvaluateCommand:
     def test_report_and_table(self, tmp_path, eval_files, capsys):
         gt_path, pred_path = eval_files
@@ -409,6 +447,79 @@ class TestEvaluateCommand:
         err = capsys.readouterr().err
         assert "range_limit" in err
         assert "threshold" not in err
+
+    def test_golden_report_bytes(self, tmp_path, capsys):
+        gt_data, pred_data = golden_eval_inputs()
+        gt_path, pred_path = tmp_path / "gt.json", tmp_path / "pred.json"
+        gt_path.write_text(json.dumps(gt_data), encoding="utf-8")
+        pred_path.write_text(json.dumps(pred_data), encoding="utf-8")
+        out = tmp_path / "report"
+        assert main(["evaluate", "--gt", str(gt_path), "--pred", str(pred_path), "--output-dir", str(out)]) == 0
+        assert capsys.readouterr().out == (GOLDEN / "stdout.txt").read_text(encoding="utf-8")
+        assert (out / "metric_report.json").read_bytes() == (GOLDEN / "metric_report.json").read_bytes()
+
+    GOOD_RECORD = {"sample_id": "s0", "center": [10.0, 0.0, 0.75], "dims": [4.0, 2.0, 1.5], "yaw": 0.0, "score": 0.9}
+
+    @pytest.mark.parametrize("flag", ["--gt", "--pred"])
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (dict(GOOD_RECORD, center=[10.0, 0.0]), "center must be 3 finite values, got (10.0, 0.0)"),
+            (dict(GOOD_RECORD, center=[float("nan"), 0.0, 0.75]), "center must be 3 finite values, got (nan, 0.0, 0.75)"),
+            (dict(GOOD_RECORD, dims=[4.0, -2.0, 1.5]), "dims must be 3 non-negative values, got (4.0, -2.0, 1.5)"),
+            (dict(GOOD_RECORD, score=1.5), "score must be in [0, 1], got 1.5"),
+            (dict(GOOD_RECORD, sample_id=""), "sample_id must be a non-empty string, got ''"),
+            ({k: v for k, v in GOOD_RECORD.items() if k != "sample_id"}, "record: missing required key 'sample_id'"),
+            ([1, 2], "box: missing required key 'center'"),
+            (5, "argument of type 'int' is not iterable"),
+            (None, "argument of type 'NoneType' is not iterable"),
+            ("center", "string indices must be integers, not 'str'"),
+        ],
+        ids=[
+            "center-length-2",
+            "center-nan",
+            "negative-dims",
+            "score-1.5",
+            "empty-sample-id",
+            "missing-sample-id",
+            "record-array",
+            "record-number",
+            "record-null",
+            "record-string",
+        ],
+    )
+    def test_malformed_record_message(self, tmp_path, capsys, flag, bad, message):
+        # the messages of the per-record parser, which the column parser keeps
+        good = [dict(self.GOOD_RECORD, center=[10.0 + i, 0.0, 0.75]) for i in range(3)]
+        paths = {}
+        for name in ("--gt", "--pred"):
+            records = good + [bad, dict(self.GOOD_RECORD, dims=[-1.0, 1.0, 1.0])] if name == flag else good
+            paths[name] = tmp_path / f"{name[2:]}.json"
+            paths[name].write_text(json.dumps({"schema_version": 1, "records": records}), encoding="utf-8")
+        argv = ["evaluate", "--gt", str(paths["--gt"]), "--pred", str(paths["--pred"]), "--output-dir", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out" / "metric_report.json").exists()
+
+    @pytest.mark.parametrize(
+        "centers, index",
+        [
+            # the unscored record is in range, after one beyond it: named by input index, not in-range position
+            ([(10.0, 0.0), (80.0, 0.0), (20.0, 5.0), (11.0, 0.0)], 3),
+            # the unscored record lies beyond range_limit
+            ([(10.0, 0.0), (80.0, 0.0)], 1),
+        ],
+        ids=["after-out-of-range", "out-of-range"],
+    )
+    def test_missing_score_names_input_index(self, tmp_path, eval_files, capsys, centers, index):
+        gt_path, _ = eval_files
+        records = [dict(self.GOOD_RECORD, center=[x, y, 0.75]) for x, y in centers]
+        del records[index]["score"]
+        pred_path = tmp_path / "unscored.json"
+        pred_path.write_text(json.dumps({"schema_version": 1, "records": records}), encoding="utf-8")
+        argv = ["evaluate", "--gt", str(gt_path), "--pred", str(pred_path), "--output-dir", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: detection record {index} has no score\n"
 
     def test_run_config_controls_metrics(self, tmp_path, eval_files, capsys):
         gt_path, pred_path = eval_files

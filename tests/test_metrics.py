@@ -7,6 +7,7 @@ import bevkit.metrics as metrics_module
 from bevkit.boxes import Box3D
 from bevkit.metrics import (
     DetectionRecord,
+    DetectionTable,
     MetricConfig,
     MetricReport,
     UndefinedAPError,
@@ -19,6 +20,7 @@ from bevkit.metrics import (
     tp_errors,
     yaw_difference,
 )
+from bevkit.scene import records_to_dict, table_from_dict
 from reference_cases import REFERENCE_NDS_STAR_ROWS
 
 
@@ -161,6 +163,23 @@ class TestAveragePrecision:
     def test_zero_ground_truths_undefined(self):
         with pytest.raises(UndefinedAPError):
             average_precision([], [det(0.0, 0.0, 1.0)], 2.0)
+
+    def test_recall_grid_points_one_ulp_above_hundredths(self):
+        # np.linspace(0, 1, 101), the protocol grid, is not k / 100 at these ten points
+        above = [k for k in range(101) if RECALL_GRID[k] != k / 100]
+        assert above == [35, 41, 47, 57, 69, 70, 82, 83, 94, 95]
+        for k in above:
+            assert RECALL_GRID[k] == np.nextafter(k / 100, 1.0)
+
+    @pytest.mark.parametrize("num_tps, credited_bins", [(6, 20), (7, 24)])
+    def test_exact_recall_on_raised_grid_point_earns_no_credit(self, num_tps, credited_bins):
+        # 20 GTs, perfect detections of the first num_tps: recall 0.3 credits bins
+        # 0.11..0.30, but recall 0.35 misses the grid point 0.35000000000000003
+        gts = [gt(float(2 * k), 0.0) for k in range(20)]
+        dets = [det(float(2 * k), 0.0, 1.0) for k in range(num_tps)]
+        expected = float(np.mean(np.where(np.arange(11, 101) <= 10 + credited_bins, 0.9, 0.0))) / 0.9
+        assert average_precision(gts, dets, 0.5) == expected
+        assert expected == pytest.approx(credited_bins / 90.0, abs=1e-12)
 
     def test_one_tp_one_fp_matches_enumeration(self):
         gts = [gt(10.0, 0.0), gt(20.0, 0.0)]
@@ -350,20 +369,75 @@ class TestEvaluate:
                 )
         assert evaluate(gts, dets, workers=1) == evaluate(gts, dets, workers=4)
 
-    def test_each_pair_distance_computed_once(self, monkeypatch):
+    def test_greedy_claim_visits_only_pairs_under_largest_threshold(self, monkeypatch):
         rng = np.random.default_rng(42)
         gts, dets = [], []
         for sample in ("a", "b", "c"):
-            for _ in range(6):
-                x, y = rng.uniform(-30, 30, size=2)  # all within the 50 m range limit
+            for _ in range(30):
+                x, y = rng.uniform(-30, 30, size=2)  # rows stay rows: nothing beyond the 50 m range limit
                 gts.append(gt(float(x), float(y), sample=sample))
-                dets.append(det(float(x + rng.normal(0, 0.8)), float(y), float(rng.uniform(0, 1)), sample=sample))
-        calls = []
-        real = metrics_module.ground_distance
-        monkeypatch.setattr(metrics_module, "ground_distance", lambda a, b: calls.append(None) or real(a, b))
+                dets.append(det(float(x + rng.normal(0, 3)), float(y), float(rng.uniform(0, 1)), sample=sample))
+        visited = []
+        real = metrics_module._candidate_pairs
+
+        def recording(*args):
+            pairs = real(*args)
+            visited.extend(zip(*(rows.tolist() for rows in pairs)))
+            return pairs
+
+        monkeypatch.setattr(metrics_module, "_candidate_pairs", recording)
         report = evaluate(gts, dets)
-        # 3 samples x 6 x 6 same-sample pairs for matching, plus the mATE term of each TP match
-        assert len(calls) == 3 * 6 * 6 + report.match_counts["matches@2"]
+        gts_kept, dets_kept, per_threshold_ap, errors, _ = brute_force_evaluate(gts, dets, MetricConfig())
+        assert (len(gts_kept), len(dets_kept)) == (len(gts), len(dets))
+        assert (report.per_threshold_ap, (report.m_ate, report.m_ase, report.m_aoe)) == (per_threshold_ap, errors)
+        largest = max(MetricConfig().distance_thresholds)
+        same_sample = [
+            (d, g, ground_distance(dets[d].box, gts[g].box))
+            for d in range(len(dets))
+            for g in range(len(gts))
+            if dets[d].sample_id == gts[g].sample_id
+        ]
+        assert len(visited) == len(set(visited))
+        assert set(visited) == {(d, g) for d, g, distance in same_sample if distance < largest + 1e-9}
+        assert {(d, g) for d, g, distance in same_sample if distance < largest} <= set(visited)
+        assert 0 < len(visited) < len(same_sample) / 10
+
+    def test_last_bit_disagreements_of_np_hypot_follow_math_hypot(self):
+        rng = np.random.default_rng(61)
+        xy = rng.uniform(-50.0, 50.0, size=(20000, 2))
+        numpy_norm = np.hypot(xy[:, 0], xy[:, 1])
+        exact = np.array([math.hypot(x, y) for x, y in xy.tolist()])
+        higher, lower = np.flatnonzero(numpy_norm > exact)[:5], np.flatnonzero(numpy_norm < exact)[:5]
+        if not (len(higher) and len(lower)):
+            pytest.skip("np.hypot agrees with math.hypot on these points")
+        for i in higher.tolist():
+            x, y = xy[i].tolist()
+            # np.hypot puts the detection exactly at the threshold, math.hypot just below it: a match
+            t = float(numpy_norm[i])
+            report = evaluate([gt(0.0, 0.0)], [det(x, y, 0.9)], MetricConfig((t,), tp_threshold=t, range_limit=100.0))
+            assert report.match_counts[f"matches@{t:g}"] == 1
+            assert report.m_ate == exact[i]
+            # np.hypot puts the record beyond range_limit = its math.hypot norm: kept
+            report = evaluate([gt(x, y)], [det(x, y, 0.9)], MetricConfig(range_limit=float(exact[i])))
+            assert report.match_counts["ground_truths"] == report.match_counts["detections"] == 1
+        for i in lower.tolist():
+            x, y = xy[i].tolist()
+            # np.hypot puts the record inside range_limit, math.hypot beyond it: dropped
+            report = evaluate([gt(0.0, 0.0), gt(x, y)], [det(x, y, 0.9)], MetricConfig(range_limit=float(numpy_norm[i])))
+            assert report.match_counts["ground_truths"] == 1
+            assert report.match_counts["detections"] == 0
+
+    def test_missing_score_checked_before_range_filter(self):
+        def unscored(x):
+            return DetectionRecord(Box3D((x, 0.0, 0.75), (4.0, 2.0, 1.5), 0.0), "s0")
+
+        gts = [gt(10.0, 0.0)]
+        # beyond range_limit, so not among the detections that are matched
+        with pytest.raises(ValueError, match=r"^detection record 1 has no score$"):
+            evaluate(gts, [det(10.0, 0.0, 0.9), unscored(80.0)])
+        # in range after a record beyond it: named by input index, not by in-range position
+        with pytest.raises(ValueError, match=r"^detection record 2 has no score$"):
+            evaluate(gts, [det(10.0, 0.0, 0.9), det(90.0, 0.0, 0.9), unscored(11.0)])
 
     def test_report_roundtrip(self):
         gts, dets = self.fixture()
@@ -405,18 +479,25 @@ class TestEvaluate:
                 score = float(rng.choice([0.2, 0.5, 0.9]))
                 yaw = float(rng.uniform(-3, 3))
                 dets.append(det(float(x), float(y), score, dims=dims, yaw=yaw, sample=str(rng.choice(samples))))
+            # the record lists and their tables, as `bevkit evaluate` parses them
+            inputs = [(gts, dets), (table_from_dict(records_to_dict(gts)), table_from_dict(records_to_dict(dets)))]
             try:
                 gts_kept, dets_kept, per_threshold_ap, errors, counts = brute_force_evaluate(gts, dets, cfg)
             except UndefinedAPError:
-                with pytest.raises(UndefinedAPError):
-                    evaluate(gts, dets, cfg)
+                for gt_input, det_input in inputs:
+                    with pytest.raises(UndefinedAPError):
+                        evaluate(gt_input, det_input, cfg)
                 continue
-            report = evaluate(gts, dets, cfg)
-            assert report.per_threshold_ap == per_threshold_ap
-            assert (report.m_ate, report.m_ase, report.m_aoe) == errors
-            assert report.match_counts == counts
+            for gt_input, det_input in inputs:
+                report = evaluate(gt_input, det_input, cfg)
+                assert report.per_threshold_ap == per_threshold_ap
+                assert (report.m_ate, report.m_ase, report.m_aoe) == errors
+                assert report.match_counts == counts
+            kept_tables = [table_from_dict(records_to_dict(records)) for records in (gts_kept, dets_kept)]
             for t in cfg.distance_thresholds:
-                assert match_detections(gts_kept, dets_kept, t) == brute_force_matches(gts_kept, dets_kept, t)[1]
+                expected = brute_force_matches(gts_kept, dets_kept, t)[1]
+                assert match_detections(gts_kept, dets_kept, t) == expected
+                assert match_detections(*kept_tables, t) == expected
             checked += 1
         assert checked > 100
 

@@ -4,17 +4,19 @@ import numpy as np
 import pytest
 
 from bevkit.augment import PerturbationRange, augment_scene
-from bevkit.metrics import MetricConfig
+from bevkit.metrics import DetectionTable, MetricConfig
 from bevkit.scene import (
     RunConfig,
     Scene,
     dumps_canonical,
     generate_synthetic_scene,
+    records_from_dict,
     render_pattern_image,
     run_config_from_dict,
     run_config_to_dict,
     scene_from_dict,
     scene_to_dict,
+    table_from_dict,
 )
 
 
@@ -118,6 +120,93 @@ class TestSceneSerialization:
             dumps_canonical({"values": [1.0, value]})
 
 
+def record(sample="s0", center=(10.0, 0.0, 0.75), dims=(4.0, 2.0, 1.5), yaw=0.0, **extra):
+    return {"sample_id": sample, "center": list(center), "dims": list(dims), "yaw": yaw, **extra}
+
+
+def assert_tables_equal(table, expected):
+    assert (table.sample_ids, table.class_ids) == (expected.sample_ids, expected.class_ids)
+    for column in ("sample", "class_index", "center", "dims", "yaw", "score", "index"):
+        got, want = getattr(table, column), getattr(expected, column)
+        assert got.dtype == want.dtype and got.shape == want.shape, column
+        assert np.array_equal(got, want, equal_nan=True), column
+
+
+class TestTableFromDict:
+    @pytest.mark.parametrize(
+        "records",
+        [
+            [],
+            [record()],
+            [
+                record("b", (1, 2, 0), yaw=4.0, score=0.5),
+                record("a", (1.5, True, 0.25), dims=(0, 0.0, -0.0), yaw=-math.pi, class_id="pedestrian", score=1),
+                record("b", (-3.0, 7.25, 1.0), yaw=math.pi, score=False, velocity=[1, 2]),
+                record("a\x00", yaw=-12.5, score=None),
+            ],
+            # values only the per-record path converts
+            [record(), record("c", ("1.5", 2.0, 0.0), yaw="0.5", score="0.25")],
+            [record(), record(7, class_id=None), record(None, class_id=3)],
+            [record(center=(2**70, 1.0, 0.0))],
+        ],
+        ids=["empty", "one", "mixed-number-types", "numeric-strings", "non-string-ids", "huge-int"],
+    )
+    def test_same_rows_as_records_from_dict(self, records):
+        data = {"schema_version": 1, "records": records}
+        assert_tables_equal(table_from_dict(data), DetectionTable.from_records(records_from_dict(data)))
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            record(center=(10.0, 0.0)),
+            record(center=(float("nan"), 0.0, 0.75)),
+            record(center=(1.0, 2.0, [3.0])),
+            record(dims=(4.0, -2.0, 1.5)),
+            record(yaw=float("inf")),
+            record(yaw=None),
+            record(score=1.5),
+            record(score=float("nan")),
+            record(score=[0.5]),
+            record(""),
+            {"center": [1.0, 2.0, 3.0], "dims": [1.0, 1.0, 1.0], "yaw": 0.0},
+            {"sample_id": "s0", "dims": [1.0, 1.0, 1.0], "yaw": 0.0},
+            [1, 2],
+            5,
+            None,
+            "center",
+        ],
+        ids=[
+            "center-length-2",
+            "center-nan",
+            "center-ragged",
+            "negative-dims",
+            "yaw-inf",
+            "yaw-null",
+            "score-1.5",
+            "score-nan",
+            "score-array",
+            "empty-sample-id",
+            "missing-sample-id",
+            "missing-center",
+            "record-array",
+            "record-number",
+            "record-null",
+            "record-string",
+        ],
+    )
+    def test_malformed_record_raises_its_per_record_error(self, bad):
+        data = {"schema_version": 1, "records": [record(), record(yaw=0.5), bad, record(dims=(-1.0, 1.0, 1.0))]}
+        with pytest.raises(Exception) as expected:
+            records_from_dict(data)
+        with pytest.raises(type(expected.value)) as got:
+            table_from_dict(data)
+        assert str(got.value) == str(expected.value)
+
+    def test_unsupported_version_rejected(self):
+        with pytest.raises(ValueError, match="schema_version"):
+            table_from_dict({"schema_version": 2, "records": [record()]})
+
+
 class TestRunConfigSerialization:
     def test_roundtrip_defaults(self):
         cfg = RunConfig()
@@ -130,6 +219,10 @@ class TestRunConfigSerialization:
             metrics=MetricConfig(distance_thresholds=(1.0, 2.0), tp_threshold=2.0),
         )
         assert run_config_from_dict(run_config_to_dict(cfg)) == cfg
+
+    def test_negative_top_level_seed_rejected(self):
+        with pytest.raises(ValueError, match=r"^seed must be a non-negative integer, got -3$"):
+            run_config_from_dict({"seed": -3, "perturbation": {"seed": 1}})
 
     def test_partial_dict_uses_defaults(self):
         cfg = run_config_from_dict({"seed": 3})

@@ -164,16 +164,18 @@ class MetricConfig:
 
     def __post_init__(self) -> None:
         thresholds = tuple(float(t) for t in self.distance_thresholds)
-        if not thresholds or any(t <= 0.0 for t in thresholds):
-            raise ValueError(f"distance thresholds must be positive, got {thresholds!r}")
+        if not thresholds or not all(0.0 < t < math.inf for t in thresholds):
+            raise ValueError(f"distance thresholds must be positive and finite, got {thresholds!r}")
         if any(b <= a for a, b in zip(thresholds, thresholds[1:])):
             raise ValueError(f"distance thresholds must be ascending, got {thresholds!r}")
         object.__setattr__(self, "distance_thresholds", thresholds)
         object.__setattr__(self, "tp_threshold", float(self.tp_threshold))
         if self.tp_threshold not in thresholds:
             raise ValueError(f"tp_threshold {self.tp_threshold} not among {thresholds!r}")
-        if self.range_limit <= 0.0:
-            raise ValueError(f"range_limit must be positive, got {self.range_limit!r}")
+        range_limit = float(self.range_limit)
+        if not 0.0 < range_limit < math.inf:
+            raise ValueError(f"range_limit must be positive and finite, got {range_limit!r}")
+        object.__setattr__(self, "range_limit", range_limit)
         for name in ("recall_floor", "precision_floor"):
             value = float(getattr(self, name))
             if not (0.0 <= value < 1.0):

@@ -10,16 +10,15 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .augment import PerturbationRange
 from .boxes import Box3D
-from .depth import DepthDecouplingConfig
 from .geometry import CameraModel, Intrinsics, Pose, ego_to_camera_rotation, wrap_angle
 from .metrics import DetectionRecord, DetectionTable, MetricConfig
-from .ordinal import DATASET_SCHEMES, OrdinalDomainScheme, make_scheme
+from .ordinal import DATASET_SCHEMES, OrdinalDomainScheme
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -29,7 +28,6 @@ __all__ = [
     "dumps_canonical",
     "scene_to_dict",
     "scene_from_dict",
-    "run_config_to_dict",
     "run_config_from_dict",
     "pose_to_dict",
     "pose_from_dict",
@@ -72,17 +70,17 @@ class Scene:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Seed plus the per-module configurations a pipeline run needs."""
+    """What ``--config`` sets: the seed, the pose perturbation and the metric protocol."""
 
     seed: int = 0
     perturbation: PerturbationRange = field(default_factory=PerturbationRange)
-    depth: DepthDecouplingConfig = field(default_factory=DepthDecouplingConfig)
-    scheme: OrdinalDomainScheme = field(default_factory=lambda: DATASET_SCHEMES["nuscenes"])
     metrics: MetricConfig = field(default_factory=MetricConfig)
 
     def __post_init__(self) -> None:
-        if int(self.seed) < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
+        seed = int(self.seed)
+        if seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {seed}")
+        object.__setattr__(self, "seed", seed)
 
 
 def dumps_canonical(data) -> str:
@@ -99,10 +97,18 @@ def _require(data: dict, key: str, context: str):
     return data[key]
 
 
-def _section(data: dict, key: str) -> dict:
+def _check_keys(data: dict, allowed: set[str], where: str = "") -> None:
+    for key in data:
+        if key not in allowed:
+            raise ValueError(f"run config: unknown key {key!r}{where}")
+
+
+def _section(data: dict, key: str, cls) -> dict:
+    """The run-config section ``data[key]``, whose keys must be fields of ``cls``."""
     section = data[key]
     if not isinstance(section, dict):
         raise ValueError(f"run config: {key!r} must be an object, got {type(section).__name__}")
+    _check_keys(section, {f.name for f in fields(cls)}, f" in {key!r}")
     return section
 
 
@@ -281,74 +287,22 @@ def table_from_dict(data: dict) -> DetectionTable:
     return DetectionTable.from_records(records_from_dict(data))
 
 
-def run_config_to_dict(cfg: RunConfig) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "seed": cfg.seed,
-        "perturbation": {
-            "d_yaw": cfg.perturbation.d_yaw,
-            "d_pitch": cfg.perturbation.d_pitch,
-            "d_roll": cfg.perturbation.d_roll,
-            "seed": cfg.perturbation.seed,
-        },
-        "depth": {
-            "reference_pixel_size": cfg.depth.reference_pixel_size,
-            "metric_depth_range": list(cfg.depth.metric_depth_range),
-        },
-        "scheme": {
-            "alpha": cfg.scheme.alpha,
-            "beta": cfg.scheme.beta,
-            "num_subintervals": cfg.scheme.num_subintervals,
-        },
-        "metrics": {
-            "distance_thresholds": list(cfg.metrics.distance_thresholds),
-            "tp_threshold": cfg.metrics.tp_threshold,
-            "range_limit": cfg.metrics.range_limit,
-            "recall_floor": cfg.metrics.recall_floor,
-            "precision_floor": cfg.metrics.precision_floor,
-        },
-    }
-
-
 def run_config_from_dict(data: dict) -> RunConfig:
+    """Parse a run config.
+
+    Every key must be a field of its section's class (or ``schema_version``
+    at the top level); an omitted key takes the field's default.
+    """
     version = data.get("schema_version", SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
         raise ValueError(f"unsupported run config schema_version {version!r}")
-    kwargs = {}
-    if "seed" in data:
-        kwargs["seed"] = int(data["seed"])
+    _check_keys(data, {"schema_version"} | {f.name for f in fields(RunConfig)})
+    seed = {"seed": data["seed"]} if "seed" in data else {}
     # The top-level seed is the perturbation seed's default, section or not.
-    p = _section(data, "perturbation") if "perturbation" in data else {}
-    kwargs["perturbation"] = PerturbationRange(
-        d_yaw=float(p.get("d_yaw", 0.02)),
-        d_pitch=float(p.get("d_pitch", 0.01)),
-        d_roll=float(p.get("d_roll", 0.02)),
-        seed=int(p.get("seed", kwargs.get("seed", 0))),
-    )
-    if "depth" in data:
-        d = _section(data, "depth")
-        depth_kwargs = {}
-        if "reference_pixel_size" in d:
-            depth_kwargs["reference_pixel_size"] = float(d["reference_pixel_size"])
-        if "metric_depth_range" in d:
-            depth_kwargs["metric_depth_range"] = tuple(float(v) for v in d["metric_depth_range"])
-        kwargs["depth"] = DepthDecouplingConfig(**depth_kwargs)
-    if "scheme" in data:
-        s = _section(data, "scheme")
-        kwargs["scheme"] = make_scheme(
-            float(_require(s, "alpha", "scheme")),
-            float(_require(s, "beta", "scheme")),
-            int(_require(s, "num_subintervals", "scheme")),
-        )
+    perturbation = _section(data, "perturbation", PerturbationRange) if "perturbation" in data else {}
+    kwargs = dict(seed, perturbation=PerturbationRange(**{**seed, **perturbation}))
     if "metrics" in data:
-        m = _section(data, "metrics")
-        metric_kwargs = {}
-        if "distance_thresholds" in m:
-            metric_kwargs["distance_thresholds"] = tuple(float(v) for v in m["distance_thresholds"])
-        for key in ("tp_threshold", "range_limit", "recall_floor", "precision_floor"):
-            if key in m:
-                metric_kwargs[key] = float(m[key])
-        kwargs["metrics"] = MetricConfig(**metric_kwargs)
+        kwargs["metrics"] = MetricConfig(**_section(data, "metrics", MetricConfig))
     return RunConfig(**kwargs)
 
 

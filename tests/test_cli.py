@@ -29,6 +29,23 @@ def validate(data, schema_name, definition=None):
     jsonschema.validate(data, schema)
 
 
+# Run configs the CLI accepts; each must also validate against run_config.schema.json.
+SEED_ONLY_CONFIG = {"seed": 5}
+METRICS_CONFIG = {"seed": 1, "metrics": {"distance_thresholds": [1.0, 2.0], "tp_threshold": 1.0, "range_limit": 60.0}}
+FULL_CONFIG = {
+    "schema_version": 1,
+    "seed": 3,
+    "perturbation": {"d_yaw": 0.04, "d_pitch": 0.01, "d_roll": 0.03, "seed": 8},
+    "metrics": {
+        "distance_thresholds": [0.5, 1.0, 2.0, 4.0],
+        "tp_threshold": 2.0,
+        "range_limit": 50.0,
+        "recall_floor": 0.1,
+        "precision_floor": 0.1,
+    },
+}
+
+
 def write_records(path, records):
     path.write_text(dumps_canonical(records_to_dict(records)), encoding="utf-8")
 
@@ -121,7 +138,7 @@ class TestAugmentCommand:
     def test_run_config_seed_without_perturbation_section(self, tmp_path):
         expected = self.run_augment(tmp_path, "flag", 1)
         config_path = tmp_path / "run.json"
-        config_path.write_text(json.dumps({"seed": 5}))
+        config_path.write_text(json.dumps(SEED_ONLY_CONFIG))
         out = tmp_path / "config"
         scene = str(tmp_path / "scene" / "scene.json")
         assert main(["augment", "--scene", scene, "--config", str(config_path), "--output-dir", str(out)]) == 0
@@ -524,14 +541,7 @@ class TestEvaluateCommand:
     def test_run_config_controls_metrics(self, tmp_path, eval_files, capsys):
         gt_path, pred_path = eval_files
         config_path = tmp_path / "run.json"
-        config_path.write_text(
-            json.dumps(
-                {
-                    "seed": 1,
-                    "metrics": {"distance_thresholds": [1.0, 2.0], "tp_threshold": 1.0, "range_limit": 60.0},
-                }
-            )
-        )
+        config_path.write_text(json.dumps(METRICS_CONFIG))
         out = tmp_path / "cfg_report"
         code = main(
             ["evaluate", "--gt", str(gt_path), "--pred", str(pred_path), "--config", str(config_path), "--output-dir", str(out)]
@@ -565,6 +575,26 @@ class TestRejectedInput:
                 "seed must be a non-negative integer, got -3",
             ),
             (
+                ["augment", "--scene", "{file}", "--output-dir", "{out}"],
+                {"scene_id": "s", "cameras": [], "boxes": [{"center": [10**400, 0, 0.75], "dims": [4, 2, 1.5], "yaw": 0}]},
+                "int too large to convert to float",
+            ),
+            (
+                ["evaluate", "--gt", "{file}", "--pred", "{pred}", "--output-dir", "{out}"],
+                {"records": [{"sample_id": "s0", "center": [10**400, 0, 0.75], "dims": [4, 2, 1.5], "yaw": 0}]},
+                "int too large to convert to float",
+            ),
+            (
+                ["evaluate", "--gt", "{gt}", "--pred", "{pred}", "--config", "{file}", "--output-dir", "{out}"],
+                {"metrics": {"range_limit": 10**400}},
+                "int too large to convert to float",
+            ),
+            (
+                ["evaluate", "--gt", "{gt}", "--pred", "{pred}", "--config", "{file}", "--output-dir", "{out}"],
+                {"metrics": {"distance_thresholds": [0.5, math.nan, 2.0]}},
+                "distance thresholds must be positive and finite, got (0.5, nan, 2.0)",
+            ),
+            (
                 ["ordinal-loss", "--logits-json", "{file}", "--label", "0"],
                 {"logits": 5},
                 "{file}: expected an object with a 'logits' array of numbers",
@@ -583,12 +613,17 @@ class TestRejectedInput:
             "gen-scene-negative-seed",
             "augment-negative-seed",
             "augment-negative-config-seed",
+            "augment-huge-box-coordinate",
+            "evaluate-huge-center",
+            "evaluate-huge-config-range-limit",
+            "evaluate-nan-config-threshold",
             "ordinal-loss-scalar-logits",
             "ordinal-loss-null-logit",
         ],
     )
-    def test_exits_2_with_precise_message(self, tmp_path, capsys, argv, content, expected):
+    def test_exits_2_with_precise_message(self, tmp_path, eval_files, capsys, argv, content, expected):
         names = {"scene": tmp_path / "scene" / "scene.json", "file": tmp_path / "input.json", "out": tmp_path / "out"}
+        names["gt"], names["pred"] = eval_files
         if "{scene}" in argv:
             assert main(["gen-scene", "--boxes", "4", "--with-images", "--output-dir", str(names["scene"].parent)]) == 0
             capsys.readouterr()
@@ -598,6 +633,59 @@ class TestRejectedInput:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {expected.format(**names)}\n"
+
+
+class TestRunConfigFile:
+    REJECTED = [
+        ({"metrics": {"range_limt": 100}}, "run config: unknown key 'range_limt' in 'metrics'"),
+        ({"metric": {"range_limit": 100}}, "run config: unknown key 'metric'"),
+        ({"perturbation": {"d_yaw": 0.1, "yaw": 0.1}}, "run config: unknown key 'yaw' in 'perturbation'"),
+        ({"seed": 1, "depth": {"reference_pixel_size": -1.0}}, "run config: unknown key 'depth'"),
+        ({"scheme": {"alpha": 500.0, "beta": 750.0, "num_subintervals": 5}}, "run config: unknown key 'scheme'"),
+    ]
+    REJECTED_IDS = ["metrics-key", "top-level-key", "perturbation-key", "depth", "scheme"]
+
+    @staticmethod
+    def argv(command, tmp_path, eval_files, config_path):
+        out = ["--config", str(config_path), "--output-dir", str(tmp_path / "out")]
+        if command == "evaluate":
+            gt_path, pred_path = eval_files
+            return ["evaluate", "--gt", str(gt_path), "--pred", str(pred_path), *out]
+        scene_dir = tmp_path / "scene"
+        assert main(["gen-scene", "--boxes", "4", "--with-images", "--output-dir", str(scene_dir)]) == 0
+        return [command, "--scene", str(scene_dir / "scene.json"), *out]
+
+    @pytest.mark.parametrize("config", [SEED_ONLY_CONFIG, METRICS_CONFIG, FULL_CONFIG], ids=["seed", "metrics", "full"])
+    @pytest.mark.parametrize("command", ["augment", "homography", "evaluate"])
+    def test_accepted_config_matches_schema(self, tmp_path, eval_files, command, config):
+        validate(config, "run_config.schema.json")
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps(config))
+        assert main(self.argv(command, tmp_path, eval_files, config_path)) == 0
+
+    @pytest.mark.parametrize("config, message", REJECTED, ids=REJECTED_IDS)
+    @pytest.mark.parametrize("command", ["augment", "homography", "evaluate"])
+    def test_unknown_key_rejected_by_schema_and_cli(self, tmp_path, eval_files, capsys, command, config, message):
+        import jsonschema
+
+        with pytest.raises(jsonschema.ValidationError, match="Additional properties are not allowed"):
+            validate(config, "run_config.schema.json")
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps(config))
+        argv = self.argv(command, tmp_path, eval_files, config_path)
+        capsys.readouterr()
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("path", sorted(SCHEMAS.glob("*.schema.json")), ids=lambda path: path.name)
+def test_schema_is_well_formed(path):
+    import jsonschema
+
+    jsonschema.Draft202012Validator.check_schema(json.loads(path.read_text()))
 
 
 class TestFlags:

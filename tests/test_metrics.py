@@ -506,3 +506,30 @@ class TestEvaluate:
             MetricConfig(distance_thresholds=(1.0, 0.5))
         with pytest.raises(ValueError):
             MetricConfig(tp_threshold=3.0)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (
+                {"distance_thresholds": (0.5, math.nan, 2.0), "tp_threshold": 2.0},
+                "distance thresholds must be positive and finite, got (0.5, nan, 2.0)",
+            ),
+            (
+                {"distance_thresholds": (0.5, 1.0, math.inf), "tp_threshold": 1.0},
+                "distance thresholds must be positive and finite, got (0.5, 1.0, inf)",
+            ),
+            ({"range_limit": math.nan}, "range_limit must be positive and finite, got nan"),
+            ({"range_limit": math.inf}, "range_limit must be positive and finite, got inf"),
+            ({"range_limit": 0}, "range_limit must be positive and finite, got 0.0"),
+        ],
+        ids=["threshold-nan", "threshold-inf", "range-nan", "range-inf", "range-zero"],
+    )
+    def test_non_finite_config_rejected(self, kwargs, message):
+        with pytest.raises(ValueError) as exc:
+            MetricConfig(**kwargs)
+        assert str(exc.value) == message
+
+    def test_integral_range_limit_coerced_to_float(self):
+        cfg = MetricConfig(range_limit=60)
+        assert type(cfg.range_limit) is float
+        assert cfg == MetricConfig(range_limit=60.0)

@@ -13,7 +13,6 @@ from bevkit.scene import (
     records_from_dict,
     render_pattern_image,
     run_config_from_dict,
-    run_config_to_dict,
     scene_from_dict,
     scene_to_dict,
     table_from_dict,
@@ -208,17 +207,82 @@ class TestTableFromDict:
 
 
 class TestRunConfigSerialization:
-    def test_roundtrip_defaults(self):
-        cfg = RunConfig()
-        assert run_config_from_dict(run_config_to_dict(cfg)) == cfg
-
-    def test_roundtrip_custom(self):
-        cfg = RunConfig(
-            seed=42,
-            perturbation=PerturbationRange(0.08, 0.02, 0.04, seed=42),
-            metrics=MetricConfig(distance_thresholds=(1.0, 2.0), tp_threshold=2.0),
+    def test_parse_defaults(self):
+        cfg = run_config_from_dict({"schema_version": 1})
+        assert cfg == RunConfig()
+        assert cfg.seed == 0
+        assert cfg.perturbation == PerturbationRange(d_yaw=0.02, d_pitch=0.01, d_roll=0.02, seed=0)
+        assert cfg.metrics == MetricConfig(
+            distance_thresholds=(0.5, 1.0, 2.0, 4.0),
+            tp_threshold=2.0,
+            range_limit=50.0,
+            recall_floor=0.1,
+            precision_floor=0.1,
         )
-        assert run_config_from_dict(run_config_to_dict(cfg)) == cfg
+
+    def test_parse_custom(self):
+        cfg = run_config_from_dict(
+            {
+                "schema_version": 1,
+                "seed": 42,
+                "perturbation": {"d_yaw": 0.08, "d_pitch": 0.02, "d_roll": 0.04, "seed": 7},
+                "metrics": {
+                    "distance_thresholds": [1.0, 2.0],
+                    "tp_threshold": 2.0,
+                    "range_limit": 60.0,
+                    "recall_floor": 0.05,
+                    "precision_floor": 0.2,
+                },
+            }
+        )
+        assert cfg.seed == 42
+        assert cfg.perturbation == PerturbationRange(d_yaw=0.08, d_pitch=0.02, d_roll=0.04, seed=7)
+        assert cfg.metrics == MetricConfig(
+            distance_thresholds=(1.0, 2.0),
+            tp_threshold=2.0,
+            range_limit=60.0,
+            recall_floor=0.05,
+            precision_floor=0.2,
+        )
+
+    def test_integral_and_float_values_coerced(self):
+        cfg = run_config_from_dict(
+            {
+                "seed": 5.0,
+                "perturbation": {"d_yaw": 0, "seed": 3.0},
+                "metrics": {"distance_thresholds": [1, 2], "tp_threshold": 2, "range_limit": 60},
+            }
+        )
+        assert (type(cfg.seed), cfg.seed) == (int, 5)
+        assert (type(cfg.perturbation.seed), cfg.perturbation.seed) == (int, 3)
+        assert (type(cfg.perturbation.d_yaw), cfg.perturbation.d_yaw) == (float, 0.0)
+        assert cfg.metrics.distance_thresholds == (1.0, 2.0)
+        assert all(type(t) is float for t in cfg.metrics.distance_thresholds)
+        assert (type(cfg.metrics.tp_threshold), cfg.metrics.tp_threshold) == (float, 2.0)
+        assert (type(cfg.metrics.range_limit), cfg.metrics.range_limit) == (float, 60.0)
+
+    def test_top_level_seed_is_perturbation_seed_default(self):
+        assert run_config_from_dict({"seed": 9}).perturbation.seed == 9
+        assert run_config_from_dict({"seed": 9, "perturbation": {"d_yaw": 0.1}}).perturbation.seed == 9
+        assert run_config_from_dict({"seed": 9, "perturbation": {"seed": 4}}).perturbation.seed == 4
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"depth": {"reference_pixel_size": 0.001}}, "run config: unknown key 'depth'"),
+            ({"scheme": {"alpha": 500.0, "beta": 750.0, "num_subintervals": 5}}, "run config: unknown key 'scheme'"),
+            ({"metric": {"range_limit": 100}}, "run config: unknown key 'metric'"),
+            ({"metrics": {"range_limt": 100}}, "run config: unknown key 'range_limt' in 'metrics'"),
+            ({"perturbation": {"d_yaw": 0.1, "yaw": 0.1}}, "run config: unknown key 'yaw' in 'perturbation'"),
+            ({"metrics": [1.0, 2.0]}, "run config: 'metrics' must be an object, got list"),
+            ({"perturbation": 0.02}, "run config: 'perturbation' must be an object, got float"),
+        ],
+        ids=["depth", "scheme", "top-level-key", "metrics-key", "perturbation-key", "metrics-list", "perturbation-number"],
+    )
+    def test_unknown_key_or_non_object_section_rejected(self, data, message):
+        with pytest.raises(ValueError) as exc:
+            run_config_from_dict(data)
+        assert str(exc.value) == message
 
     def test_negative_top_level_seed_rejected(self):
         with pytest.raises(ValueError, match=r"^seed must be a non-negative integer, got -3$"):

@@ -58,7 +58,6 @@ from .ordinal import (
     OrdinalDomainScheme,
     assign_label,
     decode_label,
-    make_scheme,
     ordinal_loss,
     ordinal_loss_grad,
     reverse_gradient,

@@ -34,6 +34,7 @@ from .geometry import (
     ego_to_camera_rotation,
     in_image,
     project_point,
+    whole_number,
 )
 from .warp import warp_image
 
@@ -79,10 +80,7 @@ class PerturbationRange:
             if not math.isfinite(value) or value < 0.0:
                 raise ValueError(f"{name} must be a non-negative half-width, got {value!r}")
             object.__setattr__(self, name, value)
-        seed = int(self.seed)
-        if seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {seed}")
-        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "seed", whole_number("seed", self.seed, 0))
 
 
 @dataclass(frozen=True)
@@ -124,8 +122,8 @@ class Homography:
     def identity_fallback(cls) -> "Homography":
         return cls(np.eye(3), provenance="identity-fallback")
 
-    def is_identity(self, tol: float = 0.0) -> bool:
-        return bool(np.abs(self.matrix - np.eye(3) / math.sqrt(3.0)).max() <= tol)
+    def is_identity(self) -> bool:
+        return bool(np.array_equal(self.matrix, np.eye(3) / math.sqrt(3.0)))
 
     def apply(self, pixels: np.ndarray) -> np.ndarray:
         """Map (n, 2) or (2,) pixels through the homography and dehomogenize."""

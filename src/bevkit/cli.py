@@ -19,7 +19,7 @@ from .augment import PerturbationRange, analytic_homography, augment_scene, plan
 from .depth import DATASET_DEPTH_RANGES, DepthDecouplingConfig, metric_to_scale_invariant, scale_invariant_to_metric
 from .geometry import Intrinsics
 from .metrics import UndefinedAPError, evaluate
-from .ordinal import DATASET_SCHEMES, assign_label, make_scheme, ordinal_loss, ordinal_loss_grad, reverse_gradient
+from .ordinal import DATASET_SCHEMES, OrdinalDomainScheme, assign_label, ordinal_loss, ordinal_loss_grad, reverse_gradient
 from .pnm import read_pnm, write_pnm
 from .scene import (
     RIG_STYLES,
@@ -203,7 +203,7 @@ def _cmd_bin_focal(args) -> int:
     if args.dataset:
         scheme = DATASET_SCHEMES[args.dataset]
     else:
-        scheme = make_scheme(args.alpha, args.beta, args.subintervals)
+        scheme = OrdinalDomainScheme(args.alpha, args.beta, args.subintervals)
     labels = [assign_label(scheme, focal) for focal in args.focals]
     print(
         dumps_canonical(

@@ -71,12 +71,6 @@ class DepthDecouplingConfig:
             kwargs["metric_depth_range"] = metric_depth_range
         return cls(**kwargs)
 
-    @classmethod
-    def for_dataset(cls, tag: str, reference_focal: float = DEFAULT_REFERENCE_FOCAL) -> "DepthDecouplingConfig":
-        if tag not in DATASET_DEPTH_RANGES:
-            raise ValueError(f"unknown dataset tag {tag!r}; supported: {sorted(DATASET_DEPTH_RANGES)}")
-        return cls.from_reference_focal(reference_focal, DATASET_DEPTH_RANGES[tag])
-
 
 def pixel_size(intr: Intrinsics) -> float:
     """s = sqrt(1/fx^2 + 1/fy^2); strictly decreasing in each focal length."""

@@ -27,6 +27,7 @@ the intrinsic matrix with homogeneous normalization by the depth.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -65,6 +66,9 @@ DEGENERATE_DEPTH_TOL = 1e-12
 
 _GIMBAL_LOCK_TOL = 1e-12
 
+# Largest entry of |R^T R - I| that rotation_to_euler accepts as a rotation.
+_ORTHOGONALITY_TOL = 1e-9
+
 
 class DegenerateProjectionError(ValueError):
     """Point lies on the camera plane (depth indistinguishable from zero)."""
@@ -81,6 +85,18 @@ def wrap_angle(angle: float) -> float:
     if wrapped <= 0.0:
         wrapped += 2.0 * math.pi
     return wrapped - math.pi
+
+
+def whole_number(name: str, value, minimum: int) -> int:
+    """``value`` as an int; bools, fractions and values below ``minimum`` (0 or 1) raise.
+
+    The one rule for seeds, image sizes and counts: ``5.0`` reads as 5, while
+    5.7 is rejected rather than truncated.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or value % 1 != 0 or value < minimum:
+        kind = "a positive" if minimum == 1 else "a non-negative"
+        raise ValueError(f"{name} must be {kind} integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -105,10 +121,7 @@ class Intrinsics:
                 raise ValueError(f"{name} must be finite, got {value!r}")
             object.__setattr__(self, name, value)
         for name in ("width", "height"):
-            value = getattr(self, name)
-            if int(value) != value or int(value) <= 0:
-                raise ValueError(f"{name} must be a positive integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, whole_number(name, getattr(self, name), 1))
         if self.fx <= 0.0 or self.fy <= 0.0:
             raise ValueError(f"focal lengths must be positive, got fx={self.fx}, fy={self.fy}")
         if not (0.0 <= self.px < self.width):
@@ -195,7 +208,7 @@ def euler_to_rotation(yaw: float, pitch: float, roll: float) -> np.ndarray:
     return rz @ ry @ rx
 
 
-def rotation_to_euler(matrix: np.ndarray, orthogonality_tol: float = 1e-9) -> EulerAngles:
+def rotation_to_euler(matrix: np.ndarray) -> EulerAngles:
     """Invert euler_to_rotation, returning the canonical branch.
 
     Pitch is taken in [-pi/2, pi/2].  When |pitch| is within the lock
@@ -203,14 +216,14 @@ def rotation_to_euler(matrix: np.ndarray, orthogonality_tol: float = 1e-9) -> Eu
     decomposition then fixes roll to 0 and sets ``gimbal_locked``.
 
     Raises ValueError if the input is not a rotation matrix (orthogonal
-    within ``orthogonality_tol`` and right-handed).
+    within 1e-9 and right-handed).
     """
     R = np.asarray(matrix, dtype=float)
     if R.shape != (3, 3):
         raise ValueError(f"expected a 3x3 matrix, got shape {R.shape}")
     defect = np.abs(R.T @ R - np.eye(3)).max()
-    if not np.isfinite(defect) or defect > orthogonality_tol:
-        raise ValueError(f"matrix is not orthogonal (defect {defect:.3e} > {orthogonality_tol:.1e})")
+    if not np.isfinite(defect) or defect > _ORTHOGONALITY_TOL:
+        raise ValueError(f"matrix is not orthogonal (defect {defect:.3e} > {_ORTHOGONALITY_TOL:.1e})")
     if np.linalg.det(R) < 0.0:
         raise ValueError("matrix is a reflection (det < 0), not a rotation")
 

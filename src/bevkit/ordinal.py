@@ -14,14 +14,15 @@ Logits come in pairs: entry 2k scores "below edge k", entry 2k + 1 scores
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
+
+from .geometry import whole_number
 
 __all__ = [
     "OrdinalDomainScheme",
     "DATASET_SCHEMES",
-    "make_scheme",
     "assign_label",
     "ordinal_loss",
     "ordinal_loss_grad",
@@ -34,27 +35,27 @@ __all__ = [
 class OrdinalDomainScheme:
     """Uniform discretization of a focal-length interval.
 
-    ``thresholds`` holds the K + 1 bin edges alpha + (beta - alpha) * i / K.
-    Category 0 is "below alpha", category K + 1 is "at or above beta", and
-    categories 1..K are the half-open sub-intervals [t_{i-1}, t_i).
+    ``thresholds`` holds the K + 1 bin edges alpha + (beta - alpha) * i / K,
+    derived on construction.  Category 0 is "below alpha", category K + 1
+    is "at or above beta", and categories 1..K are the half-open
+    sub-intervals [t_{i-1}, t_i).
     """
 
     alpha: float
     beta: float
     num_subintervals: int
-    thresholds: tuple[float, ...]
+    thresholds: tuple[float, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)) or self.alpha >= self.beta:
-            raise ValueError(f"need alpha < beta, got alpha={self.alpha}, beta={self.beta}")
-        if self.num_subintervals < 1:
-            raise ValueError(f"need at least 1 sub-interval, got {self.num_subintervals}")
-        if len(self.thresholds) != self.num_subintervals + 1:
-            raise ValueError(
-                f"expected {self.num_subintervals + 1} thresholds, got {len(self.thresholds)}"
-            )
-        if any(b <= a for a, b in zip(self.thresholds, self.thresholds[1:])):
-            raise ValueError("thresholds must be strictly ascending")
+        alpha, beta = float(self.alpha), float(self.beta)
+        if not (math.isfinite(alpha) and math.isfinite(beta)) or alpha >= beta:
+            raise ValueError(f"need alpha < beta, got alpha={alpha}, beta={beta}")
+        k = whole_number("num_subintervals", self.num_subintervals, 1)
+        thresholds = tuple(alpha + (beta - alpha) * i / k for i in range(k + 1))
+        if not all(a < b for a, b in zip(thresholds, thresholds[1:])):
+            raise ValueError(f"thresholds must be strictly ascending, got {thresholds}")
+        for name, value in (("alpha", alpha), ("beta", beta), ("num_subintervals", k), ("thresholds", thresholds)):
+            object.__setattr__(self, name, value)
 
     @property
     def num_categories(self) -> int:
@@ -65,23 +66,11 @@ class OrdinalDomainScheme:
         return 2 * (self.num_subintervals + 1)
 
 
-def make_scheme(alpha: float, beta: float, num_subintervals: int) -> OrdinalDomainScheme:
-    """Build the scheme with edges alpha + (beta - alpha) * i / K, i = 0..K."""
-    alpha, beta = float(alpha), float(beta)
-    k = int(num_subintervals)
-    if alpha >= beta:
-        raise ValueError(f"need alpha < beta, got alpha={alpha}, beta={beta}")
-    if k < 1:
-        raise ValueError(f"need at least 1 sub-interval, got {num_subintervals}")
-    thresholds = tuple(alpha + (beta - alpha) * i / k for i in range(k + 1))
-    return OrdinalDomainScheme(alpha, beta, k, thresholds)
-
-
 # Focal-length discretizations (pixels) used with the public datasets.
 DATASET_SCHEMES: dict[str, OrdinalDomainScheme] = {
-    "nuscenes": make_scheme(500.0, 750.0, 5),
-    "waymo": make_scheme(600.0, 900.0, 6),
-    "lyft": make_scheme(500.0, 650.0, 3),
+    "nuscenes": OrdinalDomainScheme(500.0, 750.0, 5),
+    "waymo": OrdinalDomainScheme(600.0, 900.0, 6),
+    "lyft": OrdinalDomainScheme(500.0, 650.0, 3),
 }
 
 
@@ -103,10 +92,16 @@ def assign_label(scheme: OrdinalDomainScheme, focal: float) -> int:
     return int(np.searchsorted(np.asarray(thresholds), focal, side="right"))
 
 
-def _split_logits(logits, label: int) -> tuple[np.ndarray, np.ndarray]:
+def _logit_values(logits) -> np.ndarray:
+    """Logits as a flat float array of (below, not below) pairs, at least two edges' worth."""
     values = np.asarray(logits, dtype=float).reshape(-1)
     if values.size < 4 or values.size % 2 != 0:
         raise ValueError(f"logits length must be even and >= 4, got {values.size}")
+    return values
+
+
+def _split_logits(logits, label: int) -> tuple[np.ndarray, np.ndarray]:
+    values = _logit_values(logits)
     if not np.all(np.isfinite(values)):
         raise ValueError("logits must be finite")
     num_edges = values.size // 2
@@ -151,9 +146,7 @@ def decode_label(logits) -> int:
     On logits saturated consistently with a label l this recovers l (the
     first l edge classifiers say "not below").
     """
-    values = np.asarray(logits, dtype=float).reshape(-1)
-    if values.size < 4 or values.size % 2 != 0:
-        raise ValueError(f"logits length must be even and >= 4, got {values.size}")
+    values = _logit_values(logits)
     margins = values[0::2] - values[1::2]
     return int(np.sum(margins < 0.0))
 

@@ -16,9 +16,9 @@ import numpy as np
 
 from .augment import PerturbationRange
 from .boxes import Box3D
-from .geometry import CameraModel, Intrinsics, Pose, ego_to_camera_rotation, wrap_angle
+from .geometry import CameraModel, Intrinsics, Pose, ego_to_camera_rotation, whole_number, wrap_angle
 from .metrics import DetectionRecord, DetectionTable, MetricConfig
-from .ordinal import DATASET_SCHEMES, OrdinalDomainScheme
+from .ordinal import DATASET_SCHEMES
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -77,10 +77,7 @@ class RunConfig:
     metrics: MetricConfig = field(default_factory=MetricConfig)
 
     def __post_init__(self) -> None:
-        seed = int(self.seed)
-        if seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {seed}")
-        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "seed", whole_number("seed", self.seed, 0))
 
 
 def dumps_canonical(data) -> str:
@@ -124,14 +121,7 @@ def intrinsics_to_dict(intr: Intrinsics) -> dict:
 
 
 def intrinsics_from_dict(data: dict) -> Intrinsics:
-    return Intrinsics(
-        fx=float(_require(data, "fx", "intrinsics")),
-        fy=float(_require(data, "fy", "intrinsics")),
-        px=float(_require(data, "px", "intrinsics")),
-        py=float(_require(data, "py", "intrinsics")),
-        width=int(_require(data, "width", "intrinsics")),
-        height=int(_require(data, "height", "intrinsics")),
-    )
+    return Intrinsics(**{f.name: _require(data, f.name, "intrinsics") for f in fields(Intrinsics)})
 
 
 def pose_to_dict(pose: Pose) -> dict:
@@ -201,12 +191,11 @@ def scene_from_dict(data: dict) -> Scene:
     version = data.get("schema_version", SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
         raise ValueError(f"unsupported scene schema_version {version!r}")
-    paths = data.get("image_paths")
     return Scene(
         scene_id=str(_require(data, "scene_id", "scene")),
         cameras=tuple(camera_from_dict(c) for c in _require(data, "cameras", "scene")),
         boxes=tuple(box_from_dict(b) for b in _require(data, "boxes", "scene")),
-        image_paths=None if paths is None else tuple(str(p) for p in paths),
+        image_paths=data.get("image_paths"),
     )
 
 
@@ -319,29 +308,26 @@ def generate_synthetic_scene(
     n_cameras: int = 6,
     n_boxes: int = 12,
     rig_style: str = "ring",
-    scheme: OrdinalDomainScheme | None = None,
 ) -> Scene:
     """Deterministic desk-scale scene: a camera rig plus ground-level boxes.
 
     Cameras sit on a small circle around the ego origin at roughly roof
     height, headings laid out by ``rig_style``, with focal lengths drawn
-    inside the ordinal scheme interval.  Boxes are vehicle-sized, on the
-    ground, within +-50 m.  Randomness is keyed by (seed, kind, index) so
-    generation order cannot change the output.
+    inside the nuScenes ordinal scheme interval.  Boxes are vehicle-sized,
+    on the ground, within +-50 m.  Randomness is keyed by (seed, kind,
+    index) so generation order cannot change the output.
     """
     if n_cameras not in (5, 6):
         raise ValueError(f"n_cameras must be 5 or 6, got {n_cameras}")
-    if n_boxes < 0:
-        raise ValueError(f"n_boxes must be >= 0, got {n_boxes}")
+    n_boxes = whole_number("n_boxes", n_boxes, 0)
     if rig_style not in RIG_STYLES:
         raise ValueError(f"unsupported rig_style {rig_style!r}; supported: {RIG_STYLES}")
-    if int(seed) < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
-    scheme = scheme or DATASET_SCHEMES["nuscenes"]
+    seed = whole_number("seed", seed, 0)
+    scheme = DATASET_SCHEMES["nuscenes"]
 
     cameras = []
     for index, yaw in enumerate(_ring_yaws(n_cameras, rig_style)):
-        rng = np.random.default_rng([int(seed), 0, index])
+        rng = np.random.default_rng([seed, 0, index])
         focal = float(rng.uniform(scheme.alpha, scheme.beta))
         width, height = 704, 256
         intr = Intrinsics(
@@ -370,7 +356,7 @@ def generate_synthetic_scene(
 
     boxes = []
     for index in range(n_boxes):
-        rng = np.random.default_rng([int(seed), 1, index])
+        rng = np.random.default_rng([seed, 1, index])
         radius = float(rng.uniform(6.0, 45.0))
         bearing = float(rng.uniform(-math.pi, math.pi))
         dims = (

@@ -20,7 +20,7 @@ from bevkit.cli import main
 from bevkit.depth import DepthDecouplingConfig, metric_to_scale_invariant, scale_invariant_to_metric
 from bevkit.geometry import Intrinsics
 from bevkit.metrics import DetectionRecord, nds_star, evaluate
-from bevkit.ordinal import make_scheme, ordinal_loss, ordinal_loss_grad
+from bevkit.ordinal import OrdinalDomainScheme, ordinal_loss, ordinal_loss_grad
 from reference_cases import REFERENCE_NDS_STAR_ROWS, pure_rotation_case
 
 
@@ -100,7 +100,7 @@ def test_acceptance_3_depth_decoupling():
     spread = (max(products) - min(products)) / max(products)
     assert spread < 1e-9
 
-    scheme = make_scheme(500.0, 750.0, 5)
+    scheme = OrdinalDomainScheme(500.0, 750.0, 5)
     assert scheme.thresholds == (500.0, 550.0, 600.0, 650.0, 700.0, 750.0)
 
     print(
@@ -134,7 +134,7 @@ def test_acceptance_4_ordinal_loss():
         uniform_dev = max(uniform_dev, abs(loss - (k + 1) * math.log(2.0)))
     assert uniform_dev < 1e-12
 
-    scheme = make_scheme(500.0, 750.0, 4)
+    scheme = OrdinalDomainScheme(500.0, 750.0, 4)
     assert len(scheme.thresholds) == 5
     assert scheme.num_categories == 6
 

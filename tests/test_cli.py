@@ -580,6 +580,31 @@ class TestRejectedInput:
                 "int too large to convert to float",
             ),
             (
+                ["augment", "--scene", "{scene}", "--config", "{file}", "--output-dir", "{out}"],
+                {"seed": 5.7},
+                "seed must be a non-negative integer, got 5.7",
+            ),
+            (
+                ["augment", "--scene", "{scene}", "--config", "{file}", "--output-dir", "{out}"],
+                {"perturbation": {"seed": True}},
+                "seed must be a non-negative integer, got True",
+            ),
+            (
+                ["augment", "--scene", "{file}", "--output-dir", "{out}"],
+                {
+                    "scene_id": "s",
+                    "cameras": [
+                        {
+                            "camera_id": "c0",
+                            "intrinsics": {"fx": 500, "fy": 500, "px": 352, "py": 128, "width": 703.9, "height": 256},
+                            "pose": {"yaw": 0, "pitch": 0, "roll": 0, "t": [0, 0, 0]},
+                        }
+                    ],
+                    "boxes": [],
+                },
+                "width must be a positive integer, got 703.9",
+            ),
+            (
                 ["evaluate", "--gt", "{file}", "--pred", "{pred}", "--output-dir", "{out}"],
                 {"records": [{"sample_id": "s0", "center": [10**400, 0, 0.75], "dims": [4, 2, 1.5], "yaw": 0}]},
                 "int too large to convert to float",
@@ -614,6 +639,9 @@ class TestRejectedInput:
             "augment-negative-seed",
             "augment-negative-config-seed",
             "augment-huge-box-coordinate",
+            "augment-fractional-config-seed",
+            "augment-boolean-perturbation-seed",
+            "augment-fractional-scene-width",
             "evaluate-huge-center",
             "evaluate-huge-config-range-limit",
             "evaluate-nan-config-threshold",

@@ -101,10 +101,6 @@ class TestScaleInvariantConversion:
         assert DATASET_DEPTH_RANGES["nuscenes"] == (2.0, 90.0)
         assert DATASET_DEPTH_RANGES["waymo"] == (1.0, 60.0)
         assert DATASET_DEPTH_RANGES["lyft"] == (1.0, 90.0)
-        cfg = DepthDecouplingConfig.for_dataset("waymo")
-        assert cfg.metric_depth_range == (1.0, 60.0)
-        with pytest.raises(ValueError):
-            DepthDecouplingConfig.for_dataset("kitti")
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -5,9 +5,9 @@ import pytest
 
 from bevkit.ordinal import (
     DATASET_SCHEMES,
+    OrdinalDomainScheme,
     assign_label,
     decode_label,
-    make_scheme,
     ordinal_loss,
     ordinal_loss_grad,
     reverse_gradient,
@@ -24,27 +24,33 @@ def saturated_logits(num_edges: int, label: int, magnitude: float = 30.0) -> np.
     return logits
 
 
-class TestMakeScheme:
+class TestOrdinalDomainScheme:
     def test_nuscenes_preset_thresholds(self):
-        scheme = make_scheme(500.0, 750.0, 5)
+        scheme = OrdinalDomainScheme(500.0, 750.0, 5)
         assert scheme.thresholds == (500.0, 550.0, 600.0, 650.0, 700.0, 750.0)
         assert DATASET_SCHEMES["nuscenes"] == scheme
 
     def test_four_subintervals_five_thresholds_six_categories(self):
-        scheme = make_scheme(500.0, 750.0, 4)
+        scheme = OrdinalDomainScheme(500.0, 750.0, 4)
         assert len(scheme.thresholds) == 5
         assert scheme.num_categories == 6
 
     def test_minimal_scheme(self):
-        scheme = make_scheme(100.0, 200.0, 1)
+        scheme = OrdinalDomainScheme(100.0, 200.0, 1)
         assert scheme.thresholds == (100.0, 200.0)
         assert scheme.num_categories == 3
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):
-            make_scheme(700.0, 500.0, 5)
+            OrdinalDomainScheme(700.0, 500.0, 5)
         with pytest.raises(ValueError):
-            make_scheme(500.0, 750.0, 0)
+            OrdinalDomainScheme(500.0, 750.0, 0)
+        with pytest.raises(ValueError, match=r"^num_subintervals must be a positive integer, got 2\.5$"):
+            OrdinalDomainScheme(500.0, 750.0, 2.5)
+        with pytest.raises(ValueError, match=r"^num_subintervals must be a positive integer, got True$"):
+            OrdinalDomainScheme(500.0, 750.0, True)
+        with pytest.raises(TypeError):
+            OrdinalDomainScheme(500.0, 750.0, 5, (500.0, 550.0, 600.0, 650.0, 700.0, 750.0))
 
     def test_dataset_presets(self):
         assert DATASET_SCHEMES["waymo"].thresholds == (600.0, 650.0, 700.0, 750.0, 800.0, 850.0, 900.0)
@@ -53,7 +59,7 @@ class TestMakeScheme:
 
 class TestAssignLabel:
     def setup_method(self):
-        self.scheme = make_scheme(500.0, 750.0, 5)
+        self.scheme = OrdinalDomainScheme(500.0, 750.0, 5)
 
     def test_below_range(self):
         assert assign_label(self.scheme, 480.0) == 0

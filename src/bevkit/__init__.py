@@ -34,6 +34,7 @@ from .geometry import (
     euler_to_rotation,
     in_image,
     project_point,
+    project_points,
     rotation_to_euler,
     wrap_angle,
 )

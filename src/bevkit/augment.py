@@ -28,12 +28,12 @@ import numpy as np
 
 from .boxes import Box3D, bottom_points
 from .geometry import (
+    DEGENERATE_DEPTH_TOL,
     CameraModel,
-    DegenerateProjectionError,
     Pose,
     ego_to_camera_rotation,
     in_image,
-    project_point,
+    project_points,
     whole_number,
 )
 from .warp import warp_image
@@ -202,28 +202,21 @@ def perturb_pose(pose: Pose, limits: PerturbationRange, rng: np.random.Generator
 def collect_pairs(cam: CameraModel, perturbed: Pose, boxes: Sequence[Box3D]) -> MatchedPairSet:
     """Project box bottom anchors with both poses and keep the co-visible pairs.
 
-    A pair survives iff both depths are positive and both pixels land
-    inside the image.  An empty result is valid (no boxes in view).
+    A pair survives iff both depths exceed DEGENERATE_DEPTH_TOL (positive
+    and off the camera plane) and both pixels land inside the image.  Pairs
+    keep the anchor order, box by box.  An empty result is valid (no boxes
+    in view).
     """
-    perturbed_cam = CameraModel(cam.intrinsics, perturbed, cam.camera_id)
-    source: list[np.ndarray] = []
-    target: list[np.ndarray] = []
-    for box in boxes:
-        for anchor in bottom_points(box):
-            try:
-                pixel, depth = project_point(cam, anchor)
-                pixel_hat, depth_hat = project_point(perturbed_cam, anchor)
-            except DegenerateProjectionError:
-                continue
-            if depth <= 0.0 or depth_hat <= 0.0:
-                continue
-            if not (in_image(cam.intrinsics, pixel) and in_image(cam.intrinsics, pixel_hat)):
-                continue
-            source.append(pixel)
-            target.append(pixel_hat)
-    if not source:
-        return MatchedPairSet(cam.camera_id)
-    return MatchedPairSet(cam.camera_id, np.array(source), np.array(target))
+    anchors = np.array([bottom_points(box) for box in boxes]).reshape(-1, 3)
+    pixels, depths = project_points(cam, anchors)
+    pixels_hat, depths_hat = project_points(CameraModel(cam.intrinsics, perturbed, cam.camera_id), anchors)
+    keep = (
+        (depths > DEGENERATE_DEPTH_TOL)
+        & (depths_hat > DEGENERATE_DEPTH_TOL)
+        & in_image(cam.intrinsics, pixels)
+        & in_image(cam.intrinsics, pixels_hat)
+    )
+    return MatchedPairSet(cam.camera_id, pixels[keep], pixels_hat[keep])
 
 
 def _hartley_normalization(points: np.ndarray) -> np.ndarray:

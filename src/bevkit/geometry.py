@@ -46,6 +46,7 @@ __all__ = [
     "rotation_to_euler",
     "ego_to_camera_rotation",
     "project_point",
+    "project_points",
     "in_image",
 ]
 
@@ -99,6 +100,17 @@ def whole_number(name: str, value, minimum: int) -> int:
     return int(value)
 
 
+def finite_number(name: str, value) -> float:
+    """``value`` as a float; bools, strings, other non-numbers, NaN and infinities raise.
+
+    The one rule for the real-valued fields of the camera types: a scene's
+    ``true`` or ``"0.5"`` is rejected rather than read as 1.0 or 0.5.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class Intrinsics:
     """Pinhole intrinsic parameters plus the image size they refer to.
@@ -116,10 +128,7 @@ class Intrinsics:
 
     def __post_init__(self) -> None:
         for name in ("fx", "fy", "px", "py"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, finite_number(name, getattr(self, name)))
         for name in ("width", "height"):
             object.__setattr__(self, name, whole_number(name, getattr(self, name), 1))
         if self.fx <= 0.0 or self.fy <= 0.0:
@@ -156,11 +165,11 @@ class Pose:
 
     def __post_init__(self) -> None:
         for name in ("yaw", "pitch", "roll"):
-            object.__setattr__(self, name, wrap_angle(getattr(self, name)))
-        t = tuple(float(v) for v in self.translation)
-        if len(t) != 3 or not all(math.isfinite(v) for v in t):
+            object.__setattr__(self, name, wrap_angle(finite_number(name, getattr(self, name))))
+        t = tuple(self.translation)
+        if len(t) != 3:
             raise ValueError(f"translation must be 3 finite values, got {self.translation!r}")
-        object.__setattr__(self, "translation", t)
+        object.__setattr__(self, "translation", tuple(finite_number("translation", v) for v in t))
 
     def rotation_matrix(self) -> np.ndarray:
         """Body-to-ego rotation built from the stored angles."""
@@ -247,33 +256,54 @@ def ego_to_camera_rotation(pose: Pose) -> np.ndarray:
     return EGO_TO_CAMERA_AXES @ pose.rotation_matrix().T
 
 
+def project_points(cam: CameraModel, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Project (n, 3) ego-frame points, returning (pixels (n, 2), camera-frame depths (n,)).
+
+    Every row is returned and nothing is raised: a depth may be negative
+    (behind the camera) or within DEGENERATE_DEPTH_TOL of zero, where the
+    pixel is meaningless or non-finite.  The caller masks.
+    """
+    q = np.asarray(points, dtype=float)
+    if q.ndim != 2 or q.shape[1] != 3:
+        raise ValueError(f"expected an (n, 3) array, got shape {q.shape}")
+    # The stacked matmul runs the per-vector kernel of ``R @ q`` on each row,
+    # so every row rounds exactly as a one-point product would; ``q @ R.T``
+    # and einsum change the last bits.
+    cam_points = np.matmul(ego_to_camera_rotation(cam.pose), q[..., None])[..., 0] + cam.pose.translation_vector()
+    depths = cam_points[:, 2]
+    intr = cam.intrinsics
+    pixels = np.empty((q.shape[0], 2))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pixels[:, 0] = intr.fx * cam_points[:, 0] / depths + intr.px
+        pixels[:, 1] = intr.fy * cam_points[:, 1] / depths + intr.py
+    return pixels, depths
+
+
 def project_point(cam: CameraModel, point: Sequence[float]) -> tuple[np.ndarray, float]:
     """Project an ego-frame point, returning (pixel, camera-frame depth).
 
-    Depth may be negative (point behind the camera); the pixel is still
-    the homogeneous normalization and the caller decides visibility.
-    Raises DegenerateProjectionError when |depth| <= DEGENERATE_DEPTH_TOL.
+    The one-row case of project_points.  Depth may be negative (point
+    behind the camera); the pixel is still the homogeneous normalization
+    and the caller decides visibility.  Raises DegenerateProjectionError
+    when |depth| <= DEGENERATE_DEPTH_TOL.
     """
     q = np.asarray(point, dtype=float)
     if q.shape != (3,):
         raise ValueError(f"expected a 3-vector, got shape {q.shape}")
-    cam_point = ego_to_camera_rotation(cam.pose) @ q + cam.pose.translation_vector()
-    depth = float(cam_point[2])
+    pixels, depths = project_points(cam, q[None])
+    depth = float(depths[0])
     if abs(depth) <= DEGENERATE_DEPTH_TOL:
         raise DegenerateProjectionError(
             f"point {point!r} projects onto the camera plane of {cam.camera_id} (depth {depth:.3e})"
         )
-    intr = cam.intrinsics
-    pixel = np.array(
-        [
-            intr.fx * cam_point[0] / depth + intr.px,
-            intr.fy * cam_point[1] / depth + intr.py,
-        ]
-    )
-    return pixel, depth
+    return pixels[0], depth
 
 
-def in_image(intr: Intrinsics, pixel: Sequence[float]) -> bool:
-    """Half-open box test: 0 <= u < width and 0 <= v < height."""
-    u, v = float(pixel[0]), float(pixel[1])
-    return 0.0 <= u < intr.width and 0.0 <= v < intr.height
+def in_image(intr: Intrinsics, pixels: np.ndarray) -> np.ndarray:
+    """Half-open box test, 0 <= u < width and 0 <= v < height, per row of (n, 2) pixels.
+
+    A single (2,) pixel gives a scalar; a NaN coordinate is outside.
+    """
+    pixels = np.asarray(pixels, dtype=float)
+    u, v = pixels[..., 0], pixels[..., 1]
+    return (0.0 <= u) & (u < intr.width) & (0.0 <= v) & (v < intr.height)

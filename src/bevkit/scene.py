@@ -130,10 +130,10 @@ def pose_to_dict(pose: Pose) -> dict:
 
 def pose_from_dict(data: dict) -> Pose:
     return Pose(
-        yaw=float(_require(data, "yaw", "pose")),
-        pitch=float(_require(data, "pitch", "pose")),
-        roll=float(_require(data, "roll", "pose")),
-        translation=tuple(float(v) for v in _require(data, "t", "pose")),
+        yaw=_require(data, "yaw", "pose"),
+        pitch=_require(data, "pitch", "pose"),
+        roll=_require(data, "roll", "pose"),
+        translation=_require(data, "t", "pose"),
     )
 
 
@@ -317,6 +317,7 @@ def generate_synthetic_scene(
     on the ground, within +-50 m.  Randomness is keyed by (seed, kind,
     index) so generation order cannot change the output.
     """
+    n_cameras = whole_number("n_cameras", n_cameras, 1)
     if n_cameras not in (5, 6):
         raise ValueError(f"n_cameras must be 5 or 6, got {n_cameras}")
     n_boxes = whole_number("n_boxes", n_boxes, 0)

@@ -2,7 +2,8 @@
 
 ``REFERENCE_NDS_STAR_ROWS`` holds frozen NDS* aggregates; ``pure_rotation_case``
 draws a camera whose perturbation is a pure rotation, so the closed-form
-homography is exact on its anchor correspondences.
+homography is exact on its anchor correspondences.  ``reference_collect_pairs``
+is the per-anchor loop that ``collect_pairs`` must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ import math
 import numpy as np
 
 from bevkit.augment import PerturbationRange, collect_pairs, perturb_pose
-from bevkit.boxes import Box3D
-from bevkit.geometry import CameraModel, Intrinsics, Pose, ego_to_camera_rotation
+from bevkit.boxes import Box3D, bottom_points
+from bevkit.geometry import DEGENERATE_DEPTH_TOL, CameraModel, Intrinsics, Pose, ego_to_camera_rotation
 
 # Reference aggregates (mAP, mATE, mASE, mAOE, expected NDS*), all rounded
 # to three decimals; the 0.005 tolerance absorbs the input rounding.
@@ -102,3 +103,40 @@ def pure_rotation_case(
         if len(collect_pairs(cam, perturbed, boxes)) >= 4:
             return cam, perturbed, boxes
     raise RuntimeError("failed to draw a pure-rotation case with enough visible anchors")
+
+
+def reference_project_point(cam: CameraModel, point) -> tuple[np.ndarray, float] | None:
+    """One point through ``R @ q + t`` and the intrinsics; None on the camera plane."""
+    cam_point = ego_to_camera_rotation(cam.pose) @ np.asarray(point, dtype=float) + cam.pose.translation_vector()
+    depth = float(cam_point[2])
+    if abs(depth) <= DEGENERATE_DEPTH_TOL:
+        return None
+    intr = cam.intrinsics
+    pixel = np.array([intr.fx * cam_point[0] / depth + intr.px, intr.fy * cam_point[1] / depth + intr.py])
+    return pixel, depth
+
+
+def reference_collect_pairs(cam: CameraModel, perturbed: Pose, boxes) -> tuple[np.ndarray, np.ndarray]:
+    """(source, target) pixels of the co-visible anchor pairs, one anchor at a time.
+
+    An anchor is skipped when either projection lies on the camera plane,
+    either depth is not positive, or either pixel is outside the half-open
+    image box.
+    """
+    intr = cam.intrinsics
+    perturbed_cam = CameraModel(intr, perturbed, cam.camera_id)
+    source, target = [], []
+    for box in boxes:
+        for anchor in bottom_points(box):
+            original = reference_project_point(cam, anchor)
+            moved = reference_project_point(perturbed_cam, anchor)
+            if original is None or moved is None:
+                continue
+            (pixel, depth), (pixel_hat, depth_hat) = original, moved
+            if depth <= 0.0 or depth_hat <= 0.0:
+                continue
+            if not all(0.0 <= u < intr.width and 0.0 <= v < intr.height for u, v in (pixel, pixel_hat)):
+                continue
+            source.append(pixel)
+            target.append(pixel_hat)
+    return np.array(source).reshape(-1, 2), np.array(target).reshape(-1, 2)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
 from bevkit.augment import (
@@ -20,10 +22,23 @@ from bevkit.augment import (
 )
 from bevkit.boxes import Box3D, bottom_points
 from bevkit.geometry import CameraModel, Intrinsics, Pose, ego_to_camera_rotation
-from bevkit.scene import render_pattern_image
-from reference_cases import pure_rotation_case
+from bevkit.scene import generate_synthetic_scene, render_pattern_image
+from reference_cases import pure_rotation_case, reference_collect_pairs
 
 INTR = Intrinsics(fx=1000.0, fy=1000.0, px=352.0, py=128.0, width=704, height=256)
+
+# A camera at the ego origin looking along ego +x, so an anchor (x, y, z)
+# lands at camera (-y, -z, x) and pixel (50 - 100 y / x, 50 - 100 z / x)
+# exactly: the image edges u = 0, u = width and v = height are reachable.
+EDGE_CAM = CameraModel(Intrinsics(fx=100.0, fy=100.0, px=50.0, py=50.0, width=100, height=100), Pose(0.0, 0.0, 0.0), "edge")
+
+
+def assert_pairs_match_reference(cam, perturbed, boxes):
+    pairs = collect_pairs(cam, perturbed, boxes)
+    source, target = reference_collect_pairs(cam, perturbed, boxes)
+    assert pairs.source.shape == source.shape and pairs.source.tobytes() == source.tobytes()
+    assert pairs.target.shape == target.shape and pairs.target.tobytes() == target.tobytes()
+    return pairs
 
 
 def reference_fit_matrix(source, target):
@@ -143,6 +158,55 @@ class TestCollectPairs:
         pairs = collect_pairs(cam, cam.pose, [])
         assert len(pairs) == 0
         assert pairs.camera_id == "c0"
+
+    @pytest.mark.parametrize(
+        "boxes, perturbed, kept",
+        [
+            ([Box3D((0.0, 1.0, 0.0), (0.0, 0.0, 0.0), 0.0)], None, 0),
+            ([Box3D((1e-13, 0.0, 0.0), (0.0, 0.0, 0.0), 0.0)], None, 0),
+            ([Box3D((0.0, 1.0, 0.0), (0.0, 0.0, 0.0), 0.0)], Pose(0.01, 0.0, 0.0), 0),
+            ([Box3D((-10.0, 0.0, 0.0), (2.0, 2.0, 0.0), 0.0)], None, 0),
+            # anchors at u = 50, 0, 100, 100, 0: u == width is out, u == 0 is in
+            ([Box3D((10.0, 0.0, 0.0), (0.0, 10.0, 0.0), 0.0)], None, 3),
+            # v == height is out, v == 0 is in
+            ([Box3D((10.0, 0.0, -5.0), (0.0, 0.0, 0.0), 0.0), Box3D((10.0, 0.0, 5.0), (0.0, 0.0, 0.0), 0.0)], None, 5),
+            ([Box3D((20.0, 1.0, 0.0), (0.0, 0.0, 0.0), 0.3)], Pose(0.01, -0.005, 0.01), 5),
+            ([], None, 0),
+        ],
+        ids=[
+            "on-camera-plane",
+            "within-plane-tolerance",
+            "on-original-camera-plane-only",
+            "behind-camera",
+            "u-edges",
+            "v-edges",
+            "zero-size-box",
+            "no-boxes",
+        ],
+    )
+    def test_hand_cases_match_per_anchor_reference_bitwise(self, boxes, perturbed, kept):
+        pairs = assert_pairs_match_reference(EDGE_CAM, perturbed or EDGE_CAM.pose, boxes)
+        assert len(pairs) == kept
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_boxes=st.integers(0, 40))
+    def test_seeded_rigs_match_per_anchor_reference_bitwise(self, seed, n_boxes):
+        # a synthetic rig and ground boxes, plus boxes around the rig that
+        # straddle camera planes, stand behind cameras or have zero extents
+        scene = generate_synthetic_scene(seed, 6, n_boxes)
+        rng = np.random.default_rng(seed)
+        near = [
+            Box3D(
+                (*rng.uniform(-6.0, 6.0, size=2), float(rng.uniform(-1.0, 3.0))),
+                tuple(float(d) for d in rng.uniform(0.0, 5.0, size=3) * (rng.random(3) > 0.2)),
+                float(rng.uniform(-math.pi, math.pi)),
+            )
+            for _ in range(n_boxes)
+        ]
+        limits = PerturbationRange(0.3, 0.1, 0.3, seed=seed)
+        for index, cam in enumerate(scene.cameras):
+            perturbed = perturb_pose(cam.pose, limits, np.random.default_rng([seed, index]))
+            assert_pairs_match_reference(cam, perturbed, [*scene.boxes, *near])
 
 
 class TestMatchedPairSet:

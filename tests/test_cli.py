@@ -605,6 +605,36 @@ class TestRejectedInput:
                 "width must be a positive integer, got 703.9",
             ),
             (
+                ["augment", "--scene", "{file}", "--output-dir", "{out}"],
+                {
+                    "scene_id": "s",
+                    "cameras": [
+                        {
+                            "camera_id": "c0",
+                            "intrinsics": {"fx": True, "fy": 500, "px": 352, "py": 128, "width": 704, "height": 256},
+                            "pose": {"yaw": 0, "pitch": 0, "roll": 0, "t": [0, 0, 0]},
+                        }
+                    ],
+                    "boxes": [],
+                },
+                "fx must be a finite number, got True",
+            ),
+            (
+                ["augment", "--scene", "{file}", "--output-dir", "{out}"],
+                {
+                    "scene_id": "s",
+                    "cameras": [
+                        {
+                            "camera_id": "c0",
+                            "intrinsics": {"fx": 500, "fy": 500, "px": 352, "py": 128, "width": 704, "height": 256},
+                            "pose": {"yaw": "0.5", "pitch": 0, "roll": 0, "t": [0, 0, 0]},
+                        }
+                    ],
+                    "boxes": [],
+                },
+                "yaw must be a finite number, got '0.5'",
+            ),
+            (
                 ["evaluate", "--gt", "{file}", "--pred", "{pred}", "--output-dir", "{out}"],
                 {"records": [{"sample_id": "s0", "center": [10**400, 0, 0.75], "dims": [4, 2, 1.5], "yaw": 0}]},
                 "int too large to convert to float",
@@ -642,6 +672,8 @@ class TestRejectedInput:
             "augment-fractional-config-seed",
             "augment-boolean-perturbation-seed",
             "augment-fractional-scene-width",
+            "augment-boolean-scene-focal",
+            "augment-string-scene-yaw",
             "evaluate-huge-center",
             "evaluate-huge-config-range-limit",
             "evaluate-nan-config-threshold",

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,9 +15,11 @@ from bevkit.geometry import (
     euler_to_rotation,
     in_image,
     project_point,
+    project_points,
     rotation_to_euler,
     wrap_angle,
 )
+from reference_cases import reference_project_point
 
 INTR = Intrinsics(fx=1000.0, fy=1000.0, px=352.0, py=128.0, width=704, height=256)
 
@@ -186,6 +189,34 @@ class TestProjectPoint:
             assert np.abs(pixel - projected[:2] / projected[2]).max() < 1e-9
 
 
+class TestProjectPoints:
+    def test_rows_equal_project_point_and_per_point_reference_bitwise(self):
+        rng = np.random.default_rng(11)
+        cam = CameraModel(INTR, Pose(1.1, -0.2, 0.15, translation=(0.5, -1.0, 2.0)), "c0")
+        points = rng.uniform(-1.0, 1.0, size=(500, 3)) * np.array([30.0, 30.0, 3.0])
+        pixels, depths = project_points(cam, points)
+        assert pixels.shape == (500, 2) and depths.shape == (500,)
+        for point, pixel, depth in zip(points, pixels, depths):
+            for one_pixel, one_depth in (project_point(cam, point), reference_project_point(cam, point)):
+                assert one_pixel.tobytes() == pixel.tobytes()
+                assert np.float64(one_depth).tobytes() == depth.tobytes()
+
+    def test_camera_plane_row_returned_not_raised(self):
+        cam = CameraModel(INTR, Pose(0.0, 0.0, 0.0), "c0")
+        ego = [camera_frame_to_ego(cam.pose, (1.0, 2.0, 0.0)), camera_frame_to_ego(cam.pose, (0.0, 0.0, 10.0))]
+        pixels, depths = project_points(cam, ego)
+        assert depths[0] == 0.0 and not np.all(np.isfinite(pixels[0]))
+        assert pixels[1] == pytest.approx((352.0, 128.0), abs=1e-12)
+
+    def test_empty_input(self):
+        pixels, depths = project_points(CameraModel(INTR, Pose(0.0, 0.0, 0.0), "c0"), np.empty((0, 3)))
+        assert pixels.shape == (0, 2) and depths.shape == (0,)
+
+    def test_wrong_shape_rejected(self):
+        with pytest.raises(ValueError, match="n, 3"):
+            project_points(CameraModel(INTR, Pose(0.0, 0.0, 0.0), "c0"), [1.0, 2.0, 3.0])
+
+
 class TestInImage:
     def test_corner_inclusive(self):
         assert in_image(INTR, (0.0, 0.0))
@@ -204,6 +235,10 @@ class TestInImage:
             v = float(rng.uniform(-100.0, 400.0))
             expected = 0.0 <= u < 704 and 0.0 <= v < 256
             assert in_image(INTR, (u, v)) == expected
+
+    def test_array_form_is_a_row_mask(self):
+        pixels = [(0.0, 0.0), (704.0, 100.0), (100.0, 256.0), (-0.5, 10.0), (703.5, 255.5), (math.nan, 10.0)]
+        assert in_image(INTR, pixels).tolist() == [True, False, False, False, True, False]
 
 
 class TestValidation:
@@ -225,6 +260,22 @@ class TestValidation:
         pose = Pose(yaw=4.0, pitch=0.0, roll=0.0)
         assert pose.yaw == pytest.approx(4.0 - 2.0 * math.pi)
         assert Pose(yaw=math.pi, pitch=0.0, roll=0.0).yaw == math.pi
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: Intrinsics(fx=True, fy=100.0, px=10.0, py=10.0, width=100, height=100), "fx must be a finite number, got True"),
+            (lambda: Intrinsics(fx=100.0, fy=100.0, px="10", py=10.0, width=100, height=100), "px must be a finite number, got '10'"),
+            (lambda: Intrinsics(fx=100.0, fy=math.inf, px=10.0, py=10.0, width=100, height=100), "fy must be a finite number, got inf"),
+            (lambda: Pose(yaw="0.5", pitch=0.0, roll=0.0), "yaw must be a finite number, got '0.5'"),
+            (lambda: Pose(0.0, 0.0, False), "roll must be a finite number, got False"),
+            (lambda: Pose(0.0, 0.0, 0.0, translation=(0.0, True, 0.0)), "translation must be a finite number, got True"),
+        ],
+        ids=["bool-focal", "string-principal-point", "infinite-focal", "string-yaw", "bool-roll", "bool-translation"],
+    )
+    def test_camera_numbers_reject_bools_and_strings(self, make, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make()
 
     def test_pose_translation_checked(self):
         with pytest.raises(ValueError):

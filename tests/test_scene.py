@@ -71,6 +71,11 @@ class TestGenerateSyntheticScene:
         with pytest.raises(ValueError):
             generate_synthetic_scene(1, 4, 4)
 
+    def test_camera_count_is_a_whole_number(self):
+        assert generate_synthetic_scene(0, n_cameras=5.0) == generate_synthetic_scene(0, n_cameras=5)
+        with pytest.raises(ValueError, match="n_cameras must be a positive integer, got 5.5"):
+            generate_synthetic_scene(0, n_cameras=5.5)
+
     def test_frontal_style_supported(self):
         scene = generate_synthetic_scene(2, 5, 4, rig_style="frontal")
         assert len(scene.cameras) == 5

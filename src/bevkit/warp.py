@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .geometry import whole_number
+
 __all__ = ["warp_image"]
 
 # Output pixels per block of rows.  Bounds the float64 temporaries of one
@@ -23,10 +25,12 @@ def warp_image(image: np.ndarray, homography, out_size: tuple[int, int]) -> np.n
     """Apply a homography to a raster, output pixel q' sampled at H^-1 q'.
 
     ``image`` is (h, w) or (h, w, channels); ``out_size`` is (width,
-    height).  Samples falling outside the source are filled with 0.
-    The output is filled one block of rows at a time and only the valid
-    samples are widened to float64, so memory stays small at any frame
-    size; the bytes equal those of full-frame bilinear sampling.
+    height), two positive whole numbers.  Samples falling outside the
+    source are filled with 0.  The output is filled one block of rows at a
+    time: every sample of a block is computed, the invalid lanes are masked
+    to the source's first pixel for the gathers and set to 0 in the output,
+    and the blend runs one channel at a time.  Memory stays small at any
+    frame size, and the bytes equal those of full-frame bilinear sampling.
     Accepts a Homography value or a raw 3x3 array; raises ValueError if
     the matrix is singular.
     """
@@ -42,26 +46,29 @@ def warp_image(image: np.ndarray, homography, out_size: tuple[int, int]) -> np.n
 
     if image.ndim not in (2, 3):
         raise ValueError(f"expected a (h, w) or (h, w, c) raster, got shape {image.shape}")
-    out_width, out_height = int(out_size[0]), int(out_size[1])
-    if out_width <= 0 or out_height <= 0:
-        raise ValueError(f"out_size must be positive, got {out_size!r}")
+    out_width = whole_number("out_size width", out_size[0], 1)
+    out_height = whole_number("out_size height", out_size[1], 1)
     src_height, src_width = image.shape[:2]
-    channels = image.shape[2:]
-    # The source as (h*w,) or (h*w, c): a neighbour is gathered by its flat
-    # pixel index, in the source's own dtype.
-    source = image.reshape((src_height * src_width,) + channels)
-    out = np.zeros((out_height, out_width) + channels, dtype=image.dtype)
-    out_pixels = out.reshape((out_height * out_width,) + channels)
-    info = np.iinfo(image.dtype) if np.issubdtype(image.dtype, np.integer) else None
+    channels = image.shape[2] if image.ndim == 3 else 1
+    out = np.zeros((out_height, out_width) + image.shape[2:], dtype=image.dtype)
+    if image.size == 0:
+        return out
+    # The source and the output as (pixels, channels): a neighbour is
+    # gathered as one row of its flat pixel index, in the source's own dtype.
+    source = image.reshape(src_height * src_width, channels)
+    out_pixels = out.reshape(out_height * out_width, channels)
+    integer = np.issubdtype(image.dtype, np.integer)
 
     u = np.arange(out_width, dtype=float)
+    x_u, y_u, denom_u = inverse[0, 0] * u, inverse[1, 0] * u, inverse[2, 0] * u
     block_rows = max(1, _BLOCK_PIXELS // out_width)
     for top in range(0, out_height, block_rows):
-        v = np.arange(top, min(top + block_rows, out_height), dtype=float)[:, None]
-        denom = inverse[2, 0] * u + inverse[2, 1] * v + inverse[2, 2]
+        bottom = min(top + block_rows, out_height)
+        v = np.arange(top, bottom, dtype=float)[:, None]
+        denom = (denom_u + inverse[2, 1] * v + inverse[2, 2]).ravel()
         with np.errstate(divide="ignore", invalid="ignore"):
-            x = (inverse[0, 0] * u + inverse[0, 1] * v + inverse[0, 2]) / denom
-            y = (inverse[1, 0] * u + inverse[1, 1] * v + inverse[1, 2]) / denom
+            x = (x_u + inverse[0, 1] * v + inverse[0, 2]).ravel() / denom
+            y = (y_u + inverse[1, 1] * v + inverse[1, 2]).ravel() / denom
 
         # NaN and inf fail the bounds tests, so they need no test of their own.
         valid = (
@@ -71,9 +78,13 @@ def warp_image(image: np.ndarray, homography, out_size: tuple[int, int]) -> np.n
             & (y >= 0.0)
             & (y <= src_height - 1.0)
         )
-        index = np.flatnonzero(valid)
-        x = np.take(x, index)
-        y = np.take(y, index)
+        invalid = ~valid
+        masked = invalid.any()
+        if masked:
+            # In-bounds samples of pixel 0, so no NaN reaches a cast and every
+            # gather stays in the source; the output lanes are zeroed below.
+            x[invalid] = 0.0
+            y[invalid] = 0.0
 
         x0 = np.floor(x).astype(int)
         y0 = np.floor(y).astype(int)
@@ -82,17 +93,31 @@ def warp_image(image: np.ndarray, homography, out_size: tuple[int, int]) -> np.n
         x1 = np.minimum(x0 + 1, src_width - 1)
         row0 = y0 * src_width
         row1 = np.minimum(y0 + 1, src_height - 1) * src_width
-        if channels:
-            fx = fx[:, None]
-            fy = fy[:, None]
+        w00 = (1.0 - fx) * (1.0 - fy)
+        w01 = fx * (1.0 - fy)
+        w10 = (1.0 - fx) * fy
+        w11 = fx * fy
+        p00 = np.take(source, row0 + x0, axis=0)
+        p01 = np.take(source, row0 + x1, axis=0)
+        p10 = np.take(source, row1 + x0, axis=0)
+        p11 = np.take(source, row1 + x1, axis=0)
 
-        value = (
-            (1.0 - fx) * (1.0 - fy) * np.take(source, row0 + x0, axis=0)
-            + fx * (1.0 - fy) * np.take(source, row0 + x1, axis=0)
-            + (1.0 - fx) * fy * np.take(source, row1 + x0, axis=0)
-            + fx * fy * np.take(source, row1 + x1, axis=0)
-        )
-        if info is not None:
-            value = np.clip(np.rint(value), info.min, info.max)
-        out_pixels[top * out_width + index] = value.astype(image.dtype)
+        out_block = out_pixels[top * out_width : bottom * out_width]
+        # A non-finite float source may meet a zero weight; the NaN that
+        # makes is the full-frame result too, so it is not reported.
+        with np.errstate(invalid="ignore"):
+            for ch in range(channels):
+                # The same products, summed left to right, as the full-frame
+                # w00 * p00 + w01 * p01 + w10 * p10 + w11 * p11.
+                value = w00 * p00[:, ch]
+                value += w01 * p01[:, ch]
+                value += w10 * p10[:, ch]
+                value += w11 * p11[:, ch]
+                if integer:
+                    # No clip: the weights are non-negative and sum to 1 within
+                    # a few ulp, so a blend of in-range values rounds in range.
+                    np.rint(value, out=value)
+                out_block[:, ch] = value
+        if masked:
+            out_block[invalid] = 0
     return out

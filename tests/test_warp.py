@@ -8,6 +8,9 @@ from bevkit.augment import Homography
 from bevkit.scene import render_pattern_image
 from bevkit.warp import warp_image
 
+# A NaN that reaches floor or an integer cast fails the suite, not just warns.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def reference_warp(image, homography, out_size):
     """Full-frame bilinear sampling that warp_image must match byte for byte."""
@@ -178,6 +181,66 @@ class TestWarpImage:
         image = render_pattern_image(10, 10, 0)
         with pytest.raises(ValueError):
             warp_image(image, np.eye(3), (0, 10))
+        # a fraction or a boolean is rejected, not truncated; a string is not a size
+        for out_size in ((4.7, 3), (True, 3), ("4", 3), (3, 2.5), (3, False), (-1, 3), (3, None)):
+            with pytest.raises(ValueError, match="out_size"):
+                warp_image(image, np.eye(3), out_size)
+
+    def test_whole_float_out_size_accepted(self):
+        image = render_pattern_image(10, 10, 0)
+        assert np.array_equal(warp_image(image, np.eye(3), (4.0, np.int64(3))), image[:3, :4])
+
+    @pytest.mark.parametrize("shape", [(0, 5), (4, 0), (0, 0), (0, 5, 3), (4, 0, 3), (0, 0, 3)])
+    def test_empty_source_warps_to_zeros(self, shape):
+        image = np.zeros(shape, dtype=np.uint8)
+        matrix = np.array([[1.0, 0.0, 2.0], [0.0, 1.0, -1.0], [0.0, 0.0, 1.0]])
+        out = warp_image(image, matrix, (7, 3))
+        assert out.shape == (3, 7) + shape[2:]
+        assert out.dtype == np.uint8
+        assert not out.any()
+
+    @pytest.mark.parametrize("first, last", [(np.nan, np.inf), (-np.inf, np.nan)])
+    @pytest.mark.parametrize("kind", ["leaves-source", "horizon"])
+    def test_masked_lanes_are_zero_with_non_finite_source(self, monkeypatch, first, last, kind):
+        src_width, src_height = 9, 7
+        out_width, out_height = 13, 9
+        if kind == "leaves-source":
+            # every output row samples left of the source first, then inside it
+            matrix = np.array([[1.0, 0.0, 3.0], [0.0, 1.0, 2.0], [0.0, 0.0, 1.0]])
+        else:
+            # the inverse map's denominator 1 - u / 6 vanishes on column 6 of
+            # every row; the columns right of it map behind the camera
+            matrix = np.linalg.inv(np.array([[1.0, 0.0, 0.0], [0.0, 0.7, 0.0], [-1.0 / 6.0, 0.0, 1.0]]))
+        # four-row blocks; the canvas height is not a multiple of them
+        monkeypatch.setattr(warp_module, "_BLOCK_PIXELS", 4 * out_width)
+
+        rng = np.random.default_rng(3)
+        image = rng.normal(0.0, 100.0, size=(src_height, src_width))
+        image.flat[0], image.flat[-1] = first, last
+        with np.errstate(invalid="ignore"):  # 0 * inf in the full-frame oracle
+            expected = reference_warp(image, matrix, (out_width, out_height))
+        got = warp_image(image, matrix, (out_width, out_height))
+
+        inverse = np.linalg.inv(matrix)
+        inverse = inverse / inverse[2, 2]
+        u, v = np.meshgrid(np.arange(out_width, dtype=float), np.arange(out_height, dtype=float))
+        denom = inverse[2, 0] * u + inverse[2, 1] * v + inverse[2, 2]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x = (inverse[0, 0] * u + inverse[0, 1] * v + inverse[0, 2]) / denom
+            y = (inverse[1, 0] * u + inverse[1, 1] * v + inverse[1, 2]) / denom
+        valid = (x >= 0.0) & (x <= src_width - 1.0) & (y >= 0.0) & (y <= src_height - 1.0)
+        for top in range(0, out_height, 4):
+            assert valid[top : top + 4].any() and not valid[top : top + 4].all(), top
+        assert np.all(got[~valid] == 0.0)
+        assert not np.isfinite(got[valid]).all()
+        assert np.array_equal(got, expected, equal_nan=True)
+
+        gray = rng.integers(0, 256, size=(src_height, src_width), dtype=np.uint8)
+        color = rng.integers(0, 2**16, size=(src_height, src_width, 3), dtype=np.uint16)
+        for source in (gray, color):
+            got = warp_image(source, matrix, (out_width, out_height))
+            assert not got[~valid].any()
+            assert np.array_equal(got, reference_warp(source, matrix, (out_width, out_height)))
 
     def test_matches_full_frame_reference_byte_for_byte(self, monkeypatch):
         kinds = ("near-identity", "leaves-source", "horizon")

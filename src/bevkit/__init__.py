@@ -8,6 +8,7 @@ from .augment import (
     MatchedPairSet,
     PerturbationRange,
     analytic_homography,
+    augment_camera,
     augment_scene,
     collect_pairs,
     fit_homography,

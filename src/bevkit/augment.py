@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
@@ -51,6 +51,8 @@ __all__ = [
     "fit_homography",
     "analytic_homography",
     "plan_camera",
+    "augment_camera",
+    "map_cameras",
     "augment_scene",
 ]
 
@@ -59,6 +61,8 @@ __all__ = [
 MIN_PAIRS_FOR_FIT = 4
 
 _PROVENANCES = ("fitted", "analytic", "identity-fallback")
+
+_T = TypeVar("_T")
 
 
 class DegenerateFitError(ValueError):
@@ -336,6 +340,45 @@ def plan_camera(
     return CameraPlan(perturbed, pairs, homography)
 
 
+def augment_camera(
+    cam: CameraModel,
+    image: np.ndarray,
+    boxes: Sequence[Box3D],
+    limits: PerturbationRange,
+    camera_index: int,
+) -> AugmentedView:
+    """Plan one camera and warp its image; the per-camera step of augmentation.
+
+    Only a fitted map warps the image; every other camera keeps its
+    original image and pose.  An image whose (height, width) differs from
+    the camera's intrinsics is rejected.
+    """
+    width, height = cam.intrinsics.width, cam.intrinsics.height
+    if image.shape[:2] != (height, width):
+        raise ValueError(
+            f"camera {cam.camera_id!r}: image is {image.shape[1]}x{image.shape[0]}"
+            f" but its intrinsics are {width}x{height}"
+        )
+    plan = plan_camera(cam, boxes, limits, camera_index)
+    if plan.homography.provenance != "fitted":
+        return AugmentedView(image, cam.pose, plan.homography)
+    return AugmentedView(warp_image(image, plan.homography, (width, height)), plan.perturbed, plan.homography)
+
+
+def map_cameras(step: Callable[[int], _T], count: int, workers: int) -> list[_T]:
+    """Run ``step(index)`` for camera indices 0..count-1 on one pool of ``workers`` threads.
+
+    Results come back in camera order.  At most ``workers`` steps run at
+    once, so a step that loads and stores its own camera's data bounds the
+    memory in use by the worker count.  The first failing step's exception
+    propagates; steps not yet started are cancelled.
+    """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(step, range(count)))
+
+
 def augment_scene(
     rig: Sequence[CameraModel],
     images: Sequence[np.ndarray],
@@ -343,24 +386,11 @@ def augment_scene(
     limits: PerturbationRange,
     workers: int = 1,
 ) -> list[AugmentedView]:
-    """Plan and warp every camera of a rig.
+    """Plan and warp every camera of a rig (see augment_camera).
 
     Randomness is keyed by (seed, camera index), so results are identical
-    across runs and across worker counts.  Only a fitted map warps the
-    image; every other camera keeps its original image and pose.
+    across runs and across worker counts.
     """
     if len(rig) != len(images):
         raise ValueError(f"got {len(rig)} cameras but {len(images)} images")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-
-    def augment_camera(index: int) -> AugmentedView:
-        cam, image = rig[index], images[index]
-        plan = plan_camera(cam, boxes, limits, index)
-        if plan.homography.provenance != "fitted":
-            return AugmentedView(image, cam.pose, plan.homography)
-        warped = warp_image(image, plan.homography, (cam.intrinsics.width, cam.intrinsics.height))
-        return AugmentedView(warped, plan.perturbed, plan.homography)
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(augment_camera, range(len(rig))))
+    return map_cameras(lambda i: augment_camera(rig[i], images[i], boxes, limits, i), len(rig), workers)

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .augment import PerturbationRange, analytic_homography, augment_scene, plan_camera
+from .augment import PerturbationRange, analytic_homography, augment_camera, map_cameras, plan_camera
 from .depth import DATASET_DEPTH_RANGES, DepthDecouplingConfig, metric_to_scale_invariant, scale_invariant_to_metric
 from .geometry import Intrinsics
 from .metrics import UndefinedAPError, evaluate
@@ -93,33 +93,35 @@ def _cmd_gen_scene(args) -> int:
     return 0
 
 
-def _load_scene_images(scene, scene_path: str):
-    if scene.image_paths is None:
-        raise InputError(f"{scene_path}: scene has no image_paths; generate with --with-images")
-    base = Path(scene_path).parent
-    return [read_pnm(base / p) for p in scene.image_paths]
-
-
 def _cmd_augment(args) -> int:
     cfg = _load_run_config(args)
     scene = scene_from_dict(_load_json(args.scene))
-    images = _load_scene_images(scene, args.scene)
+    if scene.image_paths is None:
+        raise InputError(f"{args.scene}: scene has no image_paths; generate with --with-images")
+    base = Path(args.scene).parent
     limits = _perturbation(args, cfg)
     out = _out_dir(args)
-
-    views = augment_scene(scene.cameras, images, scene.boxes, limits, workers=args.workers)
     image_dir = out / "augmented"
     image_dir.mkdir(exist_ok=True)
+
+    # Each camera is read, warped and written inside its own task, so at
+    # most `workers` frames (and their warped copies) are held at once.
+    def camera(index: int):
+        cam = scene.cameras[index]
+        view = augment_camera(cam, read_pnm(base / scene.image_paths[index]), scene.boxes, limits, index)
+        write_pnm(image_dir / f"{cam.camera_id}.pgm", view.image)
+        return view.pose, view.homography
+
+    results = map_cameras(camera, len(scene.cameras), args.workers)
     poses = []
     homographies = []
-    for cam, view in zip(scene.cameras, views):
-        write_pnm(image_dir / f"{cam.camera_id}.pgm", view.image)
-        poses.append({"camera_id": cam.camera_id, "pose": pose_to_dict(view.pose)})
+    for cam, (pose, homography) in zip(scene.cameras, results):
+        poses.append({"camera_id": cam.camera_id, "pose": pose_to_dict(pose)})
         homographies.append(
             {
                 "camera_id": cam.camera_id,
-                "matrix_row_major": view.homography.row_major(),
-                "provenance": view.homography.provenance,
+                "matrix_row_major": homography.row_major(),
+                "provenance": homography.provenance,
             }
         )
     (out / "poses.json").write_text(dumps_canonical({"schema_version": 1, "poses": poses}), encoding="utf-8")

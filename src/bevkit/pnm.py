@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import re
 from pathlib import Path
 
@@ -12,23 +13,30 @@ __all__ = ["read_pnm", "write_pnm"]
 _TOKEN = re.compile(rb"(?:\s*(?:#[^\n]*\n)?)*(\S+)")
 
 
-def _read_tokens(data: bytes, count: int, offset: int) -> tuple[list[bytes], int]:
+def _read_tokens(data: bytearray, count: int, offset: int) -> tuple[list[bytes], int]:
     tokens = []
     while len(tokens) < count:
         match = _TOKEN.match(data, offset)
         if match is None:
             raise ValueError("truncated PNM header")
-        tokens.append(match.group(1))
+        tokens.append(bytes(match.group(1)))
         offset = match.end()
     return tokens, offset
 
 
 def read_pnm(path: str | Path) -> np.ndarray:
-    """Read a binary PGM (P5) as (h, w) or PPM (P6) as (h, w, 3), dtype uint8."""
-    data = Path(path).read_bytes()
-    if data[:2] not in (b"P5", b"P6"):
-        raise ValueError(f"{path}: unsupported PNM magic {data[:2]!r} (only binary P5/P6)")
-    channels = 1 if data[:2] == b"P5" else 3
+    """Read a binary PGM (P5) as (h, w) or PPM (P6) as (h, w, 3), dtype uint8.
+
+    The file is read once into one buffer of its size, and the returned
+    (writable, C-contiguous) array is a view of the raster inside it.
+    """
+    with open(path, "rb") as handle:
+        data = bytearray(os.fstat(handle.fileno()).st_size)
+        size = handle.readinto(data)
+    magic = bytes(data[:2])
+    if magic not in (b"P5", b"P6"):
+        raise ValueError(f"{path}: unsupported PNM magic {magic!r} (only binary P5/P6)")
+    channels = 1 if magic == b"P5" else 3
     tokens, offset = _read_tokens(data, 3, 2)
     width, height, maxval = (int(t) for t in tokens)
     if width <= 0 or height <= 0:
@@ -37,17 +45,14 @@ def read_pnm(path: str | Path) -> np.ndarray:
         raise ValueError(f"{path}: only 8-bit rasters supported, got maxval {maxval}")
     offset += 1  # single whitespace byte after maxval
     expected = width * height * channels
-    raster = data[offset : offset + expected]
-    if len(raster) != expected:
-        raise ValueError(f"{path}: expected {expected} raster bytes, got {len(raster)}")
-    pixels = np.frombuffer(raster, dtype=np.uint8)
-    if channels == 1:
-        return pixels.reshape(height, width).copy()
-    return pixels.reshape(height, width, 3).copy()
+    if size - offset < expected:
+        raise ValueError(f"{path}: expected {expected} raster bytes, got {max(size - offset, 0)}")
+    pixels = np.frombuffer(data, dtype=np.uint8, count=expected, offset=offset)
+    return pixels.reshape((height, width) if channels == 1 else (height, width, 3))
 
 
 def write_pnm(path: str | Path, image: np.ndarray) -> None:
-    """Write a uint8 (h, w) array as P5 or (h, w, 3) as P6."""
+    """Write a uint8 (h, w) array as P5 or (h, w, 3) as P6: the header, then the raster's buffer."""
     image = np.asarray(image)
     if image.dtype != np.uint8:
         raise ValueError(f"expected uint8 raster, got dtype {image.dtype}")
@@ -58,5 +63,6 @@ def write_pnm(path: str | Path, image: np.ndarray) -> None:
     else:
         raise ValueError(f"expected (h, w) or (h, w, 3) raster, got shape {image.shape}")
     height, width = image.shape[:2]
-    header = magic + f"\n{width} {height}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + image.tobytes())
+    with open(path, "wb") as handle:
+        handle.write(magic + f"\n{width} {height}\n255\n".encode("ascii"))
+        handle.write(np.ascontiguousarray(image))

@@ -13,9 +13,11 @@ from bevkit.augment import (
     MatchedPairSet,
     PerturbationRange,
     analytic_homography,
+    augment_camera,
     augment_scene,
     collect_pairs,
     fit_homography,
+    map_cameras,
     perturb_pose,
     plan_camera,
     _hartley_normalization,
@@ -491,3 +493,46 @@ class TestAugmentScene:
         rig = self.make_rig(n=2)
         with pytest.raises(ValueError):
             augment_scene(rig, [render_pattern_image(704, 256, 0)], [], PerturbationRange())
+
+    def test_scene_runs_augment_camera_per_index(self):
+        rig = self.make_rig(n=4)
+        images = [render_pattern_image(704, 256, i) for i in range(4)]
+        boxes = self.boxes_for_rig()
+        limits = PerturbationRange(0.03, 0.01, 0.02, seed=11)
+        views = augment_scene(rig, images, boxes, limits, workers=2)
+        for index, view in enumerate(views):
+            alone = augment_camera(rig[index], images[index], boxes, limits, index)
+            assert np.array_equal(view.image, alone.image)
+            assert view.pose == alone.pose
+            assert np.array_equal(view.homography.matrix, alone.homography.matrix)
+
+    @pytest.mark.parametrize("d_yaw", [0.0, 0.02], ids=["zero-offsets", "fitted"])
+    @pytest.mark.parametrize("shape", [(50, 100), (256, 703), (50, 100, 3)], ids=["small", "one-column-short", "colour"])
+    def test_image_size_must_match_intrinsics(self, d_yaw, shape):
+        rig = self.make_rig(n=2)
+        images = [render_pattern_image(704, 256, 0), np.zeros(shape, dtype=np.uint8)]
+        limits = PerturbationRange(d_yaw, 0.0, 0.0, seed=3)
+        message = f"camera 'cam_1': image is {shape[1]}x{shape[0]} but its intrinsics are 704x256"
+        with pytest.raises(ValueError, match=message):
+            augment_scene(rig, images, self.boxes_for_rig(), limits)
+        with pytest.raises(ValueError, match=message):
+            augment_camera(rig[1], images[1], self.boxes_for_rig(), limits, 1)
+
+
+class TestMapCameras:
+    @pytest.mark.parametrize("workers", [1, 2, 8])
+    def test_results_in_camera_order(self, workers):
+        assert map_cameras(lambda index: index * index, 6, workers) == [0, 1, 4, 9, 16, 25]
+
+    def test_zero_workers_rejected(self):
+        with pytest.raises(ValueError, match=r"^workers must be >= 1, got 0$"):
+            map_cameras(lambda index: index, 3, 0)
+
+    def test_failing_step_propagates(self):
+        def step(index):
+            if index == 2:
+                raise ValueError("camera 2 failed")
+            return index
+
+        with pytest.raises(ValueError, match="camera 2 failed"):
+            map_cameras(step, 6, 2)

@@ -1,17 +1,20 @@
 import argparse
 import json
 import math
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bevkit.cli
 from bevkit.augment import collect_pairs
 from bevkit.cli import build_parser, main
 from bevkit.geometry import ego_to_camera_rotation
 from bevkit.scene import dumps_canonical, records_to_dict, scene_from_dict
 from bevkit.boxes import Box3D
 from bevkit.metrics import DetectionRecord
+from bevkit.pnm import read_pnm, write_pnm
 
 SCHEMAS = Path(__file__).resolve().parents[1] / "docs" / "schemas"
 GOLDEN = Path(__file__).resolve().parent / "data" / "evaluate_golden"
@@ -92,16 +95,19 @@ class TestGenScene:
 
 
 class TestAugmentCommand:
-    def run_augment(self, tmp_path, tag, workers):
+    def scene(self, tmp_path):
         scene_dir = tmp_path / "scene"
         if not (scene_dir / "scene.json").exists():
             assert main(["gen-scene", "--seed", "3", "--with-images", "--output-dir", str(scene_dir)]) == 0
+        return scene_dir / "scene.json"
+
+    def run_augment(self, tmp_path, tag, workers):
         out = tmp_path / tag
         code = main(
             [
                 "augment",
                 "--scene",
-                str(scene_dir / "scene.json"),
+                str(self.scene(tmp_path)),
                 "--seed",
                 "5",
                 "--workers",
@@ -180,6 +186,67 @@ class TestAugmentCommand:
         code = main(["augment", "--scene", str(scene_dir / "scene.json"), "--output-dir", str(tmp_path / "o")])
         assert code == 2
         assert "image_paths" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("damage", ["missing", "truncated"])
+    def test_unreadable_raster_exits_2_without_json(self, tmp_path, capsys, damage):
+        scene = self.scene(tmp_path)
+        raster = scene.parent / "images" / "cam_03.pgm"
+        if damage == "missing":
+            raster.unlink()
+        else:
+            raster.write_bytes(raster.read_bytes()[:1000])
+        with pytest.raises((OSError, ValueError)) as failure:
+            read_pnm(raster)
+        capsys.readouterr()
+        out = tmp_path / "aug"
+        assert main(["augment", "--scene", str(scene), "--workers", "2", "--output-dir", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {failure.value}\n"
+        # other cameras' rasters may already be written; the JSON files never are
+        assert not (out / "poses.json").exists()
+        assert not (out / "homographies.json").exists()
+
+    def test_raster_of_wrong_size_exits_2(self, tmp_path, capsys):
+        scene = self.scene(tmp_path)
+        write_pnm(scene.parent / "images" / "cam_02.pgm", np.zeros((50, 100), dtype=np.uint8))
+        capsys.readouterr()
+        out = tmp_path / "aug"
+        assert main(["augment", "--scene", str(scene), "--output-dir", str(out)]) == 2
+        assert capsys.readouterr().err == "error: camera 'cam_02': image is 100x50 but its intrinsics are 704x256\n"
+        assert not (out / "poses.json").exists()
+
+    def test_zero_workers_exits_2(self, tmp_path, capsys):
+        scene = self.scene(tmp_path)
+        capsys.readouterr()
+        out = tmp_path / "aug"
+        assert main(["augment", "--scene", str(scene), "--workers", "0", "--output-dir", str(out)]) == 2
+        assert capsys.readouterr().err == "error: workers must be >= 1, got 0\n"
+        assert not (out / "poses.json").exists()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_at_most_workers_rasters_in_flight(self, tmp_path, monkeypatch, workers):
+        expected = self.run_augment(tmp_path, "plain", workers)
+        lock = threading.Lock()
+        counts = {"read": 0, "live": 0, "peak": 0}
+
+        def counting_read(path):
+            image = read_pnm(path)
+            with lock:
+                counts["read"] += 1
+                counts["live"] += 1
+                counts["peak"] = max(counts["peak"], counts["live"])
+            return image
+
+        def counting_write(path, image):
+            write_pnm(path, image)
+            with lock:
+                counts["live"] -= 1
+
+        monkeypatch.setattr(bevkit.cli, "read_pnm", counting_read)
+        monkeypatch.setattr(bevkit.cli, "write_pnm", counting_write)
+        assert self.run_augment(tmp_path, "counted", workers) == expected
+        assert counts["read"] == 6
+        assert counts["live"] == 0
+        assert 1 <= counts["peak"] <= workers
 
 
 class TestHomographyCommand:

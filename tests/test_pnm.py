@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -51,8 +53,50 @@ class TestPNM:
     def test_truncated_raster_rejected(self, tmp_path):
         path = tmp_path / "t.pgm"
         path.write_bytes(b"P5\n4 4\n255\n" + b"\x00" * 3)
-        with pytest.raises(ValueError, match="raster bytes"):
+        with pytest.raises(ValueError, match=re.escape(f"{path}: expected 16 raster bytes, got 3")):
             read_pnm(path)
+
+    @pytest.mark.parametrize("payload", [b"P5\n4 4\n255\n", b"P5\n4 4\n255"], ids=["no-raster", "no-separator"])
+    def test_header_only_rejected(self, tmp_path, payload):
+        path = tmp_path / "h.pgm"
+        path.write_bytes(payload)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: expected 16 raster bytes, got 0")):
+            read_pnm(path)
+
+    def test_comment_longer_than_4_kib(self, tmp_path):
+        path = tmp_path / "long.pgm"
+        path.write_bytes(b"P5\n# " + b"x" * 5000 + b"\n3 2\n# and " + b"y" * 5000 + b"\n255\n" + bytes(range(6)))
+        assert np.array_equal(read_pnm(path), np.arange(6, dtype=np.uint8).reshape(2, 3))
+
+    def test_trailing_bytes_ignored(self, tmp_path):
+        path = tmp_path / "tail.pgm"
+        path.write_bytes(b"P5\n3 2\n255\n" + bytes(range(6)) + b"extra")
+        assert np.array_equal(read_pnm(path), np.arange(6, dtype=np.uint8).reshape(2, 3))
+
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_read_returns_writable_c_contiguous(self, tmp_path, channels):
+        gray = render_pattern_image(16, 9, 2)
+        image = gray if channels == 1 else np.stack([gray, 255 - gray, gray // 3], axis=-1)
+        path = tmp_path / "w.pnm"
+        write_pnm(path, image)
+        loaded = read_pnm(path)
+        assert loaded.dtype == np.uint8
+        assert loaded.flags.writeable
+        assert loaded.flags.c_contiguous
+        loaded[0, 0] = 255 - loaded[0, 0]
+        assert not np.array_equal(loaded, image)
+
+    @pytest.mark.parametrize("view", ["reversed-columns", "transposed", "strided-rows"])
+    def test_non_contiguous_view_writes_its_bytes(self, tmp_path, view):
+        gray = render_pattern_image(16, 9, 1)
+        color = np.stack([gray, 255 - gray, gray // 3], axis=-1)
+        image = {"reversed-columns": color[:, ::-1], "transposed": gray.T, "strided-rows": gray[::2]}[view]
+        assert not image.flags.c_contiguous
+        path = tmp_path / "v.pnm"
+        write_pnm(path, image)
+        height, width = image.shape[:2]
+        magic = b"P5" if image.ndim == 2 else b"P6"
+        assert path.read_bytes() == magic + f"\n{width} {height}\n255\n".encode("ascii") + image.tobytes()
 
     def test_non_uint8_write_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="uint8"):

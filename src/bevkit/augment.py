@@ -34,6 +34,7 @@ from .geometry import (
     ego_to_camera_rotation,
     in_image,
     project_points,
+    real_number,
     whole_number,
 )
 from .warp import warp_image
@@ -80,7 +81,7 @@ class PerturbationRange:
 
     def __post_init__(self) -> None:
         for name in ("d_yaw", "d_pitch", "d_roll"):
-            value = float(getattr(self, name))
+            value = real_number(name, getattr(self, name))
             if not math.isfinite(value) or value < 0.0:
                 raise ValueError(f"{name} must be a non-negative half-width, got {value!r}")
             object.__setattr__(self, name, value)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import wrap_angle
+from .geometry import finite_number, real_number, wrap_angle
 
 __all__ = ["Box3D", "bottom_points", "footprint_corners"]
 
@@ -30,17 +30,19 @@ class Box3D:
     score: float | None = None
 
     def __post_init__(self) -> None:
-        center = tuple(float(v) for v in self.center)
-        dims = tuple(float(v) for v in self.dims)
+        center = tuple(real_number("center", v) for v in self.center)
+        dims = tuple(real_number("dims", v) for v in self.dims)
         if len(center) != 3 or not all(math.isfinite(v) for v in center):
-            raise ValueError(f"center must be 3 finite values, got {self.center!r}")
+            raise ValueError(f"center must be 3 finite values, got {center!r}")
         if len(dims) != 3 or not all(math.isfinite(v) and v >= 0.0 for v in dims):
-            raise ValueError(f"dims must be 3 non-negative values, got {self.dims!r}")
+            raise ValueError(f"dims must be 3 non-negative values, got {dims!r}")
+        if not isinstance(self.class_id, str):
+            raise ValueError(f"class_id must be a string, got {self.class_id!r}")
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "yaw", wrap_angle(self.yaw))
+        object.__setattr__(self, "yaw", wrap_angle(finite_number("yaw", self.yaw)))
         if self.score is not None:
-            score = float(self.score)
+            score = real_number("score", self.score)
             if not (0.0 <= score <= 1.0):
                 raise ValueError(f"score must be in [0, 1], got {score}")
             object.__setattr__(self, "score", score)

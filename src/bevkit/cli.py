@@ -17,7 +17,7 @@ import numpy as np
 
 from .augment import PerturbationRange, analytic_homography, augment_camera, map_cameras, plan_camera
 from .depth import DATASET_DEPTH_RANGES, DepthDecouplingConfig, metric_to_scale_invariant, scale_invariant_to_metric
-from .geometry import Intrinsics
+from .geometry import Intrinsics, is_real
 from .metrics import UndefinedAPError, evaluate
 from .ordinal import DATASET_SCHEMES, OrdinalDomainScheme, assign_label, ordinal_loss, ordinal_loss_grad, reverse_gradient
 from .pnm import read_pnm, write_pnm
@@ -224,11 +224,8 @@ def _cmd_bin_focal(args) -> int:
 def _cmd_ordinal_loss(args) -> int:
     data = _load_json(args.logits_json)
     logits = data.get("logits")
-    if not isinstance(logits, list) or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in logits
-    ):
+    if not isinstance(logits, list) or not all(is_real(v) for v in logits):
         raise InputError(f"{args.logits_json}: expected an object with a 'logits' array of numbers")
-    logits = [float(v) for v in logits]
     loss = ordinal_loss(logits, args.label)
     grad = ordinal_loss_grad(logits, args.label)
     result = {"label": args.label, "loss": loss, "gradient": [float(g) for g in grad]}

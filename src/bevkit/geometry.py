@@ -88,25 +88,40 @@ def wrap_angle(angle: float) -> float:
     return wrapped - math.pi
 
 
+def is_real(value) -> bool:
+    """The one rule for what a number read from a file is: a ``numbers.Real`` that is not a bool.
+
+    A JSON ``true`` or ``"0.5"`` is not a number; ``5`` and ``2**70`` are.
+    """
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def whole_number(name: str, value, minimum: int) -> int:
     """``value`` as an int; bools, fractions and values below ``minimum`` (0 or 1) raise.
 
     The one rule for seeds, image sizes and counts: ``5.0`` reads as 5, while
     5.7 is rejected rather than truncated.
     """
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or value % 1 != 0 or value < minimum:
+    if not is_real(value) or value % 1 != 0 or value < minimum:
         kind = "a positive" if minimum == 1 else "a non-negative"
         raise ValueError(f"{name} must be {kind} integer, got {value!r}")
     return int(value)
 
 
-def finite_number(name: str, value) -> float:
-    """``value`` as a float; bools, strings, other non-numbers, NaN and infinities raise.
+def real_number(name: str, value) -> float:
+    """``value`` as a float if ``is_real``; anything else raises ValueError.
 
-    The one rule for the real-valued fields of the camera types: a scene's
-    ``true`` or ``"0.5"`` is rejected rather than read as 1.0 or 0.5.
+    NaN and infinities pass, so that the caller's range check can name
+    them.  An integer too large for a float raises OverflowError.
     """
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+    if not is_real(value):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def finite_number(name: str, value) -> float:
+    """``value`` as a float if ``is_real`` and finite; anything else raises ValueError."""
+    if not is_real(value) or not math.isfinite(value):
         raise ValueError(f"{name} must be a finite number, got {value!r}")
     return float(value)
 

@@ -32,6 +32,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .boxes import Box3D
+from .geometry import real_number
 
 __all__ = [
     "UndefinedAPError",
@@ -163,21 +164,21 @@ class MetricConfig:
     precision_floor: float = 0.1
 
     def __post_init__(self) -> None:
-        thresholds = tuple(float(t) for t in self.distance_thresholds)
+        thresholds = tuple(real_number("distance threshold", t) for t in self.distance_thresholds)
         if not thresholds or not all(0.0 < t < math.inf for t in thresholds):
             raise ValueError(f"distance thresholds must be positive and finite, got {thresholds!r}")
         if any(b <= a for a, b in zip(thresholds, thresholds[1:])):
             raise ValueError(f"distance thresholds must be ascending, got {thresholds!r}")
         object.__setattr__(self, "distance_thresholds", thresholds)
-        object.__setattr__(self, "tp_threshold", float(self.tp_threshold))
+        object.__setattr__(self, "tp_threshold", real_number("tp_threshold", self.tp_threshold))
         if self.tp_threshold not in thresholds:
             raise ValueError(f"tp_threshold {self.tp_threshold} not among {thresholds!r}")
-        range_limit = float(self.range_limit)
+        range_limit = real_number("range_limit", self.range_limit)
         if not 0.0 < range_limit < math.inf:
             raise ValueError(f"range_limit must be positive and finite, got {range_limit!r}")
         object.__setattr__(self, "range_limit", range_limit)
         for name in ("recall_floor", "precision_floor"):
-            value = float(getattr(self, name))
+            value = real_number(name, getattr(self, name))
             if not (0.0 <= value < 1.0):
                 raise ValueError(f"{name} must be in [0, 1), got {value!r}")
             object.__setattr__(self, name, value)
@@ -227,18 +228,6 @@ class MetricReport:
             "per_threshold_ap": {repr(t): ap for t, ap in sorted(self.per_threshold_ap.items())},
             "match_counts": dict(sorted(self.match_counts.items())),
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "MetricReport":
-        return cls(
-            m_ap=float(data["mAP"]),
-            m_ate=float(data["mATE"]),
-            m_ase=float(data["mASE"]),
-            m_aoe=float(data["mAOE"]),
-            nds_star=float(data["NDS_star"]),
-            per_threshold_ap={float(t): float(ap) for t, ap in data["per_threshold_ap"].items()},
-            match_counts={str(k): int(v) for k, v in data["match_counts"].items()},
-        )
 
 
 def ground_distance(a: Box3D, b: Box3D) -> float:

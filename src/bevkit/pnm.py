@@ -41,8 +41,8 @@ def read_pnm(path: str | Path) -> np.ndarray:
     width, height, maxval = (int(t) for t in tokens)
     if width <= 0 or height <= 0:
         raise ValueError(f"{path}: invalid size {width}x{height}")
-    if not (0 < maxval < 256):
-        raise ValueError(f"{path}: only 8-bit rasters supported, got maxval {maxval}")
+    if maxval != 255:
+        raise ValueError(f"{path}: only 8-bit rasters with maxval 255 supported, got maxval {maxval}")
     offset += 1  # single whitespace byte after maxval
     expected = width * height * channels
     if size - offset < expected:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .augment import PerturbationRange
 from .boxes import Box3D
-from .geometry import CameraModel, Intrinsics, Pose, ego_to_camera_rotation, whole_number, wrap_angle
+from .geometry import CameraModel, Intrinsics, Pose, ego_to_camera_rotation, is_real, whole_number, wrap_angle
 from .metrics import DetectionRecord, DetectionTable, MetricConfig
 from .ordinal import DATASET_SCHEMES
 
@@ -54,13 +54,17 @@ class Scene:
     image_paths: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.scene_id, str):
+            raise ValueError(f"scene_id must be a string, got {self.scene_id!r}")
         object.__setattr__(self, "cameras", tuple(self.cameras))
         object.__setattr__(self, "boxes", tuple(self.boxes))
         ids = [cam.camera_id for cam in self.cameras]
         if len(set(ids)) != len(ids):
             raise ValueError(f"camera ids must be unique, got {ids!r}")
         if self.image_paths is not None:
-            paths = tuple(str(p) for p in self.image_paths)
+            paths = tuple(self.image_paths)
+            if not all(isinstance(p, str) for p in paths):
+                raise ValueError(f"image paths must be strings, got {paths!r}")
             if len(paths) != len(self.cameras):
                 raise ValueError(
                     f"got {len(paths)} image paths for {len(self.cameras)} cameras"
@@ -92,6 +96,22 @@ def _require(data: dict, key: str, context: str):
     if key not in data:
         raise ValueError(f"{context}: missing required key {key!r}")
     return data[key]
+
+
+def _optional(data: dict, key: str, default):
+    """``data[key]``, or ``default`` if the key is absent; a JSON null is not a value."""
+    if key not in data:
+        return default
+    if data[key] is None:
+        raise ValueError(f"{key} must not be null")
+    return data[key]
+
+
+def _check_version(data: dict, kind: str) -> None:
+    """``schema_version`` may be omitted; given, it must be 1, and ``true`` is not 1."""
+    version = data.get("schema_version", SCHEMA_VERSION)
+    if isinstance(version, bool) or version != SCHEMA_VERSION:
+        raise ValueError(f"unsupported {kind} schema_version {version!r}")
 
 
 def _check_keys(data: dict, allowed: set[str], where: str = "") -> None:
@@ -149,7 +169,7 @@ def camera_from_dict(data: dict) -> CameraModel:
     return CameraModel(
         intrinsics=intrinsics_from_dict(_require(data, "intrinsics", "camera")),
         pose=pose_from_dict(_require(data, "pose", "camera")),
-        camera_id=str(_require(data, "camera_id", "camera")),
+        camera_id=_require(data, "camera_id", "camera"),
     )
 
 
@@ -167,11 +187,11 @@ def box_to_dict(box: Box3D) -> dict:
 
 def box_from_dict(data: dict) -> Box3D:
     return Box3D(
-        center=tuple(float(v) for v in _require(data, "center", "box")),
-        dims=tuple(float(v) for v in _require(data, "dims", "box")),
-        yaw=float(_require(data, "yaw", "box")),
-        class_id=str(data.get("class_id", "vehicle")),
-        score=None if data.get("score") is None else float(data["score"]),
+        center=_require(data, "center", "box"),
+        dims=_require(data, "dims", "box"),
+        yaw=_require(data, "yaw", "box"),
+        class_id=_optional(data, "class_id", "vehicle"),
+        score=_optional(data, "score", None),
     )
 
 
@@ -188,14 +208,12 @@ def scene_to_dict(scene: Scene) -> dict:
 
 
 def scene_from_dict(data: dict) -> Scene:
-    version = data.get("schema_version", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
-        raise ValueError(f"unsupported scene schema_version {version!r}")
+    _check_version(data, "scene")
     return Scene(
-        scene_id=str(_require(data, "scene_id", "scene")),
+        scene_id=_require(data, "scene_id", "scene"),
         cameras=tuple(camera_from_dict(c) for c in _require(data, "cameras", "scene")),
         boxes=tuple(box_from_dict(b) for b in _require(data, "boxes", "scene")),
-        image_paths=data.get("image_paths"),
+        image_paths=_optional(data, "image_paths", None),
     )
 
 
@@ -207,24 +225,27 @@ def records_to_dict(records: list[DetectionRecord]) -> dict:
 
 
 def records_from_dict(data: dict) -> list[DetectionRecord]:
-    version = data.get("schema_version", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
-        raise ValueError(f"unsupported records schema_version {version!r}")
-    records = []
-    for entry in _require(data, "records", "records"):
-        records.append(
-            DetectionRecord(box=box_from_dict(entry), sample_id=str(_require(entry, "sample_id", "record")))
-        )
-    return records
+    _check_version(data, "records")
+    return [
+        DetectionRecord(box=box_from_dict(entry), sample_id=_require(entry, "sample_id", "record"))
+        for entry in _require(data, "records", "records")
+    ]
 
 
 def _numeric_column(values: list, shape: tuple[int, ...]) -> np.ndarray | None:
-    """``values`` as a float array of ``shape`` if every value is a finite JSON number or bool."""
+    """``values`` as a float array of ``shape`` if every value is a finite JSON number."""
     array = np.array(values)
-    if array.dtype.kind not in "biuf" or array.shape != shape:
+    if array.dtype.kind not in "iuf" or array.shape != shape:
         return None
     array = array.astype(float)
-    return array if np.isfinite(array).all() else None
+    if not np.isfinite(array).all():
+        return None
+    # numpy folds a JSON true or false among numbers into 1 or 0, so only
+    # entries equal to 1 or 0 can hide one.
+    suspects = (array == 0.0) | (array == 1.0)
+    if suspects.any() and not all(map(is_real, np.array(values, dtype=object)[suspects])):
+        return None
+    return array
 
 
 def _table_from_entries(entries: list) -> DetectionTable | None:
@@ -236,9 +257,8 @@ def _table_from_entries(entries: list) -> DetectionTable | None:
         yaw = _numeric_column([e["yaw"] for e in entries], (n,))
         sample_ids = [e["sample_id"] for e in entries]
         class_ids = [e.get("class_id", "vehicle") for e in entries]
-        given_scores = [e.get("score") for e in entries]
-        given = np.array([s is not None for s in given_scores], dtype=bool)
-        scores = _numeric_column([s for s in given_scores if s is not None], (int(given.sum()),))
+        given = np.array(["score" in e for e in entries], dtype=bool)
+        scores = _numeric_column([e["score"] for e in entries if "score" in e], (int(given.sum()),))
     except (KeyError, TypeError, ValueError):  # a missing key, a non-object record, a ragged array
         return None
     if center is None or dims is None or yaw is None or scores is None:
@@ -263,13 +283,16 @@ def table_from_dict(data: dict) -> DetectionTable:
 
     Well-formed files are parsed and validated column by column.  Any
     record the columns cannot take as it is (a missing key, a value of the
-    wrong type or shape, a non-finite number, a negative extent, a score
-    outside [0, 1], an empty ``sample_id``) sends the file through
-    ``records_from_dict``, which raises its error for the first offending
-    record, or converts what the columns do not (numeric strings,
-    non-string ids) as it always has.
+    wrong type or shape, a bool, string or null where a number belongs, a
+    non-finite number, a negative extent, a score outside [0, 1], a
+    non-string or empty id) sends the file through ``records_from_dict``,
+    which raises its error for the first offending record.  Both paths
+    accept exactly the same files; the per-record one also parses the few
+    that numpy cannot hold as float columns (an integer beyond 64 bits, an
+    empty ``records`` list).
     """
-    if data.get("schema_version", SCHEMA_VERSION) == SCHEMA_VERSION and type(data.get("records")) is list:
+    _check_version(data, "records")
+    if type(data.get("records")) is list:
         table = _table_from_entries(data["records"])
         if table is not None:
             return table
@@ -282,9 +305,7 @@ def run_config_from_dict(data: dict) -> RunConfig:
     Every key must be a field of its section's class (or ``schema_version``
     at the top level); an omitted key takes the field's default.
     """
-    version = data.get("schema_version", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
-        raise ValueError(f"unsupported run config schema_version {version!r}")
+    _check_version(data, "run config")
     _check_keys(data, {"schema_version"} | {f.name for f in fields(RunConfig)})
     seed = {"seed": data["seed"]} if "seed" in data else {}
     # The top-level seed is the perturbation seed's default, section or not.

@@ -187,14 +187,16 @@ class TestAugmentCommand:
         assert code == 2
         assert "image_paths" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("damage", ["missing", "truncated"])
+    @pytest.mark.parametrize("damage", ["missing", "truncated", "maxval-100"])
     def test_unreadable_raster_exits_2_without_json(self, tmp_path, capsys, damage):
         scene = self.scene(tmp_path)
         raster = scene.parent / "images" / "cam_03.pgm"
         if damage == "missing":
             raster.unlink()
-        else:
+        elif damage == "truncated":
             raster.write_bytes(raster.read_bytes()[:1000])
+        else:
+            raster.write_bytes(raster.read_bytes().replace(b"\n255\n", b"\n100\n", 1))
         with pytest.raises((OSError, ValueError)) as failure:
             read_pnm(raster)
         capsys.readouterr()
@@ -717,6 +719,61 @@ class TestRejectedInput:
                 "distance thresholds must be positive and finite, got (0.5, nan, 2.0)",
             ),
             (
+                ["evaluate", "--gt", "{file}", "--pred", "{pred}", "--output-dir", "{out}"],
+                {"records": [{"sample_id": "s0", "center": [1.0, True, 0.5], "dims": [4, 2, 1.5], "yaw": 0}]},
+                "center must be a number, got True",
+            ),
+            (
+                ["evaluate", "--gt", "{gt}", "--pred", "{file}", "--output-dir", "{out}"],
+                {"records": [{"sample_id": "s0", "center": [10, 0, 0.75], "dims": [4, 2, 1.5], "yaw": 0, "score": "0.5"}]},
+                "score must be a number, got '0.5'",
+            ),
+            (
+                ["evaluate", "--gt", "{gt}", "--pred", "{file}", "--output-dir", "{out}"],
+                {"records": [{"sample_id": "s0", "center": [10, 0, 0.75], "dims": [4, 2, 1.5], "yaw": 0, "score": True}]},
+                "score must be a number, got True",
+            ),
+            (
+                ["evaluate", "--gt", "{file}", "--pred", "{pred}", "--output-dir", "{out}"],
+                {"records": [{"sample_id": 7, "center": [10, 0, 0.75], "dims": [4, 2, 1.5], "yaw": 0}]},
+                "sample_id must be a non-empty string, got 7",
+            ),
+            (
+                ["evaluate", "--gt", "{file}", "--pred", "{pred}", "--output-dir", "{out}"],
+                {"records": [{"sample_id": "s0", "center": [10, 0, 0.75], "dims": [4, 2, 1.5], "yaw": 0, "class_id": None}]},
+                "class_id must not be null",
+            ),
+            (
+                ["homography", "--scene", "{file}", "--output-dir", "{out}"],
+                {"scene_id": 5, "cameras": [], "boxes": []},
+                "scene_id must be a string, got 5",
+            ),
+            (
+                ["homography", "--scene", "{file}", "--output-dir", "{out}"],
+                {
+                    "scene_id": "s",
+                    "cameras": [
+                        {
+                            "camera_id": 9,
+                            "intrinsics": {"fx": 500, "fy": 500, "px": 352, "py": 128, "width": 704, "height": 256},
+                            "pose": {"yaw": 0, "pitch": 0, "roll": 0, "t": [0, 0, 0]},
+                        }
+                    ],
+                    "boxes": [],
+                },
+                "camera_id must be a non-empty string, got 9",
+            ),
+            (
+                ["augment", "--scene", "{scene}", "--config", "{file}", "--output-dir", "{out}"],
+                {"perturbation": {"d_yaw": "0.5"}},
+                "d_yaw must be a number, got '0.5'",
+            ),
+            (
+                ["evaluate", "--gt", "{gt}", "--pred", "{pred}", "--config", "{file}", "--output-dir", "{out}"],
+                {"metrics": {"range_limit": True}},
+                "range_limit must be a number, got True",
+            ),
+            (
                 ["ordinal-loss", "--logits-json", "{file}", "--label", "0"],
                 {"logits": 5},
                 "{file}: expected an object with a 'logits' array of numbers",
@@ -744,6 +801,15 @@ class TestRejectedInput:
             "evaluate-huge-center",
             "evaluate-huge-config-range-limit",
             "evaluate-nan-config-threshold",
+            "evaluate-boolean-center",
+            "evaluate-string-score",
+            "evaluate-boolean-score",
+            "evaluate-integer-sample-id",
+            "evaluate-null-class-id",
+            "homography-integer-scene-id",
+            "homography-integer-camera-id",
+            "augment-string-config-d-yaw",
+            "evaluate-boolean-config-range-limit",
             "ordinal-loss-scalar-logits",
             "ordinal-loss-null-logit",
         ],

@@ -439,11 +439,6 @@ class TestEvaluate:
         with pytest.raises(ValueError, match=r"^detection record 2 has no score$"):
             evaluate(gts, [det(10.0, 0.0, 0.9), det(90.0, 0.0, 0.9), unscored(11.0)])
 
-    def test_report_roundtrip(self):
-        gts, dets = self.fixture()
-        report = evaluate(gts, dets)
-        assert MetricReport.from_dict(report.to_dict()) == report
-
     def test_report_consistency_enforced(self):
         with pytest.raises(ValueError):
             MetricReport(

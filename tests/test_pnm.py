@@ -50,6 +50,13 @@ class TestPNM:
         with pytest.raises(ValueError, match="8-bit"):
             read_pnm(path)
 
+    def test_maxval_below_255_rejected(self, tmp_path):
+        # read as 8-bit and written back with maxval 255, white would turn 39% grey
+        path = tmp_path / "m.pgm"
+        path.write_bytes(b"P5\n2 1\n100\n" + bytes([100, 50]))
+        with pytest.raises(ValueError, match="8-bit.*got maxval 100$"):
+            read_pnm(path)
+
     def test_truncated_raster_rejected(self, tmp_path):
         path = tmp_path / "t.pgm"
         path.write_bytes(b"P5\n4 4\n255\n" + b"\x00" * 3)

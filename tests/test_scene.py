@@ -144,16 +144,13 @@ class TestTableFromDict:
             [record()],
             [
                 record("b", (1, 2, 0), yaw=4.0, score=0.5),
-                record("a", (1.5, True, 0.25), dims=(0, 0.0, -0.0), yaw=-math.pi, class_id="pedestrian", score=1),
-                record("b", (-3.0, 7.25, 1.0), yaw=math.pi, score=False, velocity=[1, 2]),
-                record("a\x00", yaw=-12.5, score=None),
+                record("a", (1.5, 1, 0.25), dims=(0, 0.0, -0.0), yaw=-math.pi, class_id="pedestrian", score=1),
+                record("b", (-3.0, 7.25, 1.0), yaw=math.pi, score=0, velocity=[1, 2]),
+                record("a\x00", yaw=-12.5),
             ],
-            # values only the per-record path converts
-            [record(), record("c", ("1.5", 2.0, 0.0), yaw="0.5", score="0.25")],
-            [record(), record(7, class_id=None), record(None, class_id=3)],
             [record(center=(2**70, 1.0, 0.0))],
         ],
-        ids=["empty", "one", "mixed-number-types", "numeric-strings", "non-string-ids", "huge-int"],
+        ids=["empty", "one", "mixed-number-types", "huge-int"],
     )
     def test_same_rows_as_records_from_dict(self, records):
         data = {"schema_version": 1, "records": records}
@@ -172,6 +169,15 @@ class TestTableFromDict:
             record(score=float("nan")),
             record(score=[0.5]),
             record(""),
+            record(center=(1.5, True, 0.25)),
+            record(yaw=False),
+            record(score=False),
+            record(score=None),
+            record("c", ("1.5", 2.0, 0.0), yaw="0.5", score="0.25"),
+            record(score="0.25"),
+            record(7, class_id=None),
+            record(None),
+            record(class_id=3),
             {"center": [1.0, 2.0, 3.0], "dims": [1.0, 1.0, 1.0], "yaw": 0.0},
             {"sample_id": "s0", "dims": [1.0, 1.0, 1.0], "yaw": 0.0},
             [1, 2],
@@ -190,6 +196,15 @@ class TestTableFromDict:
             "score-nan",
             "score-array",
             "empty-sample-id",
+            "center-bool",
+            "yaw-bool",
+            "score-bool",
+            "score-null",
+            "numeric-strings",
+            "score-numeric-string",
+            "non-string-ids",
+            "sample-id-null",
+            "class-id-number",
             "missing-sample-id",
             "missing-center",
             "record-array",
@@ -206,9 +221,26 @@ class TestTableFromDict:
             table_from_dict(data)
         assert str(got.value) == str(expected.value)
 
+    @pytest.mark.parametrize(
+        "records, message",
+        [
+            ([record(), record(center=(1.5, True, 0.25))], "center must be a number, got True"),
+            ([record(center=(True, False, True))], "center must be a number, got True"),
+            ([record(yaw=True), record(yaw=False)], "yaw must be a finite number, got True"),
+            ([record(score=False), record(score=True)], "score must be a number, got False"),
+        ],
+        ids=["center-one-bool", "center-all-bool", "yaw-all-bool", "score-all-bool"],
+    )
+    def test_bool_rejected_in_an_otherwise_valid_file(self, records, message):
+        # numpy reads a bool among numbers as 1 or 0, and a column of bools as dtype bool
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            table_from_dict({"schema_version": 1, "records": records})
+
     def test_unsupported_version_rejected(self):
         with pytest.raises(ValueError, match="schema_version"):
             table_from_dict({"schema_version": 2, "records": [record()]})
+        with pytest.raises(ValueError, match="unsupported records schema_version True"):
+            table_from_dict({"schema_version": True, "records": [record()]})
 
 
 class TestRunConfigSerialization:

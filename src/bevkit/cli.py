@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import pickle
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +21,7 @@ import numpy as np
 from .augment import PerturbationRange, analytic_homography, augment_camera, map_cameras, plan_camera
 from .depth import DATASET_DEPTH_RANGES, DepthDecouplingConfig, metric_to_scale_invariant, scale_invariant_to_metric
 from .geometry import Intrinsics, is_real
-from .metrics import UndefinedAPError, evaluate
+from .metrics import DetectionTable, UndefinedAPError, evaluate
 from .ordinal import DATASET_SCHEMES, OrdinalDomainScheme, assign_label, ordinal_loss, ordinal_loss_grad, reverse_gradient
 from .pnm import read_pnm, write_pnm
 from .scene import (
@@ -141,7 +144,10 @@ def _cmd_homography(args) -> int:
     entries = []
     for index, cam in enumerate(scene.cameras):
         perturbed, pairs, applied = plan_camera(cam, scene.boxes, limits, index)
-        closed_form = analytic_homography(cam, perturbed)
+        try:
+            closed_form = analytic_homography(cam, perturbed)
+        except ValueError as exc:
+            raise InputError(f"camera {cam.camera_id!r}: closed-form {exc}") from exc
         if len(pairs):
             residual = float(np.max(np.linalg.norm(applied.apply(pairs.source) - pairs.target, axis=1)))
         else:
@@ -251,10 +257,65 @@ def _format_report_table(report) -> str:
     return "\n".join(lines)
 
 
+def _load_tables(gt_path: str, pred_path: str) -> tuple[DetectionTable, DetectionTable]:
+    """The ``--gt`` and ``--pred`` tables, parsed on two cores where ``os.fork`` exists.
+
+    A forked child parses ``--gt`` and pickles ``(table, None)`` or
+    ``(None, exception)`` into a pipe while this process parses
+    ``--pred``.  A ``--gt`` error wins over a ``--pred`` error, as when
+    the files are read in turn.  The child is reaped on every path, and
+    killed first if this process is stopped while it runs.
+    """
+    if not hasattr(os, "fork"):
+        return table_from_dict(_load_json(gt_path)), table_from_dict(_load_json(pred_path))
+    read_fd, write_fd = os.pipe()
+    with open(read_fd, "rb") as pipe, open(write_fd, "wb") as sink:
+        with warnings.catch_warnings():
+            # Python 3.12+ warns that a forked child of a threaded process
+            # (numpy's BLAS threads) may deadlock; this child only parses.
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                try:
+                    result = (table_from_dict(_load_json(gt_path)), None)
+                except Exception as exc:
+                    result = (None, exc)
+                sink.write(pickle.dumps(result, pickle.HIGHEST_PROTOCOL))
+                sink.flush()
+                code = 0
+            finally:
+                os._exit(code)  # never return into the caller or flush its stdio
+        sink.close()
+        status = None
+        try:
+            try:
+                dets, pred_error = table_from_dict(_load_json(pred_path)), None
+            except Exception as exc:
+                dets, pred_error = None, exc
+            payload = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+        finally:
+            if status is None:
+                import signal
+
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    if not payload:
+        exit_code = os.waitstatus_to_exitcode(status)
+        raise OSError(f"{gt_path}: the process reading it exited with status {exit_code} and no result")
+    gts, gt_error = pickle.loads(payload)
+    if gt_error is not None:
+        raise gt_error
+    if pred_error is not None:
+        raise pred_error
+    return gts, dets
+
+
 def _cmd_evaluate(args) -> int:
     cfg = _load_run_config(args)
-    gts = table_from_dict(_load_json(args.gt))
-    dets = table_from_dict(_load_json(args.pred))
+    gts, dets = _load_tables(args.gt, args.pred)
     try:
         report = evaluate(gts, dets, cfg.metrics, workers=args.workers)
     except UndefinedAPError as exc:

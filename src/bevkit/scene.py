@@ -107,6 +107,13 @@ def _optional(data: dict, key: str, default):
     return data[key]
 
 
+def _array(value, name: str):
+    """``value`` if it is an array; an object or a string is not iterated as one."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{name} must be an array, got {type(value).__name__}")
+    return value
+
+
 def _check_version(data: dict, kind: str) -> None:
     """``schema_version`` may be omitted; given, it must be 1, and ``true`` is not 1."""
     version = data.get("schema_version", SCHEMA_VERSION)
@@ -209,12 +216,13 @@ def scene_to_dict(scene: Scene) -> dict:
 
 def scene_from_dict(data: dict) -> Scene:
     _check_version(data, "scene")
-    return Scene(
-        scene_id=_require(data, "scene_id", "scene"),
-        cameras=tuple(camera_from_dict(c) for c in _require(data, "cameras", "scene")),
-        boxes=tuple(box_from_dict(b) for b in _require(data, "boxes", "scene")),
-        image_paths=_optional(data, "image_paths", None),
-    )
+    scene_id = _require(data, "scene_id", "scene")
+    cameras = tuple(camera_from_dict(c) for c in _array(_require(data, "cameras", "scene"), "cameras"))
+    boxes = tuple(box_from_dict(b) for b in _array(_require(data, "boxes", "scene"), "boxes"))
+    image_paths = _optional(data, "image_paths", None)
+    if image_paths is not None:
+        image_paths = _array(image_paths, "image_paths")
+    return Scene(scene_id=scene_id, cameras=cameras, boxes=boxes, image_paths=image_paths)
 
 
 def records_to_dict(records: list[DetectionRecord]) -> dict:
@@ -228,7 +236,7 @@ def records_from_dict(data: dict) -> list[DetectionRecord]:
     _check_version(data, "records")
     return [
         DetectionRecord(box=box_from_dict(entry), sample_id=_require(entry, "sample_id", "record"))
-        for entry in _require(data, "records", "records")
+        for entry in _array(_require(data, "records", "records"), "records")
     ]
 
 

@@ -1,7 +1,11 @@
 import argparse
 import json
 import math
+import os
+import subprocess
+import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -618,6 +622,93 @@ class TestEvaluateCommand:
         assert code == 0
         report = json.loads((out / "metric_report.json").read_text())
         assert sorted(report["per_threshold_ap"]) == ["1.0", "2.0"]
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the files are read in turn without os.fork")
+class TestParallelLoad:
+    """``evaluate`` parses --gt in a forked child while it parses --pred."""
+
+    GOOD = {"schema_version": 1, "records": [TestEvaluateCommand.GOOD_RECORD]}
+    BAD_GT = {"schema_version": 1, "records": {}}
+    BAD_PRED = {"schema_version": 1, "records": [dict(TestEvaluateCommand.GOOD_RECORD, center=[10.0, 0.0])]}
+
+    def run(self, tmp_path, gt_data, pred_data):
+        gt_path, pred_path = tmp_path / "gt.json", tmp_path / "pred.json"
+        gt_path.write_text(json.dumps(gt_data), encoding="utf-8")
+        pred_path.write_text(json.dumps(pred_data), encoding="utf-8")
+        out = tmp_path / "out"
+        return main(["evaluate", "--gt", str(gt_path), "--pred", str(pred_path), "--output-dir", str(out)])
+
+    @pytest.mark.parametrize(
+        "bad_gt, bad_pred, message",
+        [
+            (True, True, "records must be an array, got dict"),
+            (False, True, "center must be 3 finite values, got (10.0, 0.0)"),
+        ],
+        ids=["both-bad-gt-wins", "pred-bad"],
+    )
+    def test_error_precedence(self, tmp_path, capsys, bad_gt, bad_pred, message):
+        code = self.run(tmp_path, self.BAD_GT if bad_gt else self.GOOD, self.BAD_PRED if bad_pred else self.GOOD)
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out" / "metric_report.json").exists()
+        assert_no_child_left()
+
+    def test_reader_that_dies_names_the_path(self, tmp_path, capsys, monkeypatch):
+        real = bevkit.cli._load_json
+        gt_path = str(tmp_path / "gt.json")
+
+        def reader(path):
+            if path == gt_path:
+                os._exit(3)
+            return real(path)
+
+        monkeypatch.setattr(bevkit.cli, "_load_json", reader)
+        assert self.run(tmp_path, self.GOOD, self.GOOD) == 2
+        assert capsys.readouterr().err == f"error: {gt_path}: the process reading it exited with status 3 and no result\n"
+        assert_no_child_left()
+
+    def test_stopped_parent_kills_and_reaps_the_reader(self, tmp_path, monkeypatch):
+        class Stop(BaseException):
+            pass
+
+        gt_path = str(tmp_path / "gt.json")
+
+        def reader(path):
+            if path == gt_path:
+                time.sleep(60)
+            raise Stop
+
+        monkeypatch.setattr(bevkit.cli, "_load_json", reader)
+        begin = time.monotonic()
+        with pytest.raises(Stop):
+            self.run(tmp_path, self.GOOD, self.GOOD)
+        assert time.monotonic() - begin < 30.0
+        assert_no_child_left()
+
+    def test_report_identical_without_fork(self, tmp_path, capsys, monkeypatch):
+        inputs = golden_eval_inputs()
+        assert self.run(tmp_path, *inputs) == 0
+        assert_no_child_left()
+        forked = (capsys.readouterr(), (tmp_path / "out" / "metric_report.json").read_bytes())
+        monkeypatch.delattr(os, "fork")
+        assert self.run(tmp_path, *inputs) == 0
+        assert (capsys.readouterr(), (tmp_path / "out" / "metric_report.json").read_bytes()) == forked
+        assert forked[1] == (GOLDEN / "metric_report.json").read_bytes()
+
+
+def test_cli_import_starts_no_process_pool():
+    """A process pool's import would add tens of milliseconds to every CLI call."""
+    code = "import sys, bevkit.cli; print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"
+    src = str(Path(bevkit.cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert result.stdout == "[]\n"
 
 
 class TestRejectedInput:

@@ -1,9 +1,9 @@
 """The scene, detection and run-config schemas agree with the parsers behind the CLI.
 
 Each case changes one field of a schema-valid file (a bool, a numeric
-string, a null, a nested list, a wrong length, a non-string id, a missing
-key, a negative or out-of-range value, an integer or a huge integer for a
-number) and runs the file through ``homography``, ``evaluate`` or
+string, a null, a nested list, a wrong length, an object or a string for an
+array, a non-string id, a missing key, a negative or out-of-range value, an
+integer or a huge integer for a number) and runs the file through ``homography``, ``evaluate`` or
 ``--config``.  The CLI must exit 2 with a one-line ``error: ...`` exactly
 when jsonschema rejects the file.  JSON Schema cannot state non-finite
 numbers or rules across fields, so those hold one way only: a NaN or an
@@ -83,6 +83,10 @@ def mutations(value, key, rng: random.Random):
     if isinstance(value, list):
         yield "wrong-length-short", value[:-1]
         yield "wrong-length-long", value + value[-1:]
+        # Iterated, an empty object reads as no entries and a string as one
+        # entry per character.
+        yield "object-for-array", {}
+        yield "string-for-array", "x" * len(value)
     elif isinstance(value, str):
         yield "non-string-id", 7
         yield "empty-string", ""

@@ -278,6 +278,9 @@ def _load_tables(gt_path: str, pred_path: str) -> tuple[DetectionTable, Detectio
         if pid == 0:
             code = 1
             try:
+                # Hold no read end: if the parent dies, the write fails with
+                # BrokenPipeError instead of blocking on a full pipe for good.
+                pipe.close()
                 try:
                     result = (table_from_dict(_load_json(gt_path)), None)
                 except Exception as exc:
@@ -302,8 +305,8 @@ def _load_tables(gt_path: str, pred_path: str) -> tuple[DetectionTable, Detectio
 
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
-    if not payload:
-        exit_code = os.waitstatus_to_exitcode(status)
+    exit_code = os.waitstatus_to_exitcode(status)
+    if not payload or exit_code != 0:
         raise OSError(f"{gt_path}: the process reading it exited with status {exit_code} and no result")
     gts, gt_error = pickle.loads(payload)
     if gt_error is not None:

@@ -13,8 +13,7 @@ over the matches at a single threshold, and the summary score is
 Records are evaluated as a ``DetectionTable``: numpy columns of sample,
 class, center, dims, yaw, score and input index.  ``scene.table_from_dict``
 builds one from a detection file.  The range filter and the search for
-same-sample pairs within the largest threshold, among the ground truths
-in the same or a neighbouring x-cell, run on the columns; the
+same-sample pairs within the largest threshold run on the columns; the
 greedy claim then runs in Python over those candidate pairs only, with
 every ``Match.distance`` computed by ``math.hypot`` so that reports are
 bit-for-bit those of the per-record definition.  ``evaluate``,
@@ -280,61 +279,31 @@ def _candidate_pairs(
     """Same-sample (detection row, ground-truth row) pairs with ``np.hypot`` distance below ``cutoff``.
 
     Detections come in ``order``, and each detection's ground truths in
-    ascending row order.  Ground truths are sorted by (sample, x-cell),
-    with cells ``w >= 2 * cutoff`` wide: a pair within the cutoff is about
-    half a cell apart in x at most, so at most one cell apart whatever the
-    rounding, and each detection is tested only against the ground truths
-    of its own cell and the two neighbours.  ``w`` is widened until a
-    sample spans no more cells than it holds ground truths on average, so
-    the table of cell starts stays the size of the input; a wider cell
-    only tests more pairs.  Pairs are formed for a run of detections at a
+    ascending row order.  Pairs are formed for a run of detections at a
     time, about ``_PAIR_BLOCK`` pairs per run, so memory stays bounded and
     many small samples share one numpy pass.
     """
-    empty = np.empty(0, dtype=np.int64)
-    if not len(gt_sample) or not len(order):
-        return empty, empty
-    # Halved coordinates cannot overflow when subtracted.
-    gt_half, det_half = gt_center[:, 0] / 2.0, det_center[:, 0] / 2.0
-    low = min(float(gt_half.min()), float(det_half.min()))
-    high = max(float(gt_half.max()), float(det_half.max()))
-    half_width = max(cutoff, (high - low) * num_samples / len(gt_sample))
-    cells = math.floor((high - low) / half_width) + 1
-    # Cell c of sample s has key s * stride + c + 1; keys 0 and cells + 1
-    # of each sample are the empty neighbours of its first and last cell.
-    stride = cells + 2
-
-    def keys(sample: np.ndarray, half: np.ndarray) -> np.ndarray:
-        return sample * stride + np.floor((half - low) / half_width).astype(np.int64) + 1
-
-    gt_key = keys(gt_sample, gt_half)
-    gt_rows = np.argsort(gt_key, kind="stable")
-    cell_start = np.zeros(num_samples * stride + 1, dtype=np.int64)
-    np.cumsum(np.bincount(gt_key, minlength=num_samples * stride), out=cell_start[1:])
-    det_key = keys(det_sample[order], det_half[order])
-    first = cell_start[det_key - 1]
-    per_det = cell_start[det_key + 2] - first
+    gt_rows = np.argsort(gt_sample, kind="stable")
+    gt_count = np.bincount(gt_sample, minlength=num_samples)
+    gt_first = np.cumsum(gt_count) - gt_count
+    samples = det_sample[order]
+    per_det = gt_count[samples]
     ends = np.cumsum(per_det)
-    det_pairs, gt_pairs = [empty], [empty]
+    det_pairs, gt_pairs = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
     start = 0
     while start < len(order):
         stop = max(start + 1, int(np.searchsorted(ends, ends[start] - per_det[start] + _PAIR_BLOCK, "right")))
         counts = per_det[start:stop]
-        position = np.repeat(np.arange(stop - start), counts)
-        within = np.arange(len(position)) - np.repeat(np.cumsum(counts) - counts, counts)
-        pair_gts = gt_rows[np.repeat(first[start:stop], counts) + within]
-        det_rows = order[start:stop][position]
+        det_rows = np.repeat(order[start:stop], counts)
+        within = np.arange(len(det_rows)) - np.repeat(np.cumsum(counts) - counts, counts)
+        pair_gts = gt_rows[np.repeat(gt_first[samples[start:stop]], counts) + within]
         with np.errstate(over="ignore"):  # centres ~1e308 apart: an infinite distance is out of reach
             distance = np.hypot(
                 det_center[det_rows, 0] - gt_center[pair_gts, 0], det_center[det_rows, 1] - gt_center[pair_gts, 1]
             )
         keep = distance < cutoff
-        position, pair_gts = position[keep], pair_gts[keep]
-        # The window lists ground truths by cell; restore ascending rows per
-        # detection.  The key is nearly sorted, which the stable sort exploits.
-        resort = np.argsort(position * len(gt_sample) + pair_gts, kind="stable")
-        det_pairs.append(det_rows[keep][resort])
-        gt_pairs.append(pair_gts[resort])
+        det_pairs.append(det_rows[keep])
+        gt_pairs.append(pair_gts[keep])
         start = stop
     return np.concatenate(det_pairs), np.concatenate(gt_pairs)
 

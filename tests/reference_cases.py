@@ -3,9 +3,7 @@
 ``REFERENCE_NDS_STAR_ROWS`` holds frozen NDS* aggregates; ``pure_rotation_case``
 draws a camera whose perturbation is a pure rotation, so the closed-form
 homography is exact on its anchor correspondences.  ``reference_collect_pairs``
-is the per-anchor loop that ``collect_pairs`` must reproduce bit for bit,
-and ``reference_candidate_pairs`` the all-pairs search within each sample that
-the cell search of ``metrics._candidate_pairs`` must reproduce, order included.
+is the per-anchor loop that ``collect_pairs`` must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -142,44 +140,3 @@ def reference_collect_pairs(cam: CameraModel, perturbed: Pose, boxes) -> tuple[n
             source.append(pixel)
             target.append(pixel_hat)
     return np.array(source).reshape(-1, 2), np.array(target).reshape(-1, 2)
-
-
-def reference_candidate_pairs(
-    gt_sample: np.ndarray,
-    gt_center: np.ndarray,
-    det_sample: np.ndarray,
-    det_center: np.ndarray,
-    order: np.ndarray,
-    num_samples: int,
-    cutoff: float,
-    block: int = 1 << 16,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Same-sample (detection row, ground-truth row) pairs with ``np.hypot`` distance below ``cutoff``.
-
-    Every detection is tested against every ground truth of its sample.
-    Detections come in ``order``, and each detection's ground truths in
-    ascending row order; runs of detections of about ``block`` pairs share
-    one numpy pass.
-    """
-    gt_rows = np.argsort(gt_sample, kind="stable")
-    gt_count = np.bincount(gt_sample, minlength=num_samples)
-    gt_first = np.cumsum(gt_count) - gt_count
-    samples = det_sample[order]
-    per_det = gt_count[samples]
-    ends = np.cumsum(per_det)
-    det_pairs, gt_pairs = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
-    start = 0
-    while start < len(order):
-        stop = max(start + 1, int(np.searchsorted(ends, ends[start] - per_det[start] + block, "right")))
-        counts = per_det[start:stop]
-        det_rows = np.repeat(order[start:stop], counts)
-        within = np.arange(len(det_rows)) - np.repeat(np.cumsum(counts) - counts, counts)
-        pair_gts = gt_rows[np.repeat(gt_first[samples[start:stop]], counts) + within]
-        distance = np.hypot(
-            det_center[det_rows, 0] - gt_center[pair_gts, 0], det_center[det_rows, 1] - gt_center[pair_gts, 1]
-        )
-        keep = distance < cutoff
-        det_pairs.append(det_rows[keep])
-        gt_pairs.append(pair_gts[keep])
-        start = stop
-    return np.concatenate(det_pairs), np.concatenate(gt_pairs)

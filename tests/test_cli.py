@@ -1,7 +1,9 @@
 import argparse
+import io
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import threading
@@ -624,6 +626,15 @@ class TestEvaluateCommand:
         assert sorted(report["per_threshold_ap"]) == ["1.0", "2.0"]
 
 
+def process_running(pid):
+    """Whether ``pid`` names a process that has not exited (a zombie has)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rpartition(")")[2].split()[0] not in ("Z", "X")
+
+
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -672,6 +683,74 @@ class TestParallelLoad:
         assert self.run(tmp_path, self.GOOD, self.GOOD) == 2
         assert capsys.readouterr().err == f"error: {gt_path}: the process reading it exited with status 3 and no result\n"
         assert_no_child_left()
+
+    def test_reader_that_dies_mid_write_names_the_path(self, tmp_path, capsys, monkeypatch):
+        class DiesMidWrite(io.FileIO):
+            def write(self, data):
+                super().write(bytes(data)[: len(data) // 2])
+                os._exit(5)
+
+        def fake_open(file, mode="r", *args, **kwargs):
+            if isinstance(file, int) and mode == "wb":
+                return DiesMidWrite(file, "wb")
+            return open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(bevkit.cli, "open", fake_open, raising=False)
+        assert self.run(tmp_path, self.GOOD, self.GOOD) == 2
+        gt_path = tmp_path / "gt.json"
+        assert capsys.readouterr().err == f"error: {gt_path}: the process reading it exited with status 5 and no result\n"
+        assert_no_child_left()
+
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads process states from /proc")
+    def test_killed_parent_leaves_no_reader(self, tmp_path):
+        """A parent killed outright runs no cleanup; its reader must still exit."""
+        gt_path, pred_path, pid_path = tmp_path / "gt.json", tmp_path / "pred.json", tmp_path / "reader.pid"
+        # The --gt table pickles to more than a pipe buffer holds.
+        for path, data in zip((gt_path, pred_path), golden_eval_inputs()):
+            path.write_text(json.dumps(data), encoding="utf-8")
+        script = (
+            "import os, sys, time\n"
+            "import bevkit.cli\n"
+            "gt_path, pid_path, argv = sys.argv[1], sys.argv[2], sys.argv[3:]\n"
+            "real = bevkit.cli._load_json\n"
+            "def reader(path):\n"
+            "    if path == gt_path:\n"
+            "        with open(pid_path + '.tmp', 'w') as f:\n"
+            "            f.write(str(os.getpid()))\n"
+            "        os.replace(pid_path + '.tmp', pid_path)\n"
+            "        time.sleep(1.0)\n"
+            "    else:\n"
+            "        time.sleep(60.0)\n"
+            "    return real(path)\n"
+            "bevkit.cli._load_json = reader\n"
+            "bevkit.cli.main(argv)\n"
+        )
+        argv = ["evaluate", "--gt", str(gt_path), "--pred", str(pred_path), "--output-dir", str(tmp_path / "out")]
+        src = str(Path(bevkit.cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        parent = subprocess.Popen(
+            [sys.executable, "-c", script, str(gt_path), str(pid_path), *argv],
+            env=env,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+        )
+        reader = None
+        deadline = time.monotonic() + 30.0
+        try:
+            while not pid_path.exists():
+                assert parent.poll() is None and time.monotonic() < deadline
+                time.sleep(0.01)
+            reader = int(pid_path.read_text())
+            parent.kill()
+            parent.wait()
+            while process_running(reader):
+                assert time.monotonic() < deadline, "the --gt reader outlived its killed parent"
+                time.sleep(0.05)
+        finally:
+            parent.kill()
+            parent.wait()
+            if reader is not None and process_running(reader):
+                os.kill(reader, signal.SIGKILL)
 
     def test_stopped_parent_kills_and_reaps_the_reader(self, tmp_path, monkeypatch):
         class Stop(BaseException):

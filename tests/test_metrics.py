@@ -21,7 +21,7 @@ from bevkit.metrics import (
     yaw_difference,
 )
 from bevkit.scene import records_to_dict, table_from_dict
-from reference_cases import REFERENCE_NDS_STAR_ROWS, reference_candidate_pairs
+from reference_cases import REFERENCE_NDS_STAR_ROWS
 
 
 def gt(x, y, dims=(4.0, 2.0, 1.5), yaw=0.0, sample="s0"):
@@ -293,85 +293,6 @@ class TestNDSStar:
             nds_star(0.5, -0.1, 0.0, 0.0)
 
 
-def candidate_inputs(rng, num_gts, num_dets, x_values, y_values, samples=4):
-    """Arguments of ``_candidate_pairs``; samples ``samples`` and ``samples + 1`` hold detections only."""
-    gt_sample = rng.integers(0, samples, num_gts)
-    det_sample = rng.integers(0, samples + 2, num_dets)
-    gt_center = np.column_stack([rng.choice(x_values, num_gts), rng.choice(y_values, num_gts), np.zeros(num_gts)])
-    det_center = np.column_stack([rng.choice(x_values, num_dets), rng.choice(y_values, num_dets), np.zeros(num_dets)])
-    return gt_sample, gt_center, det_sample, det_center, rng.permutation(num_dets), samples + 2
-
-
-# x on multiples of 0.5 in [-10, 10]: with cutoff 1 the cells are 2 m wide,
-# so many centres lie exactly on a cell edge, and many pairs exactly 1 m or
-# 0 m (coincident centres) apart.
-LATTICE = np.arange(-20, 21) * 0.5
-
-
-class TestCandidatePairs:
-    """The x-cell search returns the all-pairs search's arrays, order included."""
-
-    @staticmethod
-    def assert_same(args):
-        expected = reference_candidate_pairs(*args)
-        found = metrics_module._candidate_pairs(*args)
-        assert all(np.array_equal(e, f) for e, f in zip(expected, found)), (expected, found)
-        return found
-
-    @pytest.mark.parametrize("block", [1, 7, 1 << 16])
-    @pytest.mark.parametrize("seed", range(4))
-    @pytest.mark.parametrize(
-        "cutoff",
-        [1.0, 1.0 + 1e-9, 0.5, 1e-6, 1e3],
-        ids=["lattice-step", "lattice-step-margin", "half-step", "far-below-spacing", "beyond-scene"],
-    )
-    def test_lattice(self, monkeypatch, block, seed, cutoff):
-        monkeypatch.setattr(metrics_module, "_PAIR_BLOCK", block)
-        rng = np.random.default_rng(seed)
-        args = candidate_inputs(rng, 160, 240, LATTICE, np.array([0.0, 0.0, 0.5, -1.0]))
-        found = self.assert_same((*args[:-1], args[-1], cutoff))
-        if cutoff >= 1.0:
-            assert len(found[0])
-
-    @pytest.mark.parametrize("seed", range(4))
-    def test_continuous_coordinates(self, seed):
-        rng = np.random.default_rng(100 + seed)
-        xs, ys = rng.uniform(-50.0, 50.0, 5000), rng.uniform(-50.0, 50.0, 5000)
-        args = candidate_inputs(rng, 400, 800, xs, ys, samples=3)
-        self.assert_same((*args, 4.0 + 4e-9))
-
-    @pytest.mark.parametrize("num_gts, num_dets", [(0, 5), (5, 0), (0, 0)])
-    def test_empty_tables(self, num_gts, num_dets):
-        args = candidate_inputs(np.random.default_rng(7), num_gts, num_dets, LATTICE, LATTICE)
-        found = self.assert_same((*args, 2.0))
-        assert [len(rows) for rows in found] == [0, 0]
-
-    @pytest.mark.parametrize("scale", [1e300, 1e307])
-    def test_extreme_coordinates(self, scale):
-        # centres up to a few times 1e307, as a range_limit of 1e308 keeps
-        # them, whose differences overflow: those pairs are out of reach
-        rng = np.random.default_rng(9)
-        xs = np.concatenate([LATTICE, LATTICE * scale, [-1.7e308, 1.7e308]])
-        args = (*candidate_inputs(rng, 200, 300, xs, np.array([0.0, 1.0])), 1.0 + 1e-9)
-        found = metrics_module._candidate_pairs(*args)  # without an overflow warning
-        with np.errstate(over="ignore"):
-            expected = reference_candidate_pairs(*args)
-        assert all(np.array_equal(e, f) for e, f in zip(expected, found))
-
-    def test_evaluate_at_range_limit_1e308(self, monkeypatch):
-        rng = np.random.default_rng(11)
-        gts, dets = [], []
-        for sample in ("a", "b"):
-            for x in [*rng.uniform(-30.0, 30.0, 20), 6e307, -6e307, 6e307]:
-                gts.append(gt(float(x), 0.0, sample=sample))
-                dets.append(det(float(x) + float(rng.normal(0.0, 0.5)), 0.0, float(rng.uniform()), sample=sample))
-        cfg = MetricConfig(range_limit=1e308)
-        report = evaluate(gts, dets, cfg)
-        assert report.match_counts["ground_truths"] == len(gts)
-        monkeypatch.setattr(metrics_module, "_candidate_pairs", reference_candidate_pairs)
-        assert evaluate(gts, dets, cfg) == report
-
-
 class TestEvaluate:
     def fixture(self):
         gts = [
@@ -431,6 +352,18 @@ class TestEvaluate:
         gts = [gt(50.0, 0.0)]
         dets = [det(50.0, 0.0, 1.0)]
         assert evaluate(gts, dets).m_ap == 1.0
+
+    def test_centres_whose_distance_overflows_are_out_of_reach(self):
+        # range_limit 1e308 keeps every box; the pairs across the origin
+        # differ in x by 1.9e308, past the largest float, and must not warn
+        gts = [gt(9.5e307, 0.0), gt(-9.5e307, 0.0), gt(10.0, 0.0)]
+        dets = [det(-9.5e307, 0.0, 0.9), det(9.5e307, 0.0, 0.8), det(10.2, 0.0, 0.7)]
+        report = evaluate(gts, dets, MetricConfig(range_limit=1e308))
+        assert report.match_counts == {
+            "ground_truths": 3,
+            "detections": 3,
+            **{f"matches@{t:g}": 3 for t in MetricConfig().distance_thresholds},
+        }
 
     def test_no_ground_truths_raises(self):
         with pytest.raises(UndefinedAPError):

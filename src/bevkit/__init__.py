@@ -9,7 +9,6 @@ from .augment import (
     PerturbationRange,
     analytic_homography,
     augment_camera,
-    augment_scene,
     collect_pairs,
     fit_homography,
     perturb_pose,
@@ -27,16 +26,12 @@ from .depth import (
 )
 from .geometry import (
     CameraModel,
-    DegenerateProjectionError,
-    EulerAngles,
     Intrinsics,
     Pose,
     ego_to_camera_rotation,
     euler_to_rotation,
     in_image,
-    project_point,
     project_points,
-    rotation_to_euler,
     wrap_angle,
 )
 from .metrics import (

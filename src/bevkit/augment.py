@@ -54,7 +54,6 @@ __all__ = [
     "plan_camera",
     "augment_camera",
     "map_cameras",
-    "augment_scene",
 ]
 
 # Below this many correspondences the 8-dof fit is underdetermined and the
@@ -126,9 +125,6 @@ class Homography:
     @classmethod
     def identity_fallback(cls) -> "Homography":
         return cls(np.eye(3), provenance="identity-fallback")
-
-    def is_identity(self) -> bool:
-        return bool(np.array_equal(self.matrix, np.eye(3) / math.sqrt(3.0)))
 
     def apply(self, pixels: np.ndarray) -> np.ndarray:
         """Map (n, 2) or (2,) pixels through the homography and dehomogenize."""
@@ -379,19 +375,3 @@ def map_cameras(step: Callable[[int], _T], count: int, workers: int) -> list[_T]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(step, range(count)))
 
-
-def augment_scene(
-    rig: Sequence[CameraModel],
-    images: Sequence[np.ndarray],
-    boxes: Sequence[Box3D],
-    limits: PerturbationRange,
-    workers: int = 1,
-) -> list[AugmentedView]:
-    """Plan and warp every camera of a rig (see augment_camera).
-
-    Randomness is keyed by (seed, camera index), so results are identical
-    across runs and across worker counts.
-    """
-    if len(rig) != len(images):
-        raise ValueError(f"got {len(rig)} cameras but {len(images)} images")
-    return map_cameras(lambda i: augment_camera(rig[i], images[i], boxes, limits, i), len(rig), workers)

@@ -9,7 +9,10 @@ import numpy as np
 
 from .geometry import finite_number, real_number, wrap_angle
 
-__all__ = ["Box3D", "bottom_points", "footprint_corners"]
+__all__ = ["DEFAULT_CLASS_ID", "Box3D", "bottom_points", "footprint_corners"]
+
+# The class of a box, or of a file's record, that names none.
+DEFAULT_CLASS_ID = "vehicle"
 
 
 @dataclass(frozen=True)
@@ -26,7 +29,7 @@ class Box3D:
     center: tuple[float, float, float]
     dims: tuple[float, float, float]
     yaw: float
-    class_id: str = "vehicle"
+    class_id: str = DEFAULT_CLASS_ID
     score: float | None = None
 
     def __post_init__(self) -> None:

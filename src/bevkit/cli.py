@@ -19,7 +19,13 @@ from pathlib import Path
 import numpy as np
 
 from .augment import PerturbationRange, analytic_homography, augment_camera, map_cameras, plan_camera
-from .depth import DATASET_DEPTH_RANGES, DepthDecouplingConfig, metric_to_scale_invariant, scale_invariant_to_metric
+from .depth import (
+    DATASET_DEPTH_RANGES,
+    DEFAULT_REFERENCE_FOCAL,
+    DepthDecouplingConfig,
+    metric_to_scale_invariant,
+    scale_invariant_to_metric,
+)
 from .geometry import Intrinsics, is_real
 from .metrics import DetectionTable, UndefinedAPError, evaluate
 from .ordinal import DATASET_SCHEMES, OrdinalDomainScheme, assign_label, ordinal_loss, ordinal_loss_grad, reverse_gradient
@@ -373,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--direction", required=True, choices=("to-scale-invariant", "to-metric"))
     p.add_argument("--fx", type=float, required=True)
     p.add_argument("--fy", type=float, required=True)
-    p.add_argument("--f-ref", type=float, default=707.0, help="reference focal length defining c")
+    p.add_argument("--f-ref", type=float, default=DEFAULT_REFERENCE_FOCAL, help="reference focal length defining c")
     p.add_argument("--c", type=float, default=None, help="explicit reference pixel size (overrides --f-ref)")
     p.add_argument("--dataset", choices=sorted(DATASET_DEPTH_RANGES), default=None)
     p.add_argument("--depth-min", type=float, default=None)

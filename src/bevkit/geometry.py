@@ -1,4 +1,4 @@
-"""Pinhole camera model, Euler-angle conversions, and ego-frame projection.
+"""Pinhole camera model, Euler-angle rotations, and ego-frame projection.
 
 Coordinate conventions shared by the whole package:
 
@@ -29,23 +29,18 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
 
 import numpy as np
 
 __all__ = [
     "EGO_TO_CAMERA_AXES",
     "DEGENERATE_DEPTH_TOL",
-    "DegenerateProjectionError",
     "Intrinsics",
     "Pose",
     "CameraModel",
-    "EulerAngles",
     "wrap_angle",
     "euler_to_rotation",
-    "rotation_to_euler",
     "ego_to_camera_rotation",
-    "project_point",
     "project_points",
     "in_image",
 ]
@@ -64,16 +59,6 @@ EGO_TO_CAMERA_AXES.setflags(write=False)
 # Camera-frame depth closer to the image plane than this is treated as a
 # true plane crossing rather than rounding noise.
 DEGENERATE_DEPTH_TOL = 1e-12
-
-_GIMBAL_LOCK_TOL = 1e-12
-
-# Largest entry of |R^T R - I| that rotation_to_euler accepts as a rotation.
-_ORTHOGONALITY_TOL = 1e-9
-
-
-class DegenerateProjectionError(ValueError):
-    """Point lies on the camera plane (depth indistinguishable from zero)."""
-
 
 def wrap_angle(angle: float) -> float:
     """Wrap a finite angle to (-pi, pi]; in-range values pass through unchanged."""
@@ -205,15 +190,6 @@ class CameraModel:
             raise ValueError(f"camera_id must be a non-empty string, got {self.camera_id!r}")
 
 
-class EulerAngles(NamedTuple):
-    """Decomposed rotation with a flag for the degenerate pitch branch."""
-
-    yaw: float
-    pitch: float
-    roll: float
-    gimbal_locked: bool = False
-
-
 def euler_to_rotation(yaw: float, pitch: float, roll: float) -> np.ndarray:
     """Compose Z(yaw) @ Y(pitch) @ X(roll) into a 3x3 rotation matrix.
 
@@ -230,35 +206,6 @@ def euler_to_rotation(yaw: float, pitch: float, roll: float) -> np.ndarray:
     ry = np.array([[cp, 0.0, sp], [0.0, 1.0, 0.0], [-sp, 0.0, cp]])
     rx = np.array([[1.0, 0.0, 0.0], [0.0, cr, -sr], [0.0, sr, cr]])
     return rz @ ry @ rx
-
-
-def rotation_to_euler(matrix: np.ndarray) -> EulerAngles:
-    """Invert euler_to_rotation, returning the canonical branch.
-
-    Pitch is taken in [-pi/2, pi/2].  When |pitch| is within the lock
-    tolerance of pi/2 only yaw - sign(pitch) * roll is observable; the
-    decomposition then fixes roll to 0 and sets ``gimbal_locked``.
-
-    Raises ValueError if the input is not a rotation matrix (orthogonal
-    within 1e-9 and right-handed).
-    """
-    R = np.asarray(matrix, dtype=float)
-    if R.shape != (3, 3):
-        raise ValueError(f"expected a 3x3 matrix, got shape {R.shape}")
-    defect = np.abs(R.T @ R - np.eye(3)).max()
-    if not np.isfinite(defect) or defect > _ORTHOGONALITY_TOL:
-        raise ValueError(f"matrix is not orthogonal (defect {defect:.3e} > {_ORTHOGONALITY_TOL:.1e})")
-    if np.linalg.det(R) < 0.0:
-        raise ValueError("matrix is a reflection (det < 0), not a rotation")
-
-    sin_pitch = min(1.0, max(-1.0, -float(R[2, 0])))
-    pitch = math.asin(sin_pitch)
-    if 1.0 - abs(sin_pitch) <= _GIMBAL_LOCK_TOL:
-        yaw = math.atan2(-float(R[0, 1]), float(R[1, 1]))
-        return EulerAngles(yaw, pitch, 0.0, gimbal_locked=True)
-    roll = math.atan2(float(R[2, 1]), float(R[2, 2]))
-    yaw = math.atan2(float(R[1, 0]), float(R[0, 0]))
-    return EulerAngles(yaw, pitch, roll, gimbal_locked=False)
 
 
 def ego_to_camera_rotation(pose: Pose) -> np.ndarray:
@@ -292,26 +239,6 @@ def project_points(cam: CameraModel, points: np.ndarray) -> tuple[np.ndarray, np
         pixels[:, 0] = intr.fx * cam_points[:, 0] / depths + intr.px
         pixels[:, 1] = intr.fy * cam_points[:, 1] / depths + intr.py
     return pixels, depths
-
-
-def project_point(cam: CameraModel, point: Sequence[float]) -> tuple[np.ndarray, float]:
-    """Project an ego-frame point, returning (pixel, camera-frame depth).
-
-    The one-row case of project_points.  Depth may be negative (point
-    behind the camera); the pixel is still the homogeneous normalization
-    and the caller decides visibility.  Raises DegenerateProjectionError
-    when |depth| <= DEGENERATE_DEPTH_TOL.
-    """
-    q = np.asarray(point, dtype=float)
-    if q.shape != (3,):
-        raise ValueError(f"expected a 3-vector, got shape {q.shape}")
-    pixels, depths = project_points(cam, q[None])
-    depth = float(depths[0])
-    if abs(depth) <= DEGENERATE_DEPTH_TOL:
-        raise DegenerateProjectionError(
-            f"point {point!r} projects onto the camera plane of {cam.camera_id} (depth {depth:.3e})"
-        )
-    return pixels[0], depth
 
 
 def in_image(intr: Intrinsics, pixels: np.ndarray) -> np.ndarray:

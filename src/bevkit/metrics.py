@@ -310,20 +310,23 @@ def _candidate_pairs(
 
 def _greedy_matches(
     gts: DetectionTable, dets: DetectionTable, thresholds: Sequence[float]
-) -> tuple[np.ndarray, list[dict[int, Match]]]:
-    """Score order of ``dets`` rows and, per threshold, its matches keyed by detection row.
+) -> tuple[np.ndarray, list[list[Match]]]:
+    """Score order of ``dets`` rows and, per threshold, its matches in that order.
 
     The score order is score descending, then ``sample_id``, then input
     index.  numpy finds the same-sample pairs within the largest threshold
     (plus a margin for rounding); each one's ``Match.distance`` is
-    recomputed with ``math.hypot``, as ``ground_distance`` does, and the
-    greedy claim visits only those pairs.
+    recomputed with ``math.hypot``, as ``ground_distance`` does.  The pairs
+    are sorted once by (detection's place in the score order, distance,
+    ground-truth row), so at each threshold a detection claims the first
+    of its pairs under the threshold whose ground truth is unclaimed.
     """
     _require_scores(dets)
     rank = {name: r for r, name in enumerate(sorted(set(gts.sample_ids).union(dets.sample_ids)))}
     gt_sample = np.array([rank[name] for name in gts.sample_ids], dtype=np.int64)[gts.sample]
     det_sample = np.array([rank[name] for name in dets.sample_ids], dtype=np.int64)[dets.sample]
     order = np.lexsort((dets.index, det_sample, -dets.score))
+    position = np.argsort(order)  # each row's place in the score order
 
     largest = max(thresholds)
     det_rows, gt_rows = _candidate_pairs(
@@ -331,31 +334,28 @@ def _greedy_matches(
     )
     dx = (dets.center[det_rows, 0] - gts.center[gt_rows, 0]).tolist()
     dy = (dets.center[det_rows, 1] - gts.center[gt_rows, 1]).tolist()
-    candidates: list[tuple[int, list[tuple[int, float]]]] = []
-    for det_row, gt_row, distance in zip(det_rows.tolist(), gt_rows.tolist(), map(math.hypot, dx, dy)):
-        if not candidates or candidates[-1][0] != det_row:
-            candidates.append((det_row, []))
-        candidates[-1][1].append((gt_row, distance))
+    distances = np.array(list(map(math.hypot, dx, dy)), dtype=float)
+    by_claim = np.lexsort((gt_rows, distances, position[det_rows]))
+    det_rows, gt_rows, distances = det_rows[by_claim], gt_rows[by_claim], distances[by_claim]
 
-    matched: list[dict[int, Match]] = [{} for _ in thresholds]
-    for threshold, by_det in zip(thresholds, matched):
+    matched: list[list[Match]] = []
+    for threshold in thresholds:
+        under = distances < threshold
         claimed: set[int] = set()
-        for det_row, pairs in candidates:
-            best = -1
-            best_distance = math.inf
-            for gt_row, distance in pairs:
-                if distance < threshold and distance < best_distance and gt_row not in claimed:
-                    best_distance = distance
-                    best = gt_row
-            if best >= 0:
-                claimed.add(best)
-                by_det[det_row] = Match(det_row, best, best_distance)
+        matches: list[Match] = []
+        last = -1
+        for det, gt, distance in zip(det_rows[under].tolist(), gt_rows[under].tolist(), distances[under].tolist()):
+            if det != last and gt not in claimed:
+                claimed.add(gt)
+                matches.append(Match(det, gt, distance))
+                last = det
+        matched.append(matches)
     return order, matched
 
 
-def _tp_flags(order: np.ndarray, by_det: dict[int, Match]) -> np.ndarray:
+def _tp_flags(order: np.ndarray, matches: list[Match]) -> np.ndarray:
     hit = np.zeros(len(order), dtype=bool)
-    hit[list(by_det)] = True
+    hit[[m.det_index for m in matches]] = True
     return hit[order]
 
 
@@ -374,8 +374,8 @@ def match_detections(
     order, with row indices into ``gts`` and ``dets``.  ``workers`` is
     accepted for compatibility and has no effect.
     """
-    order, (by_det,) = _greedy_matches(_as_table(gts), _as_table(dets), (threshold,))
-    return [by_det[det_row] for det_row in order.tolist() if det_row in by_det]
+    _, (matches,) = _greedy_matches(_as_table(gts), _as_table(dets), (threshold,))
+    return matches
 
 
 def _precision_area(
@@ -421,8 +421,8 @@ def average_precision(
     gts, dets = _as_table(gts), _as_table(dets)
     if not len(gts):
         raise UndefinedAPError(f"no ground truths at threshold {threshold}")
-    order, (by_det,) = _greedy_matches(gts, dets, (threshold,))
-    return _precision_area(_tp_flags(order, by_det), len(gts), recall_floor, precision_floor)
+    order, (matches,) = _greedy_matches(gts, dets, (threshold,))
+    return _precision_area(_tp_flags(order, matches), len(gts), recall_floor, precision_floor)
 
 
 def _mean_errors(
@@ -523,15 +523,14 @@ def evaluate(
         "ground_truths": len(gts),
         "detections": len(dets),
     }
-    for threshold, by_det in zip(cfg.distance_thresholds, matched):
+    for threshold, matches in zip(cfg.distance_thresholds, matched):
         per_threshold_ap[threshold] = _precision_area(
-            _tp_flags(order, by_det), len(gts), cfg.recall_floor, cfg.precision_floor
+            _tp_flags(order, matches), len(gts), cfg.recall_floor, cfg.precision_floor
         )
-        match_counts[f"matches@{threshold:g}"] = len(by_det)
+        match_counts[f"matches@{threshold:g}"] = len(matches)
     m_ap = sum(per_threshold_ap.values()) / len(per_threshold_ap)
 
-    tp_matches = matched[cfg.distance_thresholds.index(cfg.tp_threshold)]
-    tps = [tp_matches[det_row] for det_row in order.tolist() if det_row in tp_matches]
+    tps = matched[cfg.distance_thresholds.index(cfg.tp_threshold)]
     gt_rows = [m.gt_index for m in tps]
     det_rows = [m.det_index for m in tps]
     errors = _mean_errors(

@@ -10,7 +10,9 @@ import numpy as np
 
 __all__ = ["read_pnm", "write_pnm"]
 
-_TOKEN = re.compile(rb"(?:\s*(?:#[^\n]*\n)?)*(\S+)")
+# Each separator consumes at least one byte, so a header cut off after
+# whitespace fails in linear time instead of backtracking exponentially.
+_TOKEN = re.compile(rb"(?:\s|#[^\n]*\n)*(\S+)")
 
 
 def _read_tokens(data: bytearray, count: int, offset: int) -> tuple[list[bytes], int]:

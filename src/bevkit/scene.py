@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .augment import PerturbationRange
-from .boxes import Box3D
+from .boxes import DEFAULT_CLASS_ID, Box3D
 from .geometry import CameraModel, Intrinsics, Pose, ego_to_camera_rotation, is_real, whole_number, wrap_angle
 from .metrics import DetectionRecord, DetectionTable, MetricConfig
 from .ordinal import DATASET_SCHEMES
@@ -197,7 +197,7 @@ def box_from_dict(data: dict) -> Box3D:
         center=_require(data, "center", "box"),
         dims=_require(data, "dims", "box"),
         yaw=_require(data, "yaw", "box"),
-        class_id=_optional(data, "class_id", "vehicle"),
+        class_id=_optional(data, "class_id", DEFAULT_CLASS_ID),
         score=_optional(data, "score", None),
     )
 
@@ -264,7 +264,7 @@ def _table_from_entries(entries: list) -> DetectionTable | None:
         dims = _numeric_column([e["dims"] for e in entries], (n, 3))
         yaw = _numeric_column([e["yaw"] for e in entries], (n,))
         sample_ids = [e["sample_id"] for e in entries]
-        class_ids = [e.get("class_id", "vehicle") for e in entries]
+        class_ids = [e.get("class_id", DEFAULT_CLASS_ID) for e in entries]
         given = np.array(["score" in e for e in entries], dtype=bool)
         scores = _numeric_column([e["score"] for e in entries if "score" in e], (int(given.sum()),))
     except (KeyError, TypeError, ValueError):  # a missing key, a non-object record, a ragged array

@@ -13,14 +13,6 @@ __all__ = ["warp_image"]
 _BLOCK_PIXELS = 16 * 1600
 
 
-def _as_matrix(homography) -> np.ndarray:
-    matrix = getattr(homography, "matrix", homography)
-    matrix = np.asarray(matrix, dtype=float)
-    if matrix.shape != (3, 3):
-        raise ValueError(f"expected a 3x3 homography, got shape {matrix.shape}")
-    return matrix
-
-
 def warp_image(image: np.ndarray, homography, out_size: tuple[int, int]) -> np.ndarray:
     """Apply a homography to a raster, output pixel q' sampled at H^-1 q'.
 
@@ -31,14 +23,10 @@ def warp_image(image: np.ndarray, homography, out_size: tuple[int, int]) -> np.n
     to the source's first pixel for the gathers and set to 0 in the output,
     and the blend runs one channel at a time.  Memory stays small at any
     frame size, and the bytes equal those of full-frame bilinear sampling.
-    Accepts a Homography value or a raw 3x3 array; raises ValueError if
-    the matrix is singular.
+    ``homography`` is a ``Homography``, whose constructor rejects a
+    singular map.
     """
-    matrix = _as_matrix(homography)
-    det = np.linalg.det(matrix)
-    if not np.isfinite(det) or abs(det) < 1e-15:
-        raise ValueError(f"homography is singular (det {det:.3e}); cannot invert for warping")
-    inverse = np.linalg.inv(matrix)
+    inverse = np.linalg.inv(homography.matrix)
     # Rescaling by the last element keeps the identity map exact after the
     # unit-norm gauge (x / x == 1) and does not change the projective map.
     if abs(inverse[2, 2]) > 1e-12:

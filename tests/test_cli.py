@@ -1097,3 +1097,43 @@ class TestFlags:
             main(["selftest"])
         assert exc.value.code == 2
         assert "invalid choice: 'selftest'" in capsys.readouterr().err
+
+
+class TestBenchmarkReplays:
+    """The traced replays in bench/spans.py write what the commands they replay write.
+
+    bench/ is put on sys.path, as bench/worker.py does, so a library change
+    that breaks a replay's imports or calls fails here.
+    """
+
+    @pytest.fixture
+    def spans(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+        import spans
+
+        return spans
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_replay_augment_writes_the_cli_bytes(self, tmp_path, spans, workers):
+        scene_dir = tmp_path / "scene"
+        assert main(["gen-scene", "--seed", "2", "--with-images", "--output-dir", str(scene_dir)]) == 0
+        argv = ["--scene", str(scene_dir / "scene.json"), "--seed", "4", "--workers", str(workers)]
+        assert main(["augment", *argv, "--output-dir", str(tmp_path / "cli")]) == 0
+        spans.replay_augment(spans.Tracer(), scene_dir / "scene.json", 4, workers, tmp_path / "replay")
+        cli = read_tree(tmp_path / "cli")
+        assert len(cli) == 8
+        assert b'"fitted"' in cli[Path("homographies.json")]
+        assert read_tree(tmp_path / "replay") == cli
+
+    def test_replay_evaluate_writes_the_cli_bytes(self, tmp_path, spans):
+        gt, pred = golden_eval_inputs()
+        gt_path, pred_path = tmp_path / "gt.json", tmp_path / "pred.json"
+        gt_path.write_text(json.dumps(gt), encoding="utf-8")
+        pred_path.write_text(json.dumps(pred), encoding="utf-8")
+        assert main(["evaluate", "--gt", str(gt_path), "--pred", str(pred_path), "--output-dir", str(tmp_path / "cli")]) == 0
+        tracer = spans.Tracer()
+        spans.replay_evaluate(tracer, gt_path, pred_path, 1, tmp_path / "replay")
+        cli = read_tree(tmp_path / "cli")
+        assert read_tree(tmp_path / "replay") == cli
+        report = json.loads(cli[Path("metric_report.json")])
+        assert tracer.counters["metrics.matches"] == report["match_counts"]["matches@2"]

@@ -12,7 +12,7 @@ from bevkit.depth import (
     resize_intrinsics,
     scale_invariant_to_metric,
 )
-from bevkit.geometry import CameraModel, Intrinsics, Pose, project_point
+from bevkit.geometry import CameraModel, Intrinsics, Pose, project_points
 
 
 def make_intrinsics(fx, fy, width=704, height=256):
@@ -137,11 +137,11 @@ class TestResizeIntrinsics:
         for _ in range(50):
             r_x, r_y = float(rng.uniform(0.3, 2.0)), float(rng.uniform(0.3, 2.0))
             resized_cam = CameraModel(resize_intrinsics(intr, r_x, r_y), pose, "c1")
-            ego = rng.uniform(-1.0, 1.0, size=3) * np.array([25.0, 25.0, 3.0])
-            pixel, depth = project_point(cam, ego)
+            ego = rng.uniform(-1.0, 1.0, size=(1, 3)) * np.array([25.0, 25.0, 3.0])
+            (pixel,), (depth,) = project_points(cam, ego)
             if depth <= 0.1:
                 continue
-            resized_pixel, resized_depth = project_point(resized_cam, ego)
+            (resized_pixel,), (resized_depth,) = project_points(resized_cam, ego)
             assert resized_depth == depth
             assert resized_pixel[0] == pytest.approx(r_x * pixel[0], rel=1e-9, abs=1e-9)
             assert resized_pixel[1] == pytest.approx(r_y * pixel[1], rel=1e-9, abs=1e-9)

@@ -1,8 +1,13 @@
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bevkit.pnm
 from bevkit.pnm import read_pnm, write_pnm
 from bevkit.scene import render_pattern_image
 
@@ -69,6 +74,22 @@ class TestPNM:
         path.write_bytes(payload)
         with pytest.raises(ValueError, match=re.escape(f"{path}: expected 16 raster bytes, got 0")):
             read_pnm(path)
+
+    def test_header_cut_off_after_whitespace_fails_fast(self, tmp_path):
+        # run in a child with a timeout, so a regex that backtracks without
+        # bound fails the test instead of hanging the suite
+        path = tmp_path / "spaces.pgm"
+        path.write_bytes(b"P5" + b" " * 10_000)
+        code = (
+            "import sys\nfrom bevkit.pnm import read_pnm\n"
+            "try:\n    read_pnm(sys.argv[1])\nexcept ValueError as error:\n    print(error)\n"
+        )
+        src = str(Path(bevkit.pnm.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        result = subprocess.run(
+            [sys.executable, "-c", code, str(path)], capture_output=True, text=True, env=env, timeout=30, check=True
+        )
+        assert result.stdout == "truncated PNM header\n"
 
     def test_comment_longer_than_4_kib(self, tmp_path):
         path = tmp_path / "long.pgm"

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bevkit.augment import PerturbationRange, augment_scene
+from bevkit.augment import PerturbationRange, augment_camera
 from bevkit.metrics import DetectionTable, MetricConfig
 from bevkit.scene import (
     RunConfig,
@@ -44,7 +44,8 @@ class TestGenerateSyntheticScene:
             render_pattern_image(cam.intrinsics.width, cam.intrinsics.height, i)
             for i, cam in enumerate(scene.cameras)
         ]
-        views = augment_scene(scene.cameras, images, scene.boxes, PerturbationRange(0.02, 0.01, 0.02, seed=5))
+        limits = PerturbationRange(0.02, 0.01, 0.02, seed=5)
+        views = [augment_camera(cam, images[i], scene.boxes, limits, i) for i, cam in enumerate(scene.cameras)]
         for image, view in zip(images, views):
             assert view.homography.provenance == "identity-fallback"
             assert np.array_equal(view.image, image)
@@ -86,7 +87,8 @@ class TestGenerateSyntheticScene:
             render_pattern_image(cam.intrinsics.width, cam.intrinsics.height, i)
             for i, cam in enumerate(scene.cameras)
         ]
-        views = augment_scene(scene.cameras, images, scene.boxes, PerturbationRange(0.02, 0.01, 0.02, seed=17))
+        limits = PerturbationRange(0.02, 0.01, 0.02, seed=17)
+        views = [augment_camera(cam, images[i], scene.boxes, limits, i) for i, cam in enumerate(scene.cameras)]
         assert any(view.homography.provenance == "fitted" for view in views)
 
 

@@ -11,10 +11,12 @@ from bevkit.warp import warp_image
 # A NaN that reaches floor or an integer cast fails the suite, not just warns.
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
+IDENTITY = Homography(np.eye(3))
 
-def reference_warp(image, homography, out_size):
+
+def reference_warp(image, matrix, out_size):
     """Full-frame bilinear sampling that warp_image must match byte for byte."""
-    inverse = np.linalg.inv(np.asarray(getattr(homography, "matrix", homography), dtype=float))
+    inverse = np.linalg.inv(matrix)
     if abs(inverse[2, 2]) > 1e-12:
         inverse = inverse / inverse[2, 2]
     out_width, out_height = out_size
@@ -95,16 +97,18 @@ def random_map(rng, kind, src_size, out_size):
 class TestWarpImage:
     def test_identity_bit_exact(self):
         image = render_pattern_image(64, 48, 0)
-        assert np.array_equal(warp_image(image, np.eye(3), (64, 48)), image)
+        assert np.array_equal(warp_image(image, Homography(np.eye(3)), (64, 48)), image)
 
     def test_identity_through_normalized_homography(self):
+        # the gauge divides a scaled or negated identity back to the one map
         image = render_pattern_image(64, 48, 1)
-        assert np.array_equal(warp_image(image, Homography(np.eye(3)), (64, 48)), image)
+        for scale in (5.0, -2.0):
+            assert np.array_equal(warp_image(image, Homography(scale * np.eye(3)), (64, 48)), image)
 
     def test_horizontal_shift(self):
         image = render_pattern_image(80, 40, 2)
         shift = np.array([[1.0, 0.0, 10.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        warped = warp_image(image, shift, (80, 40))
+        warped = warp_image(image, Homography(shift), (80, 40))
         assert np.array_equal(warped[:, 10:], image[:, :-10])
         assert np.all(warped[:, :10] == 0)
 
@@ -112,14 +116,14 @@ class TestWarpImage:
         gray = render_pattern_image(60, 30, 3)
         color = np.stack([gray, gray // 2, 255 - gray], axis=-1)
         shift = np.array([[1.0, 0.0, 5.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        warped = warp_image(color, shift, (60, 30))
+        warped = warp_image(color, Homography(shift), (60, 30))
         assert warped.shape == (30, 60, 3)
         assert np.array_equal(warped[:, 5:], color[:, :-5])
 
     def test_out_of_source_filled_with_zero(self):
         image = np.full((20, 20), 200, dtype=np.uint8)
         shift = np.array([[1.0, 0.0, -30.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        assert np.all(warp_image(image, shift, (20, 20)) == 0)
+        assert np.all(warp_image(image, Homography(shift), (20, 20)) == 0)
 
     def test_warp_then_inverse_bounded_by_bilinear_error(self):
         # linear ramp: bilinear interpolation reproduces linear images, so
@@ -133,8 +137,8 @@ class TestWarpImage:
                 [1e-5, -1e-5, 1.0],
             ]
         )
-        once = warp_image(image, matrix, (width, height))
-        back = warp_image(once, np.linalg.inv(matrix), (width, height))
+        once = warp_image(image, Homography(matrix), (width, height))
+        back = warp_image(once, Homography(np.linalg.inv(matrix)), (width, height))
 
         # doubly valid region: the pixel is interior to the source and its
         # forward image lands interior to the intermediate raster, with a
@@ -159,42 +163,42 @@ class TestWarpImage:
 
     def test_singular_matrix_rejected(self):
         image = render_pattern_image(10, 10, 0)
-        with pytest.raises(ValueError):
-            warp_image(image, np.diag([1.0, 1.0, 0.0]), (10, 10))
+        with pytest.raises(ValueError, match="singular"):
+            warp_image(image, Homography(np.diag([1.0, 1.0, 0.0])), (10, 10))
 
     def test_float_raster_supported(self):
         image = np.linspace(0.0, 1.0, 25, dtype=np.float64).reshape(5, 5)
-        out = warp_image(image, np.eye(3), (5, 5))
+        out = warp_image(image, IDENTITY, (5, 5))
         assert out.dtype == image.dtype
         assert np.array_equal(out, image)
 
     def test_output_canvas_can_differ_from_source(self):
         image = render_pattern_image(40, 30, 5)
-        grown = warp_image(image, np.eye(3), (50, 35))
+        grown = warp_image(image, IDENTITY, (50, 35))
         assert grown.shape == (35, 50)
         assert np.array_equal(grown[:30, :40], image)
         assert np.all(grown[30:, :] == 0) and np.all(grown[:, 40:] == 0)
-        cropped = warp_image(image, np.eye(3), (20, 15))
+        cropped = warp_image(image, IDENTITY, (20, 15))
         assert np.array_equal(cropped, image[:15, :20])
 
     def test_invalid_out_size_rejected(self):
         image = render_pattern_image(10, 10, 0)
         with pytest.raises(ValueError):
-            warp_image(image, np.eye(3), (0, 10))
+            warp_image(image, IDENTITY, (0, 10))
         # a fraction or a boolean is rejected, not truncated; a string is not a size
         for out_size in ((4.7, 3), (True, 3), ("4", 3), (3, 2.5), (3, False), (-1, 3), (3, None)):
             with pytest.raises(ValueError, match="out_size"):
-                warp_image(image, np.eye(3), out_size)
+                warp_image(image, IDENTITY, out_size)
 
     def test_whole_float_out_size_accepted(self):
         image = render_pattern_image(10, 10, 0)
-        assert np.array_equal(warp_image(image, np.eye(3), (4.0, np.int64(3))), image[:3, :4])
+        assert np.array_equal(warp_image(image, IDENTITY, (4.0, np.int64(3))), image[:3, :4])
 
     @pytest.mark.parametrize("shape", [(0, 5), (4, 0), (0, 0), (0, 5, 3), (4, 0, 3), (0, 0, 3)])
     def test_empty_source_warps_to_zeros(self, shape):
         image = np.zeros(shape, dtype=np.uint8)
         matrix = np.array([[1.0, 0.0, 2.0], [0.0, 1.0, -1.0], [0.0, 0.0, 1.0]])
-        out = warp_image(image, matrix, (7, 3))
+        out = warp_image(image, Homography(matrix), (7, 3))
         assert out.shape == (3, 7) + shape[2:]
         assert out.dtype == np.uint8
         assert not out.any()
@@ -211,6 +215,7 @@ class TestWarpImage:
             # the inverse map's denominator 1 - u / 6 vanishes on column 6 of
             # every row; the columns right of it map behind the camera
             matrix = np.linalg.inv(np.array([[1.0, 0.0, 0.0], [0.0, 0.7, 0.0], [-1.0 / 6.0, 0.0, 1.0]]))
+        homography = Homography(matrix)
         # four-row blocks; the canvas height is not a multiple of them
         monkeypatch.setattr(warp_module, "_BLOCK_PIXELS", 4 * out_width)
 
@@ -218,10 +223,10 @@ class TestWarpImage:
         image = rng.normal(0.0, 100.0, size=(src_height, src_width))
         image.flat[0], image.flat[-1] = first, last
         with np.errstate(invalid="ignore"):  # 0 * inf in the full-frame oracle
-            expected = reference_warp(image, matrix, (out_width, out_height))
-        got = warp_image(image, matrix, (out_width, out_height))
+            expected = reference_warp(image, homography.matrix, (out_width, out_height))
+        got = warp_image(image, homography, (out_width, out_height))
 
-        inverse = np.linalg.inv(matrix)
+        inverse = np.linalg.inv(homography.matrix)
         inverse = inverse / inverse[2, 2]
         u, v = np.meshgrid(np.arange(out_width, dtype=float), np.arange(out_height, dtype=float))
         denom = inverse[2, 0] * u + inverse[2, 1] * v + inverse[2, 2]
@@ -238,9 +243,9 @@ class TestWarpImage:
         gray = rng.integers(0, 256, size=(src_height, src_width), dtype=np.uint8)
         color = rng.integers(0, 2**16, size=(src_height, src_width, 3), dtype=np.uint16)
         for source in (gray, color):
-            got = warp_image(source, matrix, (out_width, out_height))
+            got = warp_image(source, homography, (out_width, out_height))
             assert not got[~valid].any()
-            assert np.array_equal(got, reference_warp(source, matrix, (out_width, out_height)))
+            assert np.array_equal(got, reference_warp(source, homography.matrix, (out_width, out_height)))
 
     def test_matches_full_frame_reference_byte_for_byte(self, monkeypatch):
         kinds = ("near-identity", "leaves-source", "horizon")
@@ -268,11 +273,12 @@ class TestWarpImage:
             monkeypatch.setattr(warp_module, "_BLOCK_PIXELS", block_pixels)
 
             image = random_raster(rng, src_height, src_width, dtype, color)
-            matrix = random_map(rng, kind, (src_width, src_height), (out_width, out_height))
-            if abs(np.linalg.det(matrix)) < 1e-15:
+            try:
+                homography = Homography(random_map(rng, kind, (src_width, src_height), (out_width, out_height)))
+            except ValueError:  # a singular map
                 continue
-            expected = reference_warp(image, matrix, (out_width, out_height))
-            got = warp_image(image, matrix, (out_width, out_height))
+            expected = reference_warp(image, homography.matrix, (out_width, out_height))
+            got = warp_image(image, homography, (out_width, out_height))
             context = (seed, kind, dtype, color, (src_width, src_height), (out_width, out_height), block_pixels)
             assert got.dtype == expected.dtype, context
             assert np.array_equal(got, expected), context
@@ -285,18 +291,18 @@ class TestWarpImage:
         # 900 rows are not a multiple of the 16-row blocks of a 1600-px canvas
         rng = np.random.default_rng(7)
         image = random_raster(rng, 900, 1600, np.uint8, color=True)
-        matrix = np.array([[1.02, 0.03, -12.0], [-0.01, 0.99, 7.0], [2e-5, -1e-5, 1.0]])
-        got = warp_image(image, matrix, (1600, 900))
+        homography = Homography(np.array([[1.02, 0.03, -12.0], [-0.01, 0.99, 7.0], [2e-5, -1e-5, 1.0]]))
+        got = warp_image(image, homography, (1600, 900))
         assert got.dtype == np.uint8
-        assert np.array_equal(got, reference_warp(image, matrix, (1600, 900)))
+        assert np.array_equal(got, reference_warp(image, homography.matrix, (1600, 900)))
 
     def test_full_frame_warp_peak_memory_bounded(self):
         image = render_pattern_image(1600, 900, 3)
         image = np.stack([image, image // 2, 255 - image], axis=-1)
-        matrix = np.array([[1.02, 0.03, -12.0], [-0.01, 0.99, 7.0], [2e-5, -1e-5, 1.0]])
+        homography = Homography(np.array([[1.02, 0.03, -12.0], [-0.01, 0.99, 7.0], [2e-5, -1e-5, 1.0]]))
         tracemalloc.start()
         try:
-            warp_image(image, matrix, (1600, 900))
+            warp_image(image, homography, (1600, 900))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

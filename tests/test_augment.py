@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -22,8 +23,9 @@ from bevkit.augment import (
     _hartley_normalization,
 )
 from bevkit.boxes import Box3D, bottom_points
+from bevkit.cli import main
 from bevkit.geometry import CameraModel, Intrinsics, Pose, ego_to_camera_rotation
-from bevkit.scene import generate_synthetic_scene, render_pattern_image
+from bevkit.scene import Scene, generate_synthetic_scene, render_pattern_image
 from reference_cases import pure_rotation_case, reference_collect_pairs
 
 INTR = Intrinsics(fx=1000.0, fy=1000.0, px=352.0, py=128.0, width=704, height=256)
@@ -492,6 +494,22 @@ class TestAugmentScene:
                 assert np.array_equal(a.image, b.image)
                 assert a.pose == b.pose
                 assert np.array_equal(a.homography.matrix, b.homography.matrix)
+
+    def test_mismatched_images_rejected(self, tmp_path, capsys):
+        # the augment command reads one raster per camera from the scene's
+        # image_paths, so a scene listing fewer paths than cameras is refused
+        rig = self.make_rig(n=2)
+        with pytest.raises(ValueError, match="got 1 image paths for 2 cameras"):
+            Scene("s", rig, [], image_paths=["images/cam_0.pgm"])
+        assert main(["gen-scene", "--seed", "3", "--with-images", "--output-dir", str(tmp_path)]) == 0
+        scene = json.loads((tmp_path / "scene.json").read_text())
+        scene["image_paths"] = scene["image_paths"][:-1]
+        (tmp_path / "short.json").write_text(json.dumps(scene))
+        capsys.readouterr()
+        out = tmp_path / "aug"
+        assert main(["augment", "--scene", str(tmp_path / "short.json"), "--output-dir", str(out)]) == 2
+        assert capsys.readouterr().err == "error: got 5 image paths for 6 cameras\n"
+        assert not (out / "poses.json").exists()
 
     def test_scene_runs_augment_camera_per_index(self):
         rig = self.make_rig(n=4)

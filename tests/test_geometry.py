@@ -75,6 +75,27 @@ class TestEulerToRotation:
         with pytest.raises(ValueError):
             euler_to_rotation(float("inf"), 0.0, 0.0)
 
+    def test_reference_decomposition_recovers_angles(self):
+        # away from gimbal lock the Z-Y-X angles are unique, so scipy's
+        # decomposition must return the angles the matrix was built from
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            yaw = float(rng.uniform(-math.pi, math.pi))
+            pitch = float(rng.uniform(-math.pi / 2 + 1e-3, math.pi / 2 - 1e-3))
+            roll = float(rng.uniform(-math.pi, math.pi))
+            back = Rotation.from_matrix(euler_to_rotation(yaw, pitch, roll)).as_euler("ZYX")
+            assert np.abs(back - (yaw, pitch, roll)).max() < 1e-9
+
+    @pytest.mark.parametrize("pitch, sign", [(math.pi / 2, -1.0), (-math.pi / 2, 1.0)], ids=["up", "down"])
+    def test_gimbal_lock_keeps_one_degree_of_freedom(self, pitch, sign):
+        # at pitch = +-pi/2 yaw and roll turn about the same axis, so only
+        # yaw - roll (pitch up) or yaw + roll (pitch down) shapes the matrix
+        rotation = euler_to_rotation(0.7, pitch, 0.3)
+        folded = euler_to_rotation(0.7 + sign * 0.3, pitch, 0.0)
+        assert np.abs(rotation - folded).max() < 1e-14
+        assert np.abs(rotation.T @ rotation - np.eye(3)).max() < 1e-14
+        assert np.linalg.det(rotation) == pytest.approx(1.0, abs=1e-14)
+
 
 class TestProjectPoint:
     def test_optical_axis_point(self):

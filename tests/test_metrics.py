@@ -138,6 +138,37 @@ class TestMatchDetections:
         assert forward == {(0, 0), (1, 1)}
         assert backward == {(0, 1), (1, 0)}  # same assignment after the swap
 
+    def test_equidistant_ground_truths_resolve_to_lower_index(self):
+        gts = [gt(12.0, 0.0), gt(10.0, 2.0), gt(10.0, -2.0)]
+        matches = match_detections(gts, [det(10.0, 0.0, 0.9)], 3.0)
+        assert [(m.det_index, m.gt_index) for m in matches] == [(0, 0)]
+        matches = match_detections(gts[1:], [det(10.0, 0.0, 0.9)], 3.0)
+        assert [(m.det_index, m.gt_index, m.distance) for m in matches] == [(0, 0, 2.0)]
+
+    def test_claimed_nearest_falls_back_to_next_under_threshold(self):
+        # the higher-scored detection takes the GT both are nearest to; the
+        # other then claims its second-nearest GT, but only under the threshold
+        gts = [gt(10.0, 0.0), gt(11.5, 0.0)]
+        dets = [det(10.4, 0.0, 0.5), det(10.2, 0.0, 0.9)]
+        matches = match_detections(gts, dets, 2.0)
+        assert [(m.det_index, m.gt_index) for m in matches] == [(1, 0), (0, 1)]
+        assert matches[1].distance == pytest.approx(1.1)
+        assert [(m.det_index, m.gt_index) for m in match_detections(gts, dets, 1.0)] == [(1, 0)]
+
+    def test_matches_listed_in_processing_order(self):
+        # score descending, then sample id, then input index
+        gts = [gt(0.0, 0.0, sample="b"), gt(0.0, 0.0, sample="a"), gt(20.0, 0.0, sample="a"), gt(40.0, 0.0, sample="a")]
+        dets = [
+            det(0.0, 0.0, 0.5, sample="b"),
+            det(20.0, 0.0, 0.5, sample="a"),
+            det(40.0, 0.0, 0.9, sample="a"),
+            det(0.0, 0.0, 0.5, sample="a"),
+        ]
+        matches = match_detections(gts, dets, 2.0)
+        assert [(m.det_index, m.gt_index) for m in matches] == [(2, 3), (1, 2), (3, 1), (0, 0)]
+        order, reference = brute_force_matches(gts, dets, 2.0)
+        assert [(m.det_index, m.gt_index, m.distance) for m in matches] == reference
+
     def test_missing_score_rejected(self):
         with pytest.raises(ValueError):
             match_detections([gt(0.0, 0.0)], [DetectionRecord(Box3D((0, 0, 0.75), (4, 2, 1.5), 0.0), "s0")], 2.0)

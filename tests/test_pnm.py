@@ -43,6 +43,12 @@ class TestPNM:
         path.write_bytes(payload)
         assert read_pnm(path).shape == (2, 3)
 
+    def test_comments_and_whitespace_interleave_between_tokens(self, tmp_path):
+        payload = b"P5 \n # one\n\t# two\n 3\n# three\n\n 2 # four\n255\n" + bytes(range(6))
+        path = tmp_path / "i.pgm"
+        path.write_bytes(payload)
+        assert np.array_equal(read_pnm(path), np.arange(6, dtype=np.uint8).reshape(2, 3))
+
     def test_ascii_magic_rejected(self, tmp_path):
         path = tmp_path / "a.pgm"
         path.write_bytes(b"P2\n3 2\n255\n0 1 2 3 4 5\n")

@@ -7,7 +7,7 @@ from .augment import (
     Homography,
     MatchedPairSet,
     PerturbationRange,
-    analytic_homography,
+    ground_plane_homography,
     augment_camera,
     collect_pairs,
     fit_homography,

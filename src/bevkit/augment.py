@@ -11,10 +11,12 @@ The augmentation pipeline for one camera:
    untouched,
 4. warp the image with the fitted map.
 
-The closed-form plane-induced homography K (R + t n^T / d) K^-1 between
-the two camera frames is the oracle used to validate the fitted result;
-for a pure rotation (zero relative translation) it is independent of the
-plane, so the fitted map is exact for every scene point.
+The perturbation keeps the camera-frame translation t, so the camera
+centre -R^T t moves with the rotation unless t = 0: the motion between
+the two views is a rotation plus a translation.  The anchors of boxes
+standing on the ground lie on the ego plane z = 0, so the fitted map
+equals the closed-form map that plane induces (``ground_plane_homography``),
+the oracle the fit is checked against.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ __all__ = [
     "perturb_pose",
     "collect_pairs",
     "fit_homography",
-    "analytic_homography",
+    "ground_plane_homography",
     "plan_camera",
     "augment_camera",
     "map_cameras",
@@ -187,7 +189,9 @@ def perturb_pose(pose: Pose, limits: PerturbationRange, rng: np.random.Generator
     """Offset each angle by a uniform draw in [-half-width, +half-width].
 
     Draw order is fixed (yaw, pitch, roll) so a seeded generator gives
-    bitwise-reproducible results.  Translation is unchanged.
+    bitwise-reproducible results.  The camera-frame translation t is kept,
+    so the camera centre -R^T t in the ego frame moves with the rotation
+    (it stays put only for t = 0).
     """
     d_yaw = float(rng.uniform(-limits.d_yaw, limits.d_yaw))
     d_pitch = float(rng.uniform(-limits.d_pitch, limits.d_pitch))
@@ -274,40 +278,40 @@ def fit_homography(pairs: MatchedPairSet) -> Homography:
     return Homography(matrix, provenance="fitted")
 
 
-def relative_camera_motion(original: Pose, perturbed: Pose) -> tuple[np.ndarray, np.ndarray]:
-    """(rotation, translation) mapping original-camera coords to perturbed-camera coords."""
-    r1 = ego_to_camera_rotation(original)
-    r2 = ego_to_camera_rotation(perturbed)
-    rotation = r2 @ r1.T
-    translation = perturbed.translation_vector() - rotation @ original.translation_vector()
-    return rotation, translation
+def ground_plane_homography(cam: CameraModel, perturbed: Pose) -> Homography | None:
+    """Closed-form map the ego ground plane z = 0 induces from the original view to the perturbed one.
 
+    With camera rotations R, R' and centres c = -R^T t, c' = -R'^T t' in
+    the ego frame, a point X of the original camera frame is R_rel X + s in
+    the perturbed one, where R_rel = R' R^T and s = R' (c - c').  The ground
+    plane is n . X = d in the original camera frame, with the downward
+    normal n = -R e_z and d the height of c.  The map is
+    K (R_rel + s n^T / d) K^-1.  The anchors of boxes standing on the
+    ground lie on the plane, so when all do, the map fitted to the anchor
+    pairs equals this one.
 
-def analytic_homography(
-    cam: CameraModel,
-    perturbed: Pose,
-    plane_normal: Sequence[float] = (0.0, 0.0, 1.0),
-    plane_distance: float = 1.0,
-) -> Homography:
-    """Closed-form homography induced by a plane, H = K (R + t n^T / d) K^-1.
-
-    (R, t) is the relative motion between the original and perturbed
-    camera frames; (n, d) describe the plane n . X = d in the original
-    camera frame.  When the relative translation is zero (pure rotation)
-    the result is independent of the plane and exact for all of space,
-    which is what makes it usable as an oracle for fit_homography.
+    With no relative translation (s = 0, as for a camera at the ego
+    origin) it is the exact K R_rel K^-1, which holds for all of space.
+    Returns None where no map exists, because c lies on the plane while
+    the centre moves, and where ``Homography`` rejects the matrix as
+    singular (for example a centre a micrometre above the plane, or a
+    focal length of 1e21 px).
     """
-    plane_distance = float(plane_distance)
-    if not math.isfinite(plane_distance) or plane_distance <= 0.0:
-        raise ValueError(f"plane_distance must be positive, got {plane_distance!r}")
-    normal = np.asarray(plane_normal, dtype=float)
-    if normal.shape != (3,) or not np.all(np.isfinite(normal)) or np.linalg.norm(normal) == 0.0:
-        raise ValueError(f"plane_normal must be a finite non-zero 3-vector, got {plane_normal!r}")
-
-    rotation, translation = relative_camera_motion(cam.pose, perturbed)
+    rotation = ego_to_camera_rotation(cam.pose)
+    rotation_hat = ego_to_camera_rotation(perturbed)
+    centre = -rotation.T @ cam.pose.translation_vector()
+    shift = rotation_hat @ (centre + rotation_hat.T @ perturbed.translation_vector())
+    core = rotation_hat @ rotation.T
+    if np.any(shift):
+        if centre[2] == 0.0:
+            return None
+        core = core + np.outer(shift, -rotation[:, 2]) / centre[2]
     k = cam.intrinsics.matrix()
-    core = rotation + np.outer(translation, normal) / plane_distance
-    return Homography(k @ core @ np.linalg.inv(k), provenance="analytic")
+    matrix = k @ core @ np.linalg.inv(k)
+    try:
+        return Homography(matrix, provenance="analytic")
+    except ValueError:
+        return None
 
 
 def plan_camera(

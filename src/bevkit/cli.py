@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import pickle
 import sys
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .augment import PerturbationRange, analytic_homography, augment_camera, map_cameras, plan_camera
+from .augment import Homography, PerturbationRange, augment_camera, ground_plane_homography, map_cameras, plan_camera
 from .depth import (
     DATASET_DEPTH_RANGES,
     DEFAULT_REFERENCE_FOCAL,
@@ -102,6 +103,11 @@ def _cmd_gen_scene(args) -> int:
     return 0
 
 
+def _camera_record(camera_id: str, homography: Homography) -> dict:
+    """One camera's entry of ``homographies.json``, the same in ``augment`` and ``homography``."""
+    return {"camera_id": camera_id, "matrix_row_major": homography.row_major(), "provenance": homography.provenance}
+
+
 def _cmd_augment(args) -> int:
     cfg = _load_run_config(args)
     scene = scene_from_dict(_load_json(args.scene))
@@ -126,13 +132,7 @@ def _cmd_augment(args) -> int:
     homographies = []
     for cam, (pose, homography) in zip(scene.cameras, results):
         poses.append({"camera_id": cam.camera_id, "pose": pose_to_dict(pose)})
-        homographies.append(
-            {
-                "camera_id": cam.camera_id,
-                "matrix_row_major": homography.row_major(),
-                "provenance": homography.provenance,
-            }
-        )
+        homographies.append(_camera_record(cam.camera_id, homography))
     (out / "poses.json").write_text(dumps_canonical({"schema_version": 1, "poses": poses}), encoding="utf-8")
     (out / "homographies.json").write_text(
         dumps_canonical({"schema_version": 1, "homographies": homographies}), encoding="utf-8"
@@ -150,44 +150,42 @@ def _cmd_homography(args) -> int:
     entries = []
     for index, cam in enumerate(scene.cameras):
         perturbed, pairs, applied = plan_camera(cam, scene.boxes, limits, index)
-        try:
-            closed_form = analytic_homography(cam, perturbed)
-        except ValueError as exc:
-            raise InputError(f"camera {cam.camera_id!r}: closed-form {exc}") from exc
+        ground_plane = ground_plane_homography(cam, perturbed)
         if len(pairs):
             residual = float(np.max(np.linalg.norm(applied.apply(pairs.source) - pairs.target, axis=1)))
         else:
             residual = None
         entries.append(
             {
-                "camera_id": cam.camera_id,
+                **_camera_record(cam.camera_id, applied),
                 "num_pairs": len(pairs),
-                "fitted": {"matrix_row_major": applied.row_major(), "provenance": applied.provenance},
-                "analytic_pure_rotation": {"matrix_row_major": closed_form.row_major()},
                 "max_reprojection_residual_px": residual,
+                "ground_plane_matrix_row_major": None if ground_plane is None else ground_plane.row_major(),
                 "perturbed_pose": pose_to_dict(perturbed),
             }
         )
     path = out / "homographies.json"
-    path.write_text(dumps_canonical({"schema_version": 1, "cameras": entries}), encoding="utf-8")
+    path.write_text(dumps_canonical({"schema_version": 1, "homographies": entries}), encoding="utf-8")
     print(path)
     return 0
 
 
 def _depth_config(args) -> DepthDecouplingConfig:
-    depth_range = None
+    """c from ``--c``, else sqrt(2) / ``--f-ref``; the depth range from the flags, else the config's default."""
+    kwargs = {}
     if args.dataset:
-        depth_range = DATASET_DEPTH_RANGES[args.dataset]
+        kwargs["metric_depth_range"] = DATASET_DEPTH_RANGES[args.dataset]
     if args.depth_min is not None or args.depth_max is not None:
         if args.depth_min is None or args.depth_max is None:
             raise InputError("--depth-min and --depth-max must be given together")
-        depth_range = (args.depth_min, args.depth_max)
+        kwargs["metric_depth_range"] = (args.depth_min, args.depth_max)
     if args.c is not None:
-        kwargs = {"reference_pixel_size": args.c}
-        if depth_range is not None:
-            kwargs["metric_depth_range"] = depth_range
-        return DepthDecouplingConfig(**kwargs)
-    return DepthDecouplingConfig.from_reference_focal(args.f_ref, depth_range)
+        kwargs["reference_pixel_size"] = args.c
+    elif args.f_ref <= 0.0:
+        raise InputError(f"reference_focal must be positive, got {args.f_ref!r}")
+    else:
+        kwargs["reference_pixel_size"] = math.sqrt(2.0) / args.f_ref
+    return DepthDecouplingConfig(**kwargs)
 
 
 def _cmd_depth_convert(args) -> int:

@@ -60,17 +60,6 @@ class DepthDecouplingConfig:
             raise ValueError(f"metric_depth_range must satisfy 0 < min < max, got {self.metric_depth_range!r}")
         object.__setattr__(self, "metric_depth_range", (lo, hi))
 
-    @classmethod
-    def from_reference_focal(
-        cls, reference_focal: float, metric_depth_range: tuple[float, float] | None = None
-    ) -> "DepthDecouplingConfig":
-        if reference_focal <= 0.0:
-            raise ValueError(f"reference_focal must be positive, got {reference_focal!r}")
-        kwargs = {"reference_pixel_size": math.sqrt(2.0) / float(reference_focal)}
-        if metric_depth_range is not None:
-            kwargs["metric_depth_range"] = metric_depth_range
-        return cls(**kwargs)
-
 
 def pixel_size(intr: Intrinsics) -> float:
     """s = sqrt(1/fx^2 + 1/fy^2); strictly decreasing in each focal length."""

@@ -61,10 +61,6 @@ class OrdinalDomainScheme:
     def num_categories(self) -> int:
         return self.num_subintervals + 2
 
-    @property
-    def num_logits(self) -> int:
-        return 2 * (self.num_subintervals + 1)
-
 
 # Focal-length discretizations (pixels) used with the public datasets.
 DATASET_SCHEMES: dict[str, OrdinalDomainScheme] = {

@@ -11,7 +11,7 @@ import pytest
 
 from bevkit.augment import (
     MatchedPairSet,
-    analytic_homography,
+    ground_plane_homography,
     collect_pairs,
     fit_homography,
 )
@@ -56,7 +56,7 @@ def test_acceptance_2_homography_oracle():
         assert len(pairs) >= 4
         fitted = fit_homography(pairs)
         assert fitted.provenance == "fitted"
-        closed_form = analytic_homography(cam, perturbed)
+        closed_form = ground_plane_homography(cam, perturbed)
         worst = max(worst, float(np.linalg.norm(fitted.matrix - closed_form.matrix)))
     assert worst < 1e-6
 

@@ -13,7 +13,7 @@ from bevkit.augment import (
     Homography,
     MatchedPairSet,
     PerturbationRange,
-    analytic_homography,
+    ground_plane_homography,
     augment_camera,
     collect_pairs,
     fit_homography,
@@ -24,7 +24,7 @@ from bevkit.augment import (
 )
 from bevkit.boxes import Box3D, bottom_points
 from bevkit.cli import main
-from bevkit.geometry import CameraModel, Intrinsics, Pose, ego_to_camera_rotation
+from bevkit.geometry import CameraModel, Intrinsics, Pose, ego_to_camera_rotation, in_image, project_points
 from bevkit.scene import Scene, generate_synthetic_scene, render_pattern_image
 from reference_cases import pure_rotation_case, reference_collect_pairs
 
@@ -322,22 +322,18 @@ class TestFitHomography:
             assert residual.max() < 1e-6
 
 
-class TestAnalyticHomography:
+def camera_at(centre, yaw=0.0, pitch=0.0, roll=0.0):
+    """A camera whose centre -R^T t sits at the ego point ``centre``."""
+    pose = Pose(yaw, pitch, roll)
+    translation = tuple(-(ego_to_camera_rotation(pose) @ np.asarray(centre, dtype=float)))
+    return CameraModel(INTR, Pose(yaw, pitch, roll, translation=translation), "c0")
+
+
+class TestGroundPlaneHomography:
     def test_zero_perturbation_identity(self):
         cam = CameraModel(INTR, Pose(0.3, -0.1, 0.05, translation=(1.0, 0.5, -0.2)), "c0")
-        h = analytic_homography(cam, cam.pose)
+        h = ground_plane_homography(cam, cam.pose)
         assert np.abs(h.matrix - np.eye(3) / math.sqrt(3.0)).max() < 1e-12
-
-    def test_pure_rotation_plane_independent(self):
-        pose = Pose(0.2, 0.05, -0.1, translation=(0.0, 0.0, 0.0))
-        cam = CameraModel(INTR, pose, "c0")
-        perturbed = Pose(0.215, 0.043, -0.102, translation=(0.0, 0.0, 0.0))
-        results = [
-            analytic_homography(cam, perturbed, plane_normal=n, plane_distance=d).matrix
-            for n, d in (((0.0, 0.0, 1.0), 5.0), ((0.1, 0.9, 0.2), 12.0), ((1.0, 0.0, 0.0), 2.0))
-        ]
-        assert np.abs(results[0] - results[1]).max() < 1e-12
-        assert np.abs(results[0] - results[2]).max() < 1e-12
 
     def test_pure_rotation_matches_conjugated_rotation(self):
         pose = Pose(1.0, 0.1, -0.05, translation=(0.0, 0.0, 0.0))
@@ -346,42 +342,45 @@ class TestAnalyticHomography:
         rel = ego_to_camera_rotation(perturbed) @ ego_to_camera_rotation(pose).T
         k = INTR.matrix()
         expected = Homography(k @ rel @ np.linalg.inv(k))
-        got = analytic_homography(cam, perturbed)
+        got = ground_plane_homography(cam, perturbed)
         assert np.abs(got.matrix - expected.matrix).max() < 1e-14
 
     def test_points_on_plane_satisfy_map(self):
-        # nonzero relative translation: the map is exact only on the plane
-        pose = Pose(0.0, -0.05, 0.02, translation=(0.3, -0.2, 1.4))
-        cam = CameraModel(INTR, pose, "c0")
-        perturbed = Pose(0.03, -0.06, 0.025, translation=(0.3, -0.2, 1.4))
-        normal = np.array([0.05, -0.1, 1.0])
-        distance = 9.0
+        # perturb_pose keeps t, so the centre of a camera 1.4 m above the
+        # ground moves: the map is exact on z = 0 and only there
+        cam = camera_at((0.3, -0.2, 1.4), yaw=0.1, pitch=0.08, roll=0.02)
+        perturbed = Pose(0.13, 0.07, 0.025, translation=cam.pose.translation)
+        moved = CameraModel(INTR, perturbed, "c0")
+        centre_shift = ego_to_camera_rotation(perturbed).T @ np.array(cam.pose.translation) + np.array((0.3, -0.2, 1.4))
+        assert np.linalg.norm(centre_shift) > 1e-3
 
-        r1 = ego_to_camera_rotation(pose)
-        r2 = ego_to_camera_rotation(perturbed)
-        rel_rotation = r2 @ r1.T
-        rel_translation = np.array(perturbed.translation) - rel_rotation @ np.array(pose.translation)
-
-        h = analytic_homography(cam, perturbed, plane_normal=normal, plane_distance=distance)
-        k = INTR.matrix()
+        h = ground_plane_homography(cam, perturbed)
         rng = np.random.default_rng(12)
-        for _ in range(50):
-            # sample a camera-frame point on the plane normal . X = distance
-            direction = np.array([rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3), 1.0])
-            scale = distance / float(normal @ direction)
-            point_cam1 = scale * direction
-            assert scale > 0
-            point_cam2 = rel_rotation @ point_cam1 + rel_translation
-            q1 = (k @ point_cam1)[:2] / point_cam1[2]
-            q2 = (k @ point_cam2)[:2] / point_cam2[2]
-            assert np.abs(h.apply(q1) - q2).max() < 1e-9
+        ground = np.column_stack([rng.uniform(5.0, 40.0, 200), rng.uniform(-8.0, 8.0, 200), np.zeros(200)])
+        q1, depth1 = project_points(cam, ground)
+        q2, depth2 = project_points(moved, ground)
+        seen = (depth1 > 0.0) & (depth2 > 0.0) & in_image(INTR, q1)
+        assert seen.sum() > 50
+        assert np.abs(h.apply(q1[seen]) - q2[seen]).max() < 1e-9
 
-    def test_invalid_plane_rejected(self):
-        cam = CameraModel(INTR, Pose(0.0, 0.0, 0.0), "c0")
-        with pytest.raises(ValueError):
-            analytic_homography(cam, cam.pose, plane_distance=0.0)
-        with pytest.raises(ValueError):
-            analytic_homography(cam, cam.pose, plane_normal=(0.0, 0.0, 0.0))
+        lifted = ground[seen] + (0.0, 0.0, 1.0)
+        assert np.abs(h.apply(project_points(cam, lifted)[0]) - project_points(moved, lifted)[0]).max() > 1e-3
+
+    def test_camera_on_the_plane_has_no_map(self):
+        # with zero pitch and roll, t[1] = 0 puts the centre exactly on z = 0:
+        # the plane is seen edge-on, and once the centre moves no map of it exists
+        cam = CameraModel(INTR, Pose(0.4, 0.0, 0.0, translation=(0.5, 0.0, -2.0)), "c0")
+        assert (ego_to_camera_rotation(cam.pose).T @ cam.pose.translation_vector())[2] == 0.0
+        assert ground_plane_homography(cam, Pose(0.42, 0.01, 0.0, translation=cam.pose.translation)) is None
+        # unperturbed, the centre stays and the map is the identity
+        h = ground_plane_homography(cam, cam.pose)
+        assert np.abs(h.matrix - np.eye(3) / math.sqrt(3.0)).max() < 1e-12
+
+    def test_camera_next_to_the_plane_has_no_map(self):
+        # a micrometre above the ground the map is singular at the
+        # gauge-normalized scale: reported as no map, not raised
+        cam = camera_at((1.0, 0.5, 1e-6), pitch=0.1)
+        assert ground_plane_homography(cam, Pose(0.02, 0.11, 0.01, translation=cam.pose.translation)) is None
 
 
 class TestOracleEquivalence:
@@ -393,7 +392,7 @@ class TestOracleEquivalence:
             pairs = collect_pairs(cam, perturbed, boxes)
             assert len(pairs) >= 4
             fitted = fit_homography(pairs)
-            closed_form = analytic_homography(cam, perturbed)
+            closed_form = ground_plane_homography(cam, perturbed)
             worst = max(worst, float(np.linalg.norm(fitted.matrix - closed_form.matrix)))
         assert worst < 1e-6
 

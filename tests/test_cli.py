@@ -182,8 +182,8 @@ class TestAugmentCommand:
 
         report_dir = tmp_path / "hom"
         assert main(["homography", "--scene", str(scene_path), "--seed", "5", "--output-dir", str(report_dir)]) == 0
-        reported = json.loads((report_dir / "homographies.json").read_text())["cameras"]
-        assert reported[0]["fitted"]["provenance"] == "identity-fallback"
+        reported = json.loads((report_dir / "homographies.json").read_text())["homographies"]
+        assert reported[0]["provenance"] == "identity-fallback"
         assert reported[0]["num_pairs"] >= 4
 
     def test_scene_without_images_exits_2(self, tmp_path, capsys):
@@ -257,21 +257,85 @@ class TestAugmentCommand:
         assert 1 <= counts["peak"] <= workers
 
 
-class TestHomographyCommand:
-    def test_report_written(self, tmp_path):
-        scene_dir = tmp_path / "scene"
-        assert main(["gen-scene", "--seed", "9", "--output-dir", str(scene_dir)]) == 0
-        out = tmp_path / "h"
-        code = main(
-            ["homography", "--scene", str(scene_dir / "scene.json"), "--seed", "2", "--output-dir", str(out)]
-        )
-        assert code == 0
-        data = json.loads((out / "homographies.json").read_text())
-        assert len(data["cameras"]) == 6
-        for entry in data["cameras"]:
-            assert entry["fitted"]["provenance"] in ("fitted", "identity-fallback")
-            assert len(entry["analytic_pure_rotation"]["matrix_row_major"]) == 9
+def apply_row_major(matrix, pixels):
+    mapped = np.hstack([pixels, np.ones((len(pixels), 1))]) @ np.reshape(matrix, (3, 3)).T
+    return mapped[:, :2] / mapped[:, 2:3]
 
+
+def homography_report(tmp_path, scene_path, tag, *flags, seed=2):
+    out = tmp_path / tag
+    assert main(["homography", "--scene", str(scene_path), "--seed", str(seed), *flags, "--output-dir", str(out)]) == 0
+    return json.loads((out / "homographies.json").read_text())["homographies"]
+
+
+class TestHomographyCommand:
+    def test_ground_plane_map_is_the_applied_map(self, tmp_path):
+        # gen-scene boxes stand on z = 0, so each fitted map is the map that plane induces
+        fitted = 0
+        for seed in range(6):
+            scene_dir = tmp_path / f"scene{seed}"
+            assert main(["gen-scene", "--seed", str(seed), "--boxes", "40", "--output-dir", str(scene_dir)]) == 0
+            cameras = json.loads((scene_dir / "scene.json").read_text())["cameras"]
+            reported = homography_report(tmp_path, scene_dir / "scene.json", f"h{seed}", seed=seed)
+            assert [entry["camera_id"] for entry in reported] == [cam["camera_id"] for cam in cameras]
+            for cam, entry in zip(cameras, reported):
+                if entry["provenance"] != "fitted":
+                    continue
+                fitted += 1
+                width, height = cam["intrinsics"]["width"], cam["intrinsics"]["height"]
+                corners = np.array([[0.0, 0.0], [width, 0.0], [0.0, height], [width, height]])
+                gap = apply_row_major(entry["matrix_row_major"], corners) - apply_row_major(
+                    entry["ground_plane_matrix_row_major"], corners
+                )
+                assert np.abs(gap).max() < 1e-9, (seed, entry["camera_id"])
+        assert fitted >= 30
+
+    def test_lifted_box_leaves_a_residual(self, tmp_path):
+        scene_dir = tmp_path / "scene"
+        assert main(["gen-scene", "--seed", "0", "--boxes", "40", "--output-dir", str(scene_dir)]) == 0
+        scene_path = scene_dir / "scene.json"
+        on_ground = homography_report(tmp_path, scene_path, "ground")[0]
+        data = json.loads(scene_path.read_text())
+        scene = scene_from_dict(data)
+        seen = next(i for i, box in enumerate(scene.boxes) if len(collect_pairs(scene.cameras[0], scene.cameras[0].pose, [box])))
+        data["boxes"][seen]["center"][2] += 1.0
+        scene_path.write_text(dumps_canonical(data), encoding="utf-8")
+        lifted = homography_report(tmp_path, scene_path, "lifted")[0]
+        assert on_ground["provenance"] == lifted["provenance"] == "fitted"
+        assert on_ground["max_reprojection_residual_px"] < 1e-9
+        assert lifted["max_reprojection_residual_px"] > 1e-6
+
+    def test_fallback_reason_is_read_from_num_pairs(self, tmp_path):
+        # identity-fallback with num_pairs < 4: too few pairs; with >= 4: degenerate pairs
+        scene_dir = tmp_path / "scene"
+        assert main(["gen-scene", "--seed", "3", "--boxes", "0", "--output-dir", str(scene_dir)]) == 0
+        scene_path = scene_dir / "scene.json"
+        empty = homography_report(tmp_path, scene_path, "empty")
+        assert all(entry["provenance"] == "identity-fallback" and entry["num_pairs"] == 0 for entry in empty)
+        assert all(entry["max_reprojection_residual_px"] is None for entry in empty)
+
+        data = json.loads(scene_path.read_text())
+        cam = scene_from_dict(data).cameras[0]
+        axis_point = ego_to_camera_rotation(cam.pose).T @ (np.array([0.0, 0.0, 10.0]) - cam.pose.translation_vector())
+        data["boxes"] = [{"center": [float(v) for v in axis_point], "dims": [0.0, 0.0, 0.0], "yaw": 0.0}]
+        scene_path.write_text(dumps_canonical(data), encoding="utf-8")
+        point_box = homography_report(tmp_path, scene_path, "point")
+        assert [entry["provenance"] for entry in point_box] == ["identity-fallback"] * 6
+        assert point_box[0]["num_pairs"] == 5
+        assert all(entry["num_pairs"] == 0 for entry in point_box[1:])
+
+    def test_camera_on_the_ground_reports_null(self, tmp_path):
+        scene_dir = tmp_path / "scene"
+        assert main(["gen-scene", "--seed", "9", "--boxes", "40", "--output-dir", str(scene_dir)]) == 0
+        scene_path = scene_dir / "scene.json"
+        data = json.loads(scene_path.read_text())
+        # zero pitch and roll with t[1] = 0 put the camera centre on z = 0
+        data["cameras"][1]["pose"] = {"yaw": 1.0, "pitch": 0.0, "roll": 0.0, "t": [0.5, 0.0, -2.0]}
+        scene_path.write_text(dumps_canonical(data), encoding="utf-8")
+        reported = homography_report(tmp_path, scene_path, "h")
+        assert reported[1]["ground_plane_matrix_row_major"] is None
+        assert all(entry["ground_plane_matrix_row_major"] is not None for i, entry in enumerate(reported) if i != 1)
+        validate(json.loads((tmp_path / "h" / "homographies.json").read_text()), "augment_outputs.schema.json", "homography_report")
 
     @pytest.mark.parametrize("offsets", [[], ["--d-yaw", "0", "--d-pitch", "0", "--d-roll", "0"]], ids=["drawn", "zero"])
     def test_reports_the_map_augment_applies(self, tmp_path, offsets):
@@ -279,12 +343,11 @@ class TestHomographyCommand:
         assert main(["gen-scene", "--seed", "9", "--boxes", "40", "--with-images", "--output-dir", str(scene_dir)]) == 0
         scene = str(scene_dir / "scene.json")
         assert main(["augment", "--scene", scene, "--seed", "2", *offsets, "--output-dir", str(tmp_path / "a")]) == 0
-        assert main(["homography", "--scene", scene, "--seed", "2", *offsets, "--output-dir", str(tmp_path / "h")]) == 0
         applied = json.loads((tmp_path / "a" / "homographies.json").read_text())["homographies"]
-        reported = json.loads((tmp_path / "h" / "homographies.json").read_text())["cameras"]
-        assert [entry["camera_id"] for entry in reported] == [entry["camera_id"] for entry in applied]
-        for entry, report in zip(applied, reported):
-            assert report["fitted"] == {k: entry[k] for k in ("matrix_row_major", "provenance")}
+        reported = homography_report(tmp_path, scene, "h", *offsets)
+        # augment's entry is the report's, without the diagnostics
+        assert len(reported) == len(applied)
+        assert [{key: report[key] for key in entry} for entry, report in zip(applied, reported)] == applied
         expected = "analytic" if offsets else "fitted"
         assert {entry["provenance"] for entry in applied} == {expected}
 
@@ -292,9 +355,10 @@ class TestHomographyCommand:
     def test_report_matches_schema(self, tmp_path, offsets):
         scene_dir = tmp_path / "scene"
         assert main(["gen-scene", "--seed", "9", "--boxes", "40", "--output-dir", str(scene_dir)]) == 0
-        scene = str(scene_dir / "scene.json")
-        assert main(["homography", "--scene", scene, "--seed", "2", *offsets, "--output-dir", str(tmp_path / "h")]) == 0
-        validate(json.loads((tmp_path / "h" / "homographies.json").read_text()), "homography_report.schema.json")
+        homography_report(tmp_path, scene_dir / "scene.json", "h", *offsets)
+        report = json.loads((tmp_path / "h" / "homographies.json").read_text())
+        validate(report, "augment_outputs.schema.json", "homography_report")
+        validate(report, "augment_outputs.schema.json", "homographies_file")
 
 
 class TestDepthConvert:
@@ -379,6 +443,12 @@ class TestDepthConvert:
         data = json.loads(capsys.readouterr().out)
         assert data["reference_pixel_size"] == c
         assert data["converted"][0] == pytest.approx(20.0, rel=1e-12)
+
+    @pytest.mark.parametrize("f_ref", ["0", "-1"])
+    def test_non_positive_reference_focal_exits_2(self, capsys, f_ref):
+        argv = ["depth-convert", "--direction", "to-metric", "--fx", "1000", "--fy", "1000", "--f-ref", f_ref, "--values", "20"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: reference_focal must be positive, got {float(f_ref)!r}\n"
 
 
 class TestBinFocal:

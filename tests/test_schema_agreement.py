@@ -34,9 +34,6 @@ ONE_WAY = (
     "distance thresholds must be ascending",
     "not among",  # tp_threshold is one of the distance thresholds
     "has no score",  # predictions carry a score, ground truth need not
-    # Not a parsing rule: a focal length or translation of 2**70 makes the
-    # closed-form map that ``homography`` reports numerically singular.
-    "homography is singular",
 )
 
 

@@ -9,6 +9,7 @@ Exit codes: 0 success, 2 input or format error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -55,7 +56,7 @@ def _load_json(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as handle:
             data = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad JSON or bad UTF-8
         raise InputError(f"{path}: {exc}") from exc
     if not isinstance(data, dict):
         raise InputError(f"{path}: expected a JSON object at the top level, got {type(data).__name__}")
@@ -75,13 +76,10 @@ def _load_run_config(args) -> RunConfig:
 
 
 def _perturbation(args, cfg: RunConfig) -> PerturbationRange:
-    base = cfg.perturbation
-    return PerturbationRange(
-        d_yaw=base.d_yaw if args.d_yaw is None else args.d_yaw,
-        d_pitch=base.d_pitch if args.d_pitch is None else args.d_pitch,
-        d_roll=base.d_roll if args.d_roll is None else args.d_roll,
-        seed=base.seed if args.seed is None else args.seed,
-    )
+    """The run config's perturbation, with ``--seed``, if given, as its seed."""
+    if args.seed is None:
+        return cfg.perturbation
+    return dataclasses.replace(cfg.perturbation, seed=args.seed)
 
 
 def _cmd_gen_scene(args) -> int:
@@ -170,22 +168,26 @@ def _cmd_homography(args) -> int:
     return 0
 
 
+def _reject_with_dataset(args, *flags: str) -> None:
+    """Exit 2 if ``--dataset`` is given with any of ``flags``, which set what it sets."""
+    given = [flag for flag in flags if getattr(args, flag[2:].replace("-", "_")) is not None]
+    if args.dataset and given:
+        raise InputError(f"--dataset cannot be combined with {', '.join(given)}")
+
+
 def _depth_config(args) -> DepthDecouplingConfig:
-    """c from ``--c``, else sqrt(2) / ``--f-ref``; the depth range from the flags, else the config's default."""
+    """c = sqrt(2) / ``--f-ref``; the depth range from ``--dataset`` or the flags, else the config's default."""
+    _reject_with_dataset(args, "--depth-min", "--depth-max")
     kwargs = {}
     if args.dataset:
         kwargs["metric_depth_range"] = DATASET_DEPTH_RANGES[args.dataset]
-    if args.depth_min is not None or args.depth_max is not None:
+    elif args.depth_min is not None or args.depth_max is not None:
         if args.depth_min is None or args.depth_max is None:
             raise InputError("--depth-min and --depth-max must be given together")
         kwargs["metric_depth_range"] = (args.depth_min, args.depth_max)
-    if args.c is not None:
-        kwargs["reference_pixel_size"] = args.c
-    elif args.f_ref <= 0.0:
+    if args.f_ref <= 0.0:
         raise InputError(f"reference_focal must be positive, got {args.f_ref!r}")
-    else:
-        kwargs["reference_pixel_size"] = math.sqrt(2.0) / args.f_ref
-    return DepthDecouplingConfig(**kwargs)
+    return DepthDecouplingConfig(reference_pixel_size=math.sqrt(2.0) / args.f_ref, **kwargs)
 
 
 def _cmd_depth_convert(args) -> int:
@@ -212,10 +214,16 @@ def _cmd_depth_convert(args) -> int:
 
 
 def _cmd_bin_focal(args) -> int:
+    _reject_with_dataset(args, "--alpha", "--beta", "--subintervals")
     if args.dataset:
         scheme = DATASET_SCHEMES[args.dataset]
     else:
-        scheme = OrdinalDomainScheme(args.alpha, args.beta, args.subintervals)
+        base = DATASET_SCHEMES["nuscenes"]
+        scheme = OrdinalDomainScheme(
+            base.alpha if args.alpha is None else args.alpha,
+            base.beta if args.beta is None else args.beta,
+            base.num_subintervals if args.subintervals is None else args.subintervals,
+        )
     labels = [assign_label(scheme, focal) for focal in args.focals]
     print(
         dumps_canonical(
@@ -339,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = {
-        "--seed": {"type": int, "default": None, "help": "RNG seed (overrides the run config's)"},
+        "--seed": {"type": int, "default": None, "help": "RNG seed (where --config is read, replaces its perturbation.seed)"},
         "--config": {"default": None, "help": "run-config JSON path"},
         "--output-dir": {"default": ".", "help": "directory for output files"},
     }
@@ -359,18 +367,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("augment", help="perturb poses and warp scene images")
     add_common(p, "--seed", "--config", "--output-dir")
     p.add_argument("--scene", required=True)
-    p.add_argument("--d-yaw", type=float, default=None)
-    p.add_argument("--d-pitch", type=float, default=None)
-    p.add_argument("--d-roll", type=float, default=None)
     p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=_cmd_augment)
 
     p = sub.add_parser("homography", help="fit and report per-camera homographies")
     add_common(p, "--seed", "--config", "--output-dir")
     p.add_argument("--scene", required=True)
-    p.add_argument("--d-yaw", type=float, default=None)
-    p.add_argument("--d-pitch", type=float, default=None)
-    p.add_argument("--d-roll", type=float, default=None)
     p.set_defaults(func=_cmd_homography)
 
     p = sub.add_parser("depth-convert", help="convert metric and scale-invariant depth")
@@ -378,7 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fx", type=float, required=True)
     p.add_argument("--fy", type=float, required=True)
     p.add_argument("--f-ref", type=float, default=DEFAULT_REFERENCE_FOCAL, help="reference focal length defining c")
-    p.add_argument("--c", type=float, default=None, help="explicit reference pixel size (overrides --f-ref)")
     p.add_argument("--dataset", choices=sorted(DATASET_DEPTH_RANGES), default=None)
     p.add_argument("--depth-min", type=float, default=None)
     p.add_argument("--depth-max", type=float, default=None)
@@ -386,9 +387,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_depth_convert)
 
     p = sub.add_parser("bin-focal", help="map focal lengths to pseudo-domain labels")
-    p.add_argument("--alpha", type=float, default=500.0)
-    p.add_argument("--beta", type=float, default=750.0)
-    p.add_argument("--subintervals", type=int, default=5)
+    p.add_argument("--alpha", type=float, default=None, help="lower focal edge (default: nuscenes')")
+    p.add_argument("--beta", type=float, default=None, help="upper focal edge (default: nuscenes')")
+    p.add_argument("--subintervals", type=int, default=None, help="sub-interval count (default: nuscenes')")
     p.add_argument("--dataset", choices=sorted(DATASET_SCHEMES), default=None)
     p.add_argument("--focals", type=float, nargs="+", required=True)
     p.set_defaults(func=_cmd_bin_focal)

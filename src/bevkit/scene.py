@@ -74,14 +74,10 @@ class Scene:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """What ``--config`` sets: the seed, the pose perturbation and the metric protocol."""
+    """What ``--config`` sets: the pose perturbation and the metric protocol."""
 
-    seed: int = 0
     perturbation: PerturbationRange = field(default_factory=PerturbationRange)
     metrics: MetricConfig = field(default_factory=MetricConfig)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "seed", whole_number("seed", self.seed, 0))
 
 
 def dumps_canonical(data) -> str:
@@ -314,14 +310,10 @@ def run_config_from_dict(data: dict) -> RunConfig:
     at the top level); an omitted key takes the field's default.
     """
     _check_version(data, "run config")
-    _check_keys(data, {"schema_version"} | {f.name for f in fields(RunConfig)})
-    seed = {"seed": data["seed"]} if "seed" in data else {}
-    # The top-level seed is the perturbation seed's default, section or not.
-    perturbation = _section(data, "perturbation", PerturbationRange) if "perturbation" in data else {}
-    kwargs = dict(seed, perturbation=PerturbationRange(**{**seed, **perturbation}))
-    if "metrics" in data:
-        kwargs["metrics"] = MetricConfig(**_section(data, "metrics", MetricConfig))
-    return RunConfig(**kwargs)
+    # Each section's class is its RunConfig field's default factory.
+    sections = {f.name: f.default_factory for f in fields(RunConfig)}
+    _check_keys(data, {"schema_version", *sections})
+    return RunConfig(**{key: cls(**_section(data, key, cls)) for key, cls in sections.items() if key in data})
 
 
 def _ring_yaws(n_cameras: int, style: str) -> list[float]:

@@ -1,8 +1,11 @@
 import argparse
+import hashlib
 import io
 import json
 import math
 import os
+import re
+import shlex
 import signal
 import subprocess
 import sys
@@ -23,7 +26,11 @@ from bevkit.metrics import DetectionRecord
 from bevkit.pnm import read_pnm, write_pnm
 
 SCHEMAS = Path(__file__).resolve().parents[1] / "docs" / "schemas"
+README = Path(__file__).resolve().parents[1] / "README.md"
 GOLDEN = Path(__file__).resolve().parent / "data" / "evaluate_golden"
+# SHA-256 of each file augment and homography wrote for gen-scene seed 3 and
+# --seed 5 when the half-widths were flags: --d-yaw 0.04 --d-pitch 0 --d-roll 0.03.
+PERTURBATION_GOLDEN = Path(__file__).resolve().parent / "data" / "perturbation_config_golden.json"
 
 def read_tree(root):
     return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
@@ -39,11 +46,10 @@ def validate(data, schema_name, definition=None):
 
 
 # Run configs the CLI accepts; each must also validate against run_config.schema.json.
-SEED_ONLY_CONFIG = {"seed": 5}
-METRICS_CONFIG = {"seed": 1, "metrics": {"distance_thresholds": [1.0, 2.0], "tp_threshold": 1.0, "range_limit": 60.0}}
+SEED_ONLY_CONFIG = {"perturbation": {"seed": 5}}
+METRICS_CONFIG = {"metrics": {"distance_thresholds": [1.0, 2.0], "tp_threshold": 1.0, "range_limit": 60.0}}
 FULL_CONFIG = {
     "schema_version": 1,
-    "seed": 3,
     "perturbation": {"d_yaw": 0.04, "d_pitch": 0.01, "d_roll": 0.03, "seed": 8},
     "metrics": {
         "distance_thresholds": [0.5, 1.0, 2.0, 4.0],
@@ -53,6 +59,14 @@ FULL_CONFIG = {
         "precision_floor": 0.1,
     },
 }
+
+# The same half-widths in a run config, the one place that sets them.
+PERTURBATION_CONFIG = {"perturbation": {"d_yaw": 0.04, "d_pitch": 0, "d_roll": 0.03}}
+
+
+def write_config(path, config):
+    path.write_text(json.dumps(config), encoding="utf-8")
+    return path
 
 
 def write_records(path, records):
@@ -147,14 +161,23 @@ class TestAugmentCommand:
         validate(json.loads(tree["poses.json"]), "augment_outputs.schema.json", "poses_file")
         validate(json.loads(tree["homographies.json"]), "augment_outputs.schema.json", "homographies_file")
 
-    def test_run_config_seed_without_perturbation_section(self, tmp_path):
+    def test_run_config_perturbation_seed_is_the_seed_flag(self, tmp_path):
         expected = self.run_augment(tmp_path, "flag", 1)
-        config_path = tmp_path / "run.json"
-        config_path.write_text(json.dumps(SEED_ONLY_CONFIG))
+        config_path = write_config(tmp_path / "run.json", SEED_ONLY_CONFIG)
         out = tmp_path / "config"
         scene = str(tmp_path / "scene" / "scene.json")
         assert main(["augment", "--scene", scene, "--config", str(config_path), "--output-dir", str(out)]) == 0
         assert read_tree(out) == expected
+
+    def test_seed_flag_replaces_perturbation_seed(self, tmp_path):
+        expected = self.run_augment(tmp_path, "flag", 1)
+        scene = str(self.scene(tmp_path))
+        config_path = write_config(tmp_path / "run.json", {"perturbation": {"seed": 9}})
+        argv = ["augment", "--scene", scene, "--config", str(config_path), "--output-dir"]
+        assert main([*argv, str(tmp_path / "both"), "--seed", "5"]) == 0
+        assert read_tree(tmp_path / "both") == expected
+        assert main([*argv, str(tmp_path / "config")]) == 0
+        assert read_tree(tmp_path / "config") != expected
 
     def test_degenerate_camera_falls_back_alone(self, tmp_path):
         scene_dir = tmp_path / "scene"
@@ -268,6 +291,9 @@ def homography_report(tmp_path, scene_path, tag, *flags, seed=2):
     return json.loads((out / "homographies.json").read_text())["homographies"]
 
 
+ZERO_OFFSETS = {"perturbation": {"d_yaw": 0, "d_pitch": 0, "d_roll": 0}}
+
+
 class TestHomographyCommand:
     def test_ground_plane_map_is_the_applied_map(self, tmp_path):
         # gen-scene boxes stand on z = 0, so each fitted map is the map that plane induces
@@ -337,28 +363,44 @@ class TestHomographyCommand:
         assert all(entry["ground_plane_matrix_row_major"] is not None for i, entry in enumerate(reported) if i != 1)
         validate(json.loads((tmp_path / "h" / "homographies.json").read_text()), "augment_outputs.schema.json", "homography_report")
 
-    @pytest.mark.parametrize("offsets", [[], ["--d-yaw", "0", "--d-pitch", "0", "--d-roll", "0"]], ids=["drawn", "zero"])
-    def test_reports_the_map_augment_applies(self, tmp_path, offsets):
+    @pytest.mark.parametrize("zero", [False, True], ids=["drawn", "zero"])
+    def test_reports_the_map_augment_applies(self, tmp_path, zero):
         scene_dir = tmp_path / "scene"
         assert main(["gen-scene", "--seed", "9", "--boxes", "40", "--with-images", "--output-dir", str(scene_dir)]) == 0
         scene = str(scene_dir / "scene.json")
+        offsets = ["--config", str(write_config(tmp_path / "run.json", ZERO_OFFSETS))] if zero else []
         assert main(["augment", "--scene", scene, "--seed", "2", *offsets, "--output-dir", str(tmp_path / "a")]) == 0
         applied = json.loads((tmp_path / "a" / "homographies.json").read_text())["homographies"]
         reported = homography_report(tmp_path, scene, "h", *offsets)
         # augment's entry is the report's, without the diagnostics
         assert len(reported) == len(applied)
         assert [{key: report[key] for key in entry} for entry, report in zip(applied, reported)] == applied
-        expected = "analytic" if offsets else "fitted"
+        expected = "analytic" if zero else "fitted"
         assert {entry["provenance"] for entry in applied} == {expected}
 
-    @pytest.mark.parametrize("offsets", [[], ["--d-yaw", "0", "--d-pitch", "0", "--d-roll", "0"]], ids=["drawn", "zero"])
-    def test_report_matches_schema(self, tmp_path, offsets):
+    @pytest.mark.parametrize("zero", [False, True], ids=["drawn", "zero"])
+    def test_report_matches_schema(self, tmp_path, zero):
         scene_dir = tmp_path / "scene"
         assert main(["gen-scene", "--seed", "9", "--boxes", "40", "--output-dir", str(scene_dir)]) == 0
+        offsets = ["--config", str(write_config(tmp_path / "run.json", ZERO_OFFSETS))] if zero else []
         homography_report(tmp_path, scene_dir / "scene.json", "h", *offsets)
         report = json.loads((tmp_path / "h" / "homographies.json").read_text())
         validate(report, "augment_outputs.schema.json", "homography_report")
         validate(report, "augment_outputs.schema.json", "homographies_file")
+
+
+class TestPerturbationConfig:
+    def test_config_gives_the_bytes_of_the_removed_flags(self, tmp_path):
+        scene_dir = tmp_path / "scene"
+        assert main(["gen-scene", "--seed", "3", "--with-images", "--output-dir", str(scene_dir)]) == 0
+        config_path = write_config(tmp_path / "run.json", PERTURBATION_CONFIG)
+        expected = json.loads(PERTURBATION_GOLDEN.read_text(encoding="utf-8"))
+        for command in ("augment", "homography"):
+            out = tmp_path / command
+            argv = [command, "--scene", str(scene_dir / "scene.json"), "--seed", "5", "--config", str(config_path)]
+            assert main([*argv, "--output-dir", str(out)]) == 0
+            digests = {str(path): hashlib.sha256(data).hexdigest() for path, data in read_tree(out).items()}
+            assert digests == expected[command]
 
 
 class TestDepthConvert:
@@ -422,27 +464,19 @@ class TestDepthConvert:
         )
         assert code == 2
 
-    def test_explicit_reference_pixel_size(self, capsys):
-        c = math.sqrt(2.0) / 500.0
-        code = main(
-            [
-                "depth-convert",
-                "--direction",
-                "to-scale-invariant",
-                "--fx",
-                "1000",
-                "--fy",
-                "1000",
-                "--c",
-                repr(c),
-                "--values",
-                "40",
-            ]
-        )
-        assert code == 0
+    def test_reference_pixel_size_is_sqrt2_over_f_ref(self, capsys):
+        argv = ["depth-convert", "--direction", "to-scale-invariant", "--fx", "1000", "--fy", "1000", "--values", "40"]
+        assert main([*argv, "--f-ref", "500"]) == 0
         data = json.loads(capsys.readouterr().out)
-        assert data["reference_pixel_size"] == c
+        assert data["reference_pixel_size"] == math.sqrt(2.0) / 500.0
         assert data["converted"][0] == pytest.approx(20.0, rel=1e-12)
+
+    @pytest.mark.parametrize("bounds", [["--depth-min", "1", "--depth-max", "80"], ["--depth-max", "80"]], ids=["both", "max"])
+    def test_dataset_with_depth_range_exits_2(self, capsys, bounds):
+        argv = ["depth-convert", "--direction", "to-metric", "--fx", "1000", "--fy", "1000", "--values", "20"]
+        assert main([*argv, "--dataset", "waymo", *bounds]) == 2
+        flags = ", ".join(arg for arg in bounds if arg.startswith("--"))
+        assert capsys.readouterr().err == f"error: --dataset cannot be combined with {flags}\n"
 
     @pytest.mark.parametrize("f_ref", ["0", "-1"])
     def test_non_positive_reference_focal_exits_2(self, capsys, f_ref):
@@ -458,6 +492,29 @@ class TestBinFocal:
         data = json.loads(capsys.readouterr().out)
         assert data["labels"] == [0, 5, 6]
         assert data["num_categories"] == 7
+
+    def test_default_scheme_is_nuscenes(self, capsys):
+        outputs = []
+        for flags in ([], ["--dataset", "nuscenes"], ["--alpha", "500", "--beta", "750", "--subintervals", "5"], ["--beta", "750"]):
+            assert main(["bin-focal", *flags, "--focals", "480", "620", "750"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert len(set(outputs)) == 1
+
+    def test_one_flag_keeps_the_other_defaults(self, capsys):
+        assert main(["bin-focal", "--alpha", "600", "--focals", "700"]) == 0
+        assert json.loads(capsys.readouterr().out)["thresholds"] == [600.0, 630.0, 660.0, 690.0, 720.0, 750.0]
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--alpha", "100"], ["--beta", "900"], ["--subintervals", "6"], ["--alpha", "100", "--beta", "900"]],
+        ids=["alpha", "beta", "subintervals", "alpha-beta"],
+    )
+    def test_dataset_with_scheme_flags_exits_2(self, capsys, flags):
+        assert main(["bin-focal", "--dataset", "waymo", *flags, "--focals", "700"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        given = ", ".join(arg for arg in flags if arg.startswith("--"))
+        assert captured.err == f"error: --dataset cannot be combined with {given}\n"
 
 
 class TestOrdinalLossCommand:
@@ -880,7 +937,7 @@ class TestRejectedInput:
             (["augment", "--scene", "{scene}", "--seed", "-1", "--output-dir", "{out}"], None, "seed must be a non-negative integer, got -1"),
             (
                 ["augment", "--scene", "{scene}", "--config", "{file}", "--output-dir", "{out}"],
-                {"seed": -3},
+                {"perturbation": {"seed": -3}},
                 "seed must be a non-negative integer, got -3",
             ),
             (
@@ -890,7 +947,7 @@ class TestRejectedInput:
             ),
             (
                 ["augment", "--scene", "{scene}", "--config", "{file}", "--output-dir", "{out}"],
-                {"seed": 5.7},
+                {"perturbation": {"seed": 5.7}},
                 "seed must be a non-negative integer, got 5.7",
             ),
             (
@@ -1068,15 +1125,45 @@ class TestRejectedInput:
         assert captured.err == f"error: {expected.format(**names)}\n"
 
 
+DEEP_ARRAY = "[" * 100_000 + "]" * 100_000
+
+
+class TestUnparsableFile:
+    """A file json cannot read exits 2 with one line naming it, from every flag that reads JSON."""
+
+    @staticmethod
+    def argv(flag, tmp_path, eval_files, bad):
+        gt_path, pred_path = eval_files
+        out = ["--output-dir", str(tmp_path / "out")]
+        if flag == "--scene":
+            return ["homography", "--scene", str(bad), *out]
+        if flag == "--logits-json":
+            return ["ordinal-loss", "--logits-json", str(bad), "--label", "0"]
+        paths = {"--gt": str(gt_path), "--pred": str(pred_path), flag: str(bad)}
+        return ["evaluate", *[arg for item in paths.items() for arg in item], *out]
+
+    @pytest.mark.parametrize("content", [DEEP_ARRAY.encode(), b'{"records": "\xff"}'], ids=["deep-array", "invalid-utf8"])
+    @pytest.mark.parametrize("flag", ["--gt", "--pred", "--config", "--scene", "--logits-json"])
+    def test_exits_2_naming_the_file(self, tmp_path, eval_files, capsys, flag, content):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        assert main(self.argv(flag, tmp_path, eval_files, bad)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {bad}: ") and captured.err.count("\n") == 1, captured.err
+        assert not (tmp_path / "out").exists()
+
+
 class TestRunConfigFile:
     REJECTED = [
         ({"metrics": {"range_limt": 100}}, "run config: unknown key 'range_limt' in 'metrics'"),
         ({"metric": {"range_limit": 100}}, "run config: unknown key 'metric'"),
         ({"perturbation": {"d_yaw": 0.1, "yaw": 0.1}}, "run config: unknown key 'yaw' in 'perturbation'"),
-        ({"seed": 1, "depth": {"reference_pixel_size": -1.0}}, "run config: unknown key 'depth'"),
+        ({"seed": 5}, "run config: unknown key 'seed'"),
+        ({"depth": {"reference_pixel_size": -1.0}}, "run config: unknown key 'depth'"),
         ({"scheme": {"alpha": 500.0, "beta": 750.0, "num_subintervals": 5}}, "run config: unknown key 'scheme'"),
     ]
-    REJECTED_IDS = ["metrics-key", "top-level-key", "perturbation-key", "depth", "scheme"]
+    REJECTED_IDS = ["metrics-key", "top-level-key", "perturbation-key", "top-level-seed", "depth", "scheme"]
 
     @staticmethod
     def argv(command, tmp_path, eval_files, config_path):
@@ -1124,6 +1211,8 @@ def test_schema_is_well_formed(path):
 class TestFlags:
     BASE = {
         "gen-scene": ["gen-scene"],
+        "augment": ["augment", "--scene", "scene.json"],
+        "homography": ["homography", "--scene", "scene.json"],
         "depth-convert": ["depth-convert", "--direction", "to-metric", "--fx", "1000", "--fy", "1000", "--values", "1"],
         "bin-focal": ["bin-focal", "--focals", "700"],
         "ordinal-loss": ["ordinal-loss", "--logits-json", "logits.json", "--label", "1"],
@@ -1141,6 +1230,14 @@ class TestFlags:
             ("bin-focal", "--seed"),
             ("ordinal-loss", "--seed"),
             ("evaluate", "--seed"),
+            # aliases of perturbation.d_* in the run config, and of sqrt(2) / --f-ref
+            ("augment", "--d-yaw"),
+            ("augment", "--d-pitch"),
+            ("augment", "--d-roll"),
+            ("homography", "--d-yaw"),
+            ("homography", "--d-pitch"),
+            ("homography", "--d-roll"),
+            ("depth-convert", "--c"),
         ],
     )
     def test_unread_flag_rejected(self, command, flag, capsys):
@@ -1150,6 +1247,14 @@ class TestFlags:
             parser.parse_args([*self.BASE[command], flag, "1"])
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+    def test_readme_commands_parse(self):
+        block = re.search(r"## CLI\n\n```sh\n(.*?)```", README.read_text(encoding="utf-8"), re.S).group(1)
+        lines = [line for line in block.splitlines() if line.startswith("bevkit ")]
+        assert len(lines) == 7
+        parser = build_parser()
+        for line in lines:
+            parser.parse_args(shlex.split(line)[1:])
 
     def test_subcommand_set(self, capsys):
         parser = build_parser()

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -249,7 +250,7 @@ class TestRunConfigSerialization:
     def test_parse_defaults(self):
         cfg = run_config_from_dict({"schema_version": 1})
         assert cfg == RunConfig()
-        assert cfg.seed == 0
+        assert [f.name for f in fields(RunConfig)] == ["perturbation", "metrics"]
         assert cfg.perturbation == PerturbationRange(d_yaw=0.02, d_pitch=0.01, d_roll=0.02, seed=0)
         assert cfg.metrics == MetricConfig(
             distance_thresholds=(0.5, 1.0, 2.0, 4.0),
@@ -263,7 +264,6 @@ class TestRunConfigSerialization:
         cfg = run_config_from_dict(
             {
                 "schema_version": 1,
-                "seed": 42,
                 "perturbation": {"d_yaw": 0.08, "d_pitch": 0.02, "d_roll": 0.04, "seed": 7},
                 "metrics": {
                     "distance_thresholds": [1.0, 2.0],
@@ -274,7 +274,6 @@ class TestRunConfigSerialization:
                 },
             }
         )
-        assert cfg.seed == 42
         assert cfg.perturbation == PerturbationRange(d_yaw=0.08, d_pitch=0.02, d_roll=0.04, seed=7)
         assert cfg.metrics == MetricConfig(
             distance_thresholds=(1.0, 2.0),
@@ -287,12 +286,10 @@ class TestRunConfigSerialization:
     def test_integral_and_float_values_coerced(self):
         cfg = run_config_from_dict(
             {
-                "seed": 5.0,
                 "perturbation": {"d_yaw": 0, "seed": 3.0},
                 "metrics": {"distance_thresholds": [1, 2], "tp_threshold": 2, "range_limit": 60},
             }
         )
-        assert (type(cfg.seed), cfg.seed) == (int, 5)
         assert (type(cfg.perturbation.seed), cfg.perturbation.seed) == (int, 3)
         assert (type(cfg.perturbation.d_yaw), cfg.perturbation.d_yaw) == (float, 0.0)
         assert cfg.metrics.distance_thresholds == (1.0, 2.0)
@@ -300,14 +297,10 @@ class TestRunConfigSerialization:
         assert (type(cfg.metrics.tp_threshold), cfg.metrics.tp_threshold) == (float, 2.0)
         assert (type(cfg.metrics.range_limit), cfg.metrics.range_limit) == (float, 60.0)
 
-    def test_top_level_seed_is_perturbation_seed_default(self):
-        assert run_config_from_dict({"seed": 9}).perturbation.seed == 9
-        assert run_config_from_dict({"seed": 9, "perturbation": {"d_yaw": 0.1}}).perturbation.seed == 9
-        assert run_config_from_dict({"seed": 9, "perturbation": {"seed": 4}}).perturbation.seed == 4
-
     @pytest.mark.parametrize(
         "data, message",
         [
+            ({"seed": 5}, "run config: unknown key 'seed'"),
             ({"depth": {"reference_pixel_size": 0.001}}, "run config: unknown key 'depth'"),
             ({"scheme": {"alpha": 500.0, "beta": 750.0, "num_subintervals": 5}}, "run config: unknown key 'scheme'"),
             ({"metric": {"range_limit": 100}}, "run config: unknown key 'metric'"),
@@ -316,18 +309,14 @@ class TestRunConfigSerialization:
             ({"metrics": [1.0, 2.0]}, "run config: 'metrics' must be an object, got list"),
             ({"perturbation": 0.02}, "run config: 'perturbation' must be an object, got float"),
         ],
-        ids=["depth", "scheme", "top-level-key", "metrics-key", "perturbation-key", "metrics-list", "perturbation-number"],
+        ids=["top-level-seed", "depth", "scheme", "top-level-key", "metrics-key", "perturbation-key", "metrics-list", "perturbation-number"],
     )
     def test_unknown_key_or_non_object_section_rejected(self, data, message):
         with pytest.raises(ValueError) as exc:
             run_config_from_dict(data)
         assert str(exc.value) == message
 
-    def test_negative_top_level_seed_rejected(self):
-        with pytest.raises(ValueError, match=r"^seed must be a non-negative integer, got -3$"):
-            run_config_from_dict({"seed": -3, "perturbation": {"seed": 1}})
-
     def test_partial_dict_uses_defaults(self):
-        cfg = run_config_from_dict({"seed": 3})
-        assert cfg.seed == 3
+        cfg = run_config_from_dict({"perturbation": {"seed": 3}})
+        assert cfg.perturbation == PerturbationRange(seed=3)
         assert cfg.metrics == MetricConfig()

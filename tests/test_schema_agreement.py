@@ -60,7 +60,6 @@ PREDICTIONS = {
 }
 RUN_CONFIG = {
     "schema_version": 1,
-    "seed": 3,
     "perturbation": {"d_yaw": 0.04, "d_pitch": 0.01, "d_roll": 0.03, "seed": 8},
     "metrics": {
         "distance_thresholds": [0.5, 1.0, 2.0, 4.0],

@@ -3,7 +3,6 @@
 from .augment import (
     AugmentedView,
     CameraPlan,
-    DegenerateFitError,
     Homography,
     MatchedPairSet,
     PerturbationRange,
@@ -41,14 +40,12 @@ from .metrics import (
     MetricConfig,
     MetricReport,
     UndefinedAPError,
-    aligned_iou,
     average_precision,
     evaluate,
     ground_distance,
     match_detections,
     nds_star,
     tp_errors,
-    yaw_difference,
 )
 from .ordinal import (
     DATASET_SCHEMES,

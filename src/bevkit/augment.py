@@ -43,7 +43,6 @@ from .warp import warp_image
 
 __all__ = [
     "MIN_PAIRS_FOR_FIT",
-    "DegenerateFitError",
     "PerturbationRange",
     "Homography",
     "MatchedPairSet",
@@ -65,10 +64,6 @@ MIN_PAIRS_FOR_FIT = 4
 _PROVENANCES = ("fitted", "analytic", "identity-fallback")
 
 _T = TypeVar("_T")
-
-
-class DegenerateFitError(ValueError):
-    """Correspondences do not determine a unique homography."""
 
 
 @dataclass(frozen=True)
@@ -149,7 +144,6 @@ class MatchedPairSet:
     positive depth at collection time.
     """
 
-    camera_id: str
     source: np.ndarray = field(default_factory=lambda: np.empty((0, 2)))
     target: np.ndarray = field(default_factory=lambda: np.empty((0, 2)))
 
@@ -221,7 +215,7 @@ def collect_pairs(cam: CameraModel, perturbed: Pose, boxes: Sequence[Box3D]) -> 
         & in_image(cam.intrinsics, pixels)
         & in_image(cam.intrinsics, pixels_hat)
     )
-    return MatchedPairSet(cam.camera_id, pixels[keep], pixels_hat[keep])
+    return MatchedPairSet(pixels[keep], pixels_hat[keep])
 
 
 def _hartley_normalization(points: np.ndarray) -> np.ndarray:
@@ -241,14 +235,15 @@ def _hartley_normalization(points: np.ndarray) -> np.ndarray:
 def fit_homography(pairs: MatchedPairSet) -> Homography:
     """Least-squares homography from pixel correspondences (normalized DLT).
 
-    Fewer than MIN_PAIRS_FOR_FIT pairs returns the identity fallback.
     Each pair contributes the two independent rows of q_hat x (H q) = 0;
     the solution is the right singular vector of the smallest singular
     value, computed on Hartley-normalized coordinates for conditioning.
     With exact correspondences the generating map is recovered.
 
-    Raises DegenerateFitError when the correspondences leave the 8-dof
-    system rank deficient (for example all points collinear).
+    Where no unique map exists, the identity fallback is returned: with
+    fewer than MIN_PAIRS_FOR_FIT pairs, and where the pairs leave the
+    8-dof system rank deficient (for example all points collinear, or the
+    five anchors of a zero-size box).  The pair count tells the two apart.
     """
     if len(pairs) < MIN_PAIRS_FOR_FIT:
         return Homography.identity_fallback()
@@ -271,9 +266,7 @@ def fit_homography(pairs: MatchedPairSet) -> Homography:
     _, singular, vt = np.linalg.svd(system, full_matrices=len(system) < 9)
     rank = int(np.sum(singular > 1e-9 * singular[0])) if singular[0] > 0.0 else 0
     if rank < 8:
-        raise DegenerateFitError(
-            f"correspondences for {pairs.camera_id!r} are degenerate: system rank {rank} < 8"
-        )
+        return Homography.identity_fallback()
     matrix = np.linalg.inv(t_dst) @ vt[-1].reshape(3, 3) @ t_src
     return Homography(matrix, provenance="fitted")
 
@@ -323,22 +316,18 @@ def plan_camera(
     """Draw one camera's pose and decide the map augmentation applies to it.
 
     Randomness is keyed by (seed, camera index).  Zero offsets give the
-    exact analytic identity.  Otherwise the map is fitted to the anchor
-    pairs; with fewer than MIN_PAIRS_FOR_FIT pairs, or with pairs that do
-    not determine a homography (for example a zero-size box), the camera
-    falls back to the identity.  The pairs are collected in every case.
+    exact analytic identity.  Otherwise the map is ``fit_homography`` of
+    the anchor pairs: the identity fallback wherever they determine no
+    map, because there are fewer than MIN_PAIRS_FOR_FIT of them or because
+    they are degenerate, as the pair count tells.  The pairs are collected
+    in every case.
     """
     rng = np.random.default_rng([limits.seed, camera_index])
     perturbed = perturb_pose(cam.pose, limits, rng)
     pairs = collect_pairs(cam, perturbed, boxes)
     if perturbed == cam.pose:
-        homography = Homography(np.eye(3), provenance="analytic")
-    else:
-        try:
-            homography = fit_homography(pairs)
-        except DegenerateFitError:
-            homography = Homography.identity_fallback()
-    return CameraPlan(perturbed, pairs, homography)
+        return CameraPlan(perturbed, pairs, Homography(np.eye(3), provenance="analytic"))
+    return CameraPlan(perturbed, pairs, fit_homography(pairs))
 
 
 def augment_camera(

@@ -50,9 +50,6 @@ class Box3D:
                 raise ValueError(f"score must be in [0, 1], got {score}")
             object.__setattr__(self, "score", score)
 
-    def volume(self) -> float:
-        return self.dims[0] * self.dims[1] * self.dims[2]
-
 
 def footprint_corners(box: Box3D) -> np.ndarray:
     """The 4 ground-plane corners of the yaw-rotated footprint, shape (4, 2).

@@ -29,7 +29,7 @@ from .depth import (
     scale_invariant_to_metric,
 )
 from .geometry import Intrinsics, is_real
-from .metrics import DetectionTable, UndefinedAPError, evaluate
+from .metrics import DetectionTable, evaluate
 from .ordinal import DATASET_SCHEMES, OrdinalDomainScheme, assign_label, ordinal_loss, ordinal_loss_grad, reverse_gradient
 from .pnm import read_pnm, write_pnm
 from .scene import (
@@ -48,18 +48,14 @@ from .scene import (
 __all__ = ["main"]
 
 
-class InputError(ValueError):
-    """Bad file contents or inconsistent flags; maps to exit code 2."""
-
-
 def _load_json(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as handle:
             data = json.load(handle)
     except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad JSON or bad UTF-8
-        raise InputError(f"{path}: {exc}") from exc
+        raise ValueError(f"{path}: {exc}") from exc
     if not isinstance(data, dict):
-        raise InputError(f"{path}: expected a JSON object at the top level, got {type(data).__name__}")
+        raise ValueError(f"{path}: expected a JSON object at the top level, got {type(data).__name__}")
     return data
 
 
@@ -110,7 +106,7 @@ def _cmd_augment(args) -> int:
     cfg = _load_run_config(args)
     scene = scene_from_dict(_load_json(args.scene))
     if scene.image_paths is None:
-        raise InputError(f"{args.scene}: scene has no image_paths; generate with --with-images")
+        raise ValueError(f"{args.scene}: scene has no image_paths; generate with --with-images")
     base = Path(args.scene).parent
     limits = _perturbation(args, cfg)
     out = _out_dir(args)
@@ -172,7 +168,7 @@ def _reject_with_dataset(args, *flags: str) -> None:
     """Exit 2 if ``--dataset`` is given with any of ``flags``, which set what it sets."""
     given = [flag for flag in flags if getattr(args, flag[2:].replace("-", "_")) is not None]
     if args.dataset and given:
-        raise InputError(f"--dataset cannot be combined with {', '.join(given)}")
+        raise ValueError(f"--dataset cannot be combined with {', '.join(given)}")
 
 
 def _depth_config(args) -> DepthDecouplingConfig:
@@ -183,11 +179,12 @@ def _depth_config(args) -> DepthDecouplingConfig:
         kwargs["metric_depth_range"] = DATASET_DEPTH_RANGES[args.dataset]
     elif args.depth_min is not None or args.depth_max is not None:
         if args.depth_min is None or args.depth_max is None:
-            raise InputError("--depth-min and --depth-max must be given together")
+            raise ValueError("--depth-min and --depth-max must be given together")
         kwargs["metric_depth_range"] = (args.depth_min, args.depth_max)
-    if args.f_ref <= 0.0:
-        raise InputError(f"reference_focal must be positive, got {args.f_ref!r}")
-    return DepthDecouplingConfig(reference_pixel_size=math.sqrt(2.0) / args.f_ref, **kwargs)
+    c = math.sqrt(2.0) / args.f_ref if args.f_ref else 0.0
+    if not 0.0 < c < math.inf:
+        raise ValueError(f"--f-ref must give a positive, finite c = sqrt(2) / --f-ref, got {args.f_ref!r}")
+    return DepthDecouplingConfig(reference_pixel_size=c, **kwargs)
 
 
 def _cmd_depth_convert(args) -> int:
@@ -243,7 +240,7 @@ def _cmd_ordinal_loss(args) -> int:
     data = _load_json(args.logits_json)
     logits = data.get("logits")
     if not isinstance(logits, list) or not all(is_real(v) for v in logits):
-        raise InputError(f"{args.logits_json}: expected an object with a 'logits' array of numbers")
+        raise ValueError(f"{args.logits_json}: expected an object with a 'logits' array of numbers")
     loss = ordinal_loss(logits, args.label)
     grad = ordinal_loss_grad(logits, args.label)
     result = {"label": args.label, "loss": loss, "gradient": [float(g) for g in grad]}
@@ -331,10 +328,7 @@ def _load_tables(gt_path: str, pred_path: str) -> tuple[DetectionTable, Detectio
 def _cmd_evaluate(args) -> int:
     cfg = _load_run_config(args)
     gts, dets = _load_tables(args.gt, args.pred)
-    try:
-        report = evaluate(gts, dets, cfg.metrics, workers=args.workers)
-    except UndefinedAPError as exc:
-        raise InputError(str(exc)) from exc
+    report = evaluate(gts, dets, cfg.metrics, workers=args.workers)
     out = _out_dir(args)
     report_path = out / "metric_report.json"
     report_path.write_text(dumps_canonical(report.to_dict()), encoding="utf-8")
@@ -411,11 +405,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand; the exception types caught here are bad input, reported as one ``error:`` line and exit 2."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError, TypeError, OverflowError, OSError) as exc:
+    except (ValueError, TypeError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

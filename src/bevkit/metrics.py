@@ -44,8 +44,6 @@ __all__ = [
     "MetricReport",
     "Match",
     "ground_distance",
-    "aligned_iou",
-    "yaw_difference",
     "match_detections",
     "average_precision",
     "tp_errors",
@@ -237,25 +235,6 @@ def ground_distance(a: Box3D, b: Box3D) -> float:
     return math.hypot(a.center[0] - b.center[0], a.center[1] - b.center[1])
 
 
-def aligned_iou(a: Box3D, b: Box3D) -> float:
-    """Volumetric IoU after aligning centers and yaw, so only size matters.
-
-    The overlap box has the per-axis minimum extents; degenerate pairs
-    with zero union count as perfectly overlapping.
-    """
-    overlap = math.prod(min(da, db) for da, db in zip(a.dims, b.dims))
-    union = a.volume() + b.volume() - overlap
-    if union <= 0.0:
-        return 1.0
-    return overlap / union
-
-
-def yaw_difference(a: Box3D, b: Box3D) -> float:
-    """Smallest absolute yaw difference on the full circle, in [0, pi]."""
-    delta = abs(a.yaw - b.yaw)
-    return min(delta, 2.0 * math.pi - delta)
-
-
 def _require_scores(dets: DetectionTable) -> None:
     missing = np.flatnonzero(np.isnan(dets.score))
     if len(missing):
@@ -430,10 +409,12 @@ def _mean_errors(
 ) -> TPErrors:
     """``tp_errors`` over matched rows, given their ground distances.
 
-    Each term is the same floating-point expression as ``aligned_iou`` and
-    ``yaw_difference`` on the pair, and each mean is a left-to-right
-    ``sum`` in match order, so the result is bit-for-bit that of the
-    per-pair functions.
+    The scale term is 1 - the IoU of the two boxes aligned at centre and
+    yaw: the overlap takes the per-axis minimum extents, and a pair with
+    zero union counts as fully overlapping.  The orientation term is the
+    absolute yaw difference wrapped to [0, pi].  Each mean is a
+    left-to-right ``sum`` in match order, so the result is bit-for-bit
+    that of the per-pair oracles in ``tests/reference_cases.py``.
     """
     n = len(translation)
     if not n:
@@ -454,9 +435,10 @@ def _mean_errors(
 def tp_errors(matched_boxes: Sequence[tuple[Box3D, Box3D]]) -> TPErrors:
     """Mean translation / scale / orientation errors over matched (gt, det) pairs.
 
-    Translation is ground-plane center distance (meters), scale is
-    1 - aligned_iou, orientation is the wrapped absolute yaw difference
-    (radians).  With no matches each error defaults to 1.
+    Translation is ground-plane center distance (meters), scale is 1 -
+    the IoU of the boxes aligned at centre and yaw, orientation is the
+    wrapped absolute yaw difference (radians).  With no matches each
+    error defaults to 1.
     """
     gt_boxes = [gt for gt, _ in matched_boxes]
     det_boxes = [det for _, det in matched_boxes]

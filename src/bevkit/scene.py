@@ -33,7 +33,6 @@ __all__ = [
     "pose_from_dict",
     "box_to_dict",
     "box_from_dict",
-    "records_to_dict",
     "records_from_dict",
     "table_from_dict",
     "generate_synthetic_scene",
@@ -219,13 +218,6 @@ def scene_from_dict(data: dict) -> Scene:
     if image_paths is not None:
         image_paths = _array(image_paths, "image_paths")
     return Scene(scene_id=scene_id, cameras=cameras, boxes=boxes, image_paths=image_paths)
-
-
-def records_to_dict(records: list[DetectionRecord]) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "records": [dict(box_to_dict(r.box), sample_id=r.sample_id) for r in records],
-    }
 
 
 def records_from_dict(data: dict) -> list[DetectionRecord]:

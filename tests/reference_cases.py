@@ -4,6 +4,9 @@
 draws a camera whose perturbation is a pure rotation, so the closed-form
 homography is exact on its anchor correspondences.  ``reference_collect_pairs``
 is the per-anchor loop that ``collect_pairs`` must reproduce bit for bit.
+``aligned_iou`` and ``yaw_difference`` are the per-pair TP error terms that
+``metrics.tp_errors`` must reproduce bit for bit, and ``records_to_dict``
+writes detection records as a detection file.
 """
 
 from __future__ import annotations
@@ -15,6 +18,8 @@ import numpy as np
 from bevkit.augment import PerturbationRange, collect_pairs, perturb_pose
 from bevkit.boxes import Box3D, bottom_points
 from bevkit.geometry import DEGENERATE_DEPTH_TOL, CameraModel, Intrinsics, Pose, ego_to_camera_rotation
+from bevkit.metrics import DetectionRecord
+from bevkit.scene import SCHEMA_VERSION, box_to_dict
 
 # Reference aggregates (mAP, mATE, mASE, mAOE, expected NDS*), all rounded
 # to three decimals; the 0.005 tolerance absorbs the input rounding.
@@ -140,3 +145,30 @@ def reference_collect_pairs(cam: CameraModel, perturbed: Pose, boxes) -> tuple[n
             source.append(pixel)
             target.append(pixel_hat)
     return np.array(source).reshape(-1, 2), np.array(target).reshape(-1, 2)
+
+
+def aligned_iou(a: Box3D, b: Box3D) -> float:
+    """Volumetric IoU after aligning centers and yaw, so only size matters.
+
+    The overlap box has the per-axis minimum extents; degenerate pairs
+    with zero union count as perfectly overlapping.
+    """
+    overlap = math.prod(min(da, db) for da, db in zip(a.dims, b.dims))
+    union = math.prod(a.dims) + math.prod(b.dims) - overlap
+    if union <= 0.0:
+        return 1.0
+    return overlap / union
+
+
+def yaw_difference(a: Box3D, b: Box3D) -> float:
+    """Smallest absolute yaw difference on the full circle, in [0, pi]."""
+    delta = abs(a.yaw - b.yaw)
+    return min(delta, 2.0 * math.pi - delta)
+
+
+def records_to_dict(records: list[DetectionRecord]) -> dict:
+    """A detection file holding ``records``, in the layout ``scene.records_from_dict`` reads."""
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "records": [dict(box_to_dict(r.box), sample_id=r.sample_id) for r in records],
+    }

@@ -21,7 +21,7 @@ from bevkit.depth import DepthDecouplingConfig, metric_to_scale_invariant, scale
 from bevkit.geometry import Intrinsics
 from bevkit.metrics import DetectionRecord, nds_star, evaluate
 from bevkit.ordinal import OrdinalDomainScheme, ordinal_loss, ordinal_loss_grad
-from reference_cases import REFERENCE_NDS_STAR_ROWS, pure_rotation_case
+from reference_cases import REFERENCE_NDS_STAR_ROWS, pure_rotation_case, records_to_dict
 
 
 def read_tree(root):
@@ -60,7 +60,7 @@ def test_acceptance_2_homography_oracle():
         worst = max(worst, float(np.linalg.norm(fitted.matrix - closed_form.matrix)))
     assert worst < 1e-6
 
-    fallback = fit_homography(MatchedPairSet("cam", np.zeros((3, 2)), np.ones((3, 2))))
+    fallback = fit_homography(MatchedPairSet(np.zeros((3, 2)), np.ones((3, 2))))
     assert fallback.provenance == "identity-fallback"
     assert np.array_equal(fallback.matrix * math.sqrt(3.0), np.eye(3))
 
@@ -214,7 +214,7 @@ def test_acceptance_6_determinism(tmp_path):
     assert augment_trees[0] == augment_trees[1] == augment_trees[2]
 
     # evaluate: two runs and 1 vs 4 workers, byte identical
-    from bevkit.scene import dumps_canonical, records_to_dict
+    from bevkit.scene import dumps_canonical
 
     rng = np.random.default_rng(66)
     gts, dets = [], []

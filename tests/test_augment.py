@@ -9,7 +9,6 @@ from scipy.spatial.transform import Rotation
 
 from bevkit.augment import (
     MIN_PAIRS_FOR_FIT,
-    DegenerateFitError,
     Homography,
     MatchedPairSet,
     PerturbationRange,
@@ -160,7 +159,7 @@ class TestCollectPairs:
         cam = self.make_camera()
         pairs = collect_pairs(cam, cam.pose, [])
         assert len(pairs) == 0
-        assert pairs.camera_id == "c0"
+        assert pairs.source.shape == pairs.target.shape == (0, 2)
 
     @pytest.mark.parametrize(
         "boxes, perturbed, kept",
@@ -215,10 +214,10 @@ class TestCollectPairs:
 class TestMatchedPairSet:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="mismatch"):
-            MatchedPairSet("c0", np.zeros((4, 2)), np.zeros((3, 2)))
+            MatchedPairSet(np.zeros((4, 2)), np.zeros((3, 2)))
 
     def test_empty_default(self):
-        pairs = MatchedPairSet("c0")
+        pairs = MatchedPairSet()
         assert len(pairs) == 0
 
 
@@ -260,7 +259,7 @@ class TestFitHomography:
         rng = np.random.default_rng(4)
         source = rng.uniform((50.0, 30.0), (650.0, 220.0), size=(4, 2))
         target = dehomogenize(true_map, source)
-        fitted = fit_homography(MatchedPairSet("c0", source, target))
+        fitted = fit_homography(MatchedPairSet(source, target))
         assert fitted.provenance == "fitted"
         expected = Homography(true_map)
         assert np.linalg.norm(fitted.matrix - expected.matrix) < 1e-6
@@ -270,11 +269,11 @@ class TestFitHomography:
         rng = np.random.default_rng(6)
         source = rng.uniform((10.0, 10.0), (690.0, 245.0), size=(25, 2))
         target = dehomogenize(true_map, source)
-        fitted = fit_homography(MatchedPairSet("c0", source, target))
+        fitted = fit_homography(MatchedPairSet(source, target))
         assert np.linalg.norm(fitted.matrix - Homography(true_map).matrix) < 1e-9
 
     def test_three_pairs_identity_fallback(self):
-        pairs = MatchedPairSet("c0", np.zeros((3, 2)), np.ones((3, 2)))
+        pairs = MatchedPairSet(np.zeros((3, 2)), np.ones((3, 2)))
         fallback = fit_homography(pairs)
         assert fallback.provenance == "identity-fallback"
         assert np.array_equal(fallback.matrix * math.sqrt(3.0), np.eye(3))
@@ -282,8 +281,9 @@ class TestFitHomography:
     def test_collinear_points_degenerate(self):
         source = np.array([[10.0, 10.0], [20.0, 20.0], [30.0, 30.0], [40.0, 40.0]])
         target = source + 5.0
-        with pytest.raises(DegenerateFitError, match="rank"):
-            fit_homography(MatchedPairSet("c0", source, target))
+        fallback = fit_homography(MatchedPairSet(source, target))
+        assert fallback.provenance == "identity-fallback"
+        assert np.array_equal(fallback.matrix * math.sqrt(3.0), np.eye(3))
 
     def test_matches_full_svd_reference_bit_for_bit(self):
         for seed in range(50):
@@ -292,15 +292,16 @@ class TestFitHomography:
             source = rng.uniform((0.0, 0.0), (1600.0, 900.0), size=(count, 2))
             target = dehomogenize(self.known_rotation_map(seed), source)
             target += rng.normal(0.0, 0.5 * (seed % 2), size=target.shape)
-            fitted = fit_homography(MatchedPairSet("c0", source, target))
+            fitted = fit_homography(MatchedPairSet(source, target))
             assert np.array_equal(fitted.matrix, reference_fit_matrix(source, target)), (seed, count)
 
     def test_many_collinear_points_degenerate(self):
         line = np.linspace(0.0, 1.0, 40)[:, None]
         source = (10.0, 20.0) + line * (600.0, 150.0)
         target = 2.0 * source + 5.0
-        with pytest.raises(DegenerateFitError, match="rank"):
-            fit_homography(MatchedPairSet("c0", source, target))
+        fallback = fit_homography(MatchedPairSet(source, target))
+        assert fallback.provenance == "identity-fallback"
+        assert np.array_equal(fallback.matrix * math.sqrt(3.0), np.eye(3))
 
     def test_gauge_invariant_to_homogeneous_scale(self):
         true_map = self.known_rotation_map(9)
@@ -308,8 +309,8 @@ class TestFitHomography:
         source = rng.uniform((50.0, 30.0), (650.0, 220.0), size=(8, 2))
         target_a = dehomogenize(true_map, source)
         target_b = dehomogenize(-3.7 * true_map, source)
-        fit_a = fit_homography(MatchedPairSet("c0", source, target_a))
-        fit_b = fit_homography(MatchedPairSet("c0", source, target_b))
+        fit_a = fit_homography(MatchedPairSet(source, target_a))
+        fit_b = fit_homography(MatchedPairSet(source, target_b))
         assert np.abs(fit_a.matrix - fit_b.matrix).max() < 1e-12
 
     def test_reprojection_residual_pure_rotation(self):

@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import copy
 import hashlib
 import io
 import json
@@ -9,21 +11,25 @@ import shlex
 import signal
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bevkit.cli
 from bevkit.augment import collect_pairs
 from bevkit.cli import build_parser, main
 from bevkit.geometry import ego_to_camera_rotation
-from bevkit.scene import dumps_canonical, records_to_dict, scene_from_dict
+from bevkit.scene import dumps_canonical, generate_synthetic_scene, scene_from_dict, scene_to_dict
 from bevkit.boxes import Box3D
 from bevkit.metrics import DetectionRecord
 from bevkit.pnm import read_pnm, write_pnm
+from reference_cases import records_to_dict
 
 SCHEMAS = Path(__file__).resolve().parents[1] / "docs" / "schemas"
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -478,11 +484,14 @@ class TestDepthConvert:
         flags = ", ".join(arg for arg in bounds if arg.startswith("--"))
         assert capsys.readouterr().err == f"error: --dataset cannot be combined with {flags}\n"
 
-    @pytest.mark.parametrize("f_ref", ["0", "-1"])
+    @pytest.mark.parametrize("f_ref", ["0", "-1", "nan", "inf", "1e-320"])
     def test_non_positive_reference_focal_exits_2(self, capsys, f_ref):
         argv = ["depth-convert", "--direction", "to-metric", "--fx", "1000", "--fy", "1000", "--f-ref", f_ref, "--values", "20"]
         assert main(argv) == 2
-        assert capsys.readouterr().err == f"error: reference_focal must be positive, got {float(f_ref)!r}\n"
+        assert capsys.readouterr() == (
+            "",
+            f"error: --f-ref must give a positive, finite c = sqrt(2) / --f-ref, got {float(f_ref)!r}\n",
+        )
 
 
 class TestBinFocal:
@@ -1154,6 +1163,95 @@ class TestUnparsableFile:
         assert not (tmp_path / "out").exists()
 
 
+def json_values():
+    """Any JSON value as Python's json module reads it, NaN and the infinities included.
+
+    Integers beyond 64 bits are drawn on their own: numpy holds none of
+    them, and float() overflows on 10**400.
+    """
+    integers = st.integers() | st.sampled_from([2**64, -(2**64), 10**400])
+    scalars = st.none() | st.booleans() | integers | st.floats() | st.text(max_size=6)
+    return st.recursive(
+        scalars,
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+        max_leaves=5,
+    )
+
+
+def value_paths(doc, path=()):
+    """The path of every value in a JSON document, the document itself first."""
+    yield path
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, child in items:
+        yield from value_paths(child, (*path, key))
+
+
+def with_value(doc, path, value):
+    """A copy of ``doc`` with the value at ``path`` replaced by ``value``."""
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+class TestArbitraryValue:
+    """Any one value of a valid input replaced by any JSON value: exit 0, or exit 2 with one error line."""
+
+    FILES = {
+        "scene.json": scene_to_dict(generate_synthetic_scene(1, 6, 2)),
+        "gt.json": records_to_dict(
+            [
+                DetectionRecord(Box3D((10.0, 0.0, 0.75), (4.0, 2.0, 1.5), 0.0), "s0"),
+                DetectionRecord(Box3D((20.0, 5.0, 0.75), (4.0, 2.0, 1.5), 0.5, "pedestrian"), "s1"),
+            ]
+        ),
+        "pred.json": records_to_dict(
+            [
+                DetectionRecord(Box3D((10.2, 0.0, 0.75), (4.0, 2.0, 1.5), 0.0, score=0.9), "s0"),
+                DetectionRecord(Box3D((20.0, 5.0, 0.75), (3.0, 2.0, 1.5), 3.0, score=0.8), "s1"),
+            ]
+        ),
+        "run.json": FULL_CONFIG,
+    }
+    HOMOGRAPHY = ["homography", "--scene", "scene.json"]
+    EVALUATE = ["evaluate", "--gt", "gt.json", "--pred", "pred.json"]
+    # The file a value is replaced in, and the commands that read it.
+    KINDS = {
+        "scene": (["scene.json"], [HOMOGRAPHY]),
+        "records": (["gt.json", "pred.json"], [EVALUATE]),
+        "config": (["run.json"], [[*HOMOGRAPHY, "--config", "run.json"], [*EVALUATE, "--config", "run.json"]]),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    @settings(max_examples=65, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_exits_0_or_2_with_one_error_line(self, kind, data):
+        names, commands = self.KINDS[kind]
+        name = data.draw(st.sampled_from(names), label="file")
+        path = data.draw(st.sampled_from(list(value_paths(self.FILES[name]))), label="path")
+        files = {**self.FILES, name: with_value(self.FILES[name], path, data.draw(json_values(), label="value"))}
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            for file_name, doc in files.items():
+                (root / file_name).write_text(json.dumps(doc), encoding="utf-8")
+            for command in commands:
+                argv = [str(root / arg) if arg.endswith(".json") else arg for arg in command]
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main([*argv, "--output-dir", str(root / "out")])
+                if code == 0:
+                    assert err.getvalue() == ""
+                else:
+                    assert code == 2
+                    assert out.getvalue() == ""
+                    lines = err.getvalue().splitlines(keepends=True)
+                    assert len(lines) == 1 and lines[0].startswith("error: ") and lines[0].endswith("\n"), lines
+
+
 class TestRunConfigFile:
     REJECTED = [
         ({"metrics": {"range_limt": 100}}, "run config: unknown key 'range_limt' in 'metrics'"),
@@ -1299,6 +1397,23 @@ class TestBenchmarkReplays:
         assert len(cli) == 8
         assert b'"fitted"' in cli[Path("homographies.json")]
         assert read_tree(tmp_path / "replay") == cli
+
+    def test_replay_augment_completes_on_a_zero_size_box(self, tmp_path, spans):
+        scene_dir = tmp_path / "scene"
+        assert main(["gen-scene", "--seed", "2", "--with-images", "--output-dir", str(scene_dir)]) == 0
+        scene_path = scene_dir / "scene.json"
+        data = json.loads(scene_path.read_text())
+        # cam_00 sees the box's five anchors, which coincide: a degenerate fit
+        data["boxes"] = [{"center": [15.0, 0.0, 0.0], "dims": [0.0, 0.0, 0.0], "yaw": 0.0}]
+        scene_path.write_text(dumps_canonical(data), encoding="utf-8")
+        assert main(["augment", "--scene", str(scene_path), "--seed", "4", "--output-dir", str(tmp_path / "cli")]) == 0
+        spans.replay_augment(spans.Tracer(), scene_path, 4, 1, tmp_path / "replay")
+        cli, replay = read_tree(tmp_path / "cli"), read_tree(tmp_path / "replay")
+        assert len(cli) == 8
+        assert b'"fitted"' not in cli[Path("homographies.json")]
+        # The replay records the drawn pose where augment keeps the original one.
+        del cli[Path("poses.json")], replay[Path("poses.json")]
+        assert replay == cli
 
     def test_replay_evaluate_writes_the_cli_bytes(self, tmp_path, spans):
         gt, pred = golden_eval_inputs()

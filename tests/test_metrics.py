@@ -11,17 +11,15 @@ from bevkit.metrics import (
     MetricConfig,
     MetricReport,
     UndefinedAPError,
-    aligned_iou,
     average_precision,
     evaluate,
     ground_distance,
     match_detections,
     nds_star,
     tp_errors,
-    yaw_difference,
 )
-from bevkit.scene import records_to_dict, table_from_dict
-from reference_cases import REFERENCE_NDS_STAR_ROWS
+from bevkit.scene import table_from_dict
+from reference_cases import REFERENCE_NDS_STAR_ROWS, aligned_iou, records_to_dict, yaw_difference
 
 
 def gt(x, y, dims=(4.0, 2.0, 1.5), yaw=0.0, sample="s0"):

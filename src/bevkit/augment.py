@@ -241,9 +241,11 @@ def fit_homography(pairs: MatchedPairSet) -> Homography:
     With exact correspondences the generating map is recovered.
 
     Where no unique map exists, the identity fallback is returned: with
-    fewer than MIN_PAIRS_FOR_FIT pairs, and where the pairs leave the
-    8-dof system rank deficient (for example all points collinear, or the
-    five anchors of a zero-size box).  The pair count tells the two apart.
+    fewer than MIN_PAIRS_FOR_FIT pairs, where the pairs leave the 8-dof
+    system rank deficient (for example all points collinear, or the five
+    anchors of a zero-size box), and where ``Homography`` rejects the
+    solution as singular (for example pairs that all lie within a few
+    micrometres of one pixel).  The pair count tells the first case apart.
     """
     if len(pairs) < MIN_PAIRS_FOR_FIT:
         return Homography.identity_fallback()
@@ -268,7 +270,10 @@ def fit_homography(pairs: MatchedPairSet) -> Homography:
     if rank < 8:
         return Homography.identity_fallback()
     matrix = np.linalg.inv(t_dst) @ vt[-1].reshape(3, 3) @ t_src
-    return Homography(matrix, provenance="fitted")
+    try:
+        return Homography(matrix, provenance="fitted")
+    except ValueError:
+        return Homography.identity_fallback()
 
 
 def ground_plane_homography(cam: CameraModel, perturbed: Pose) -> Homography | None:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import json
 import math
 import os
@@ -59,6 +60,15 @@ def _load_json(path: str) -> dict:
     return data
 
 
+def _parse_file(path: str, parse):
+    """``parse`` of the JSON object in ``path``; a value it rejects raises ValueError naming the file."""
+    data = _load_json(path)
+    try:
+        return parse(data)
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
 def _out_dir(args) -> Path:
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -67,7 +77,7 @@ def _out_dir(args) -> Path:
 
 def _load_run_config(args) -> RunConfig:
     if args.config:
-        return run_config_from_dict(_load_json(args.config))
+        return _parse_file(args.config, run_config_from_dict)
     return RunConfig()
 
 
@@ -104,7 +114,7 @@ def _camera_record(camera_id: str, homography: Homography) -> dict:
 
 def _cmd_augment(args) -> int:
     cfg = _load_run_config(args)
-    scene = scene_from_dict(_load_json(args.scene))
+    scene = _parse_file(args.scene, scene_from_dict)
     if scene.image_paths is None:
         raise ValueError(f"{args.scene}: scene has no image_paths; generate with --with-images")
     base = Path(args.scene).parent
@@ -137,7 +147,7 @@ def _cmd_augment(args) -> int:
 
 def _cmd_homography(args) -> int:
     cfg = _load_run_config(args)
-    scene = scene_from_dict(_load_json(args.scene))
+    scene = _parse_file(args.scene, scene_from_dict)
     limits = _perturbation(args, cfg)
     out = _out_dir(args)
 
@@ -276,7 +286,7 @@ def _load_tables(gt_path: str, pred_path: str) -> tuple[DetectionTable, Detectio
     killed first if this process is stopped while it runs.
     """
     if not hasattr(os, "fork"):
-        return table_from_dict(_load_json(gt_path)), table_from_dict(_load_json(pred_path))
+        return _parse_file(gt_path, table_from_dict), _parse_file(pred_path, table_from_dict)
     read_fd, write_fd = os.pipe()
     with open(read_fd, "rb") as pipe, open(write_fd, "wb") as sink:
         with warnings.catch_warnings():
@@ -291,7 +301,7 @@ def _load_tables(gt_path: str, pred_path: str) -> tuple[DetectionTable, Detectio
                 # BrokenPipeError instead of blocking on a full pipe for good.
                 pipe.close()
                 try:
-                    result = (table_from_dict(_load_json(gt_path)), None)
+                    result = (_parse_file(gt_path, table_from_dict), None)
                 except Exception as exc:
                     result = (None, exc)
                 sink.write(pickle.dumps(result, pickle.HIGHEST_PROTOCOL))
@@ -303,7 +313,7 @@ def _load_tables(gt_path: str, pred_path: str) -> tuple[DetectionTable, Detectio
         status = None
         try:
             try:
-                dets, pred_error = table_from_dict(_load_json(pred_path)), None
+                dets, pred_error = _parse_file(pred_path, table_from_dict), None
             except Exception as exc:
                 dets, pred_error = None, exc
             payload = pipe.read()
@@ -405,14 +415,28 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one subcommand; the exception types caught here are bad input, reported as one ``error:`` line and exit 2."""
+    """Run one subcommand; the exception types caught here are bad input, reported as one ``error:`` line and exit 2.
+
+    The subcommand runs with the cyclic garbage collector paused, and the
+    caller's collector state is restored on every path; the forked
+    ``--gt`` reader of ``evaluate`` inherits the pause.  What a subcommand
+    builds (parsed JSON trees, numpy columns, frozen dataclasses) holds no
+    reference cycles, so reference counting frees all of it, while the
+    collector would scan the growing JSON trees again and again and free
+    nothing.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except (ValueError, TypeError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

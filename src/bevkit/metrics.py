@@ -241,9 +241,16 @@ def _require_scores(dets: DetectionTable) -> None:
         raise ValueError(f"detection record {dets.index[missing[0]]} has no score")
 
 
-# Largest number of detection x ground-truth pairs one numpy pass of the
-# candidate search holds (a few MiB of index and distance arrays).
+# Largest number of detection x ground-truth window pairs one numpy pass of
+# the candidate search holds (a few MiB of index and distance arrays).
 _PAIR_BLOCK = 1 << 16
+
+
+def _sample_x_order(sample: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's x rank (its place among the rows sorted by x), and the rows sorted by (sample, x rank)."""
+    rank = np.empty(len(x), dtype=np.int64)
+    rank[np.argsort(x)] = np.arange(len(x))
+    return rank, np.argsort(sample * (len(x) + 1) + rank)  # distinct integer keys
 
 
 def _candidate_pairs(
@@ -251,37 +258,51 @@ def _candidate_pairs(
     gt_center: np.ndarray,
     det_sample: np.ndarray,
     det_center: np.ndarray,
-    order: np.ndarray,
-    num_samples: int,
     cutoff: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Same-sample (detection row, ground-truth row) pairs with ``np.hypot`` distance below ``cutoff``.
 
-    Detections come in ``order``, and each detection's ground truths in
-    ascending row order.  Pairs are formed for a run of detections at a
-    time, about ``_PAIR_BLOCK`` pairs per run, so memory stays bounded and
-    many small samples share one numpy pass.
+    Ground truths are sorted by the integer key (sample, x rank).  A
+    ``searchsorted`` into the sorted ground-truth x values turns each
+    detection's window [x - cutoff, x + cutoff] into a range of x ranks,
+    and a ``searchsorted`` over the keys finds the ground truths of its own
+    sample in that range.  Rounding is monotone, so the window holds every
+    pair that ``np.hypot`` puts below ``cutoff``, and that test alone
+    decides a pair.  The pairs come in no particular order.  Detections
+    are visited in (sample, x) order, which keeps every search's needles
+    sorted, and a run of them at a time, about ``_PAIR_BLOCK`` window
+    pairs per run, so memory stays bounded also where many ground truths
+    share one x.
     """
-    gt_rows = np.argsort(gt_sample, kind="stable")
-    gt_count = np.bincount(gt_sample, minlength=num_samples)
-    gt_first = np.cumsum(gt_count) - gt_count
-    samples = det_sample[order]
-    per_det = gt_count[samples]
+    gt_rank, gt_rows = _sample_x_order(gt_sample, gt_center[:, 0])
+    span = len(gt_rank) + 1  # x ranks run from 0 to len(gt_rank)
+    gt_key = (gt_sample * span + gt_rank)[gt_rows]
+    xs = np.empty(len(gt_rank))
+    xs[gt_rank] = gt_center[:, 0]
+    det_rank, det_rows = _sample_x_order(det_sample, det_center[:, 0])
+    det_x = np.empty(len(det_rank))
+    det_x[det_rank] = det_center[:, 0]
+    with np.errstate(over="ignore"):  # an edge beyond the largest float is infinite
+        low = np.searchsorted(xs, det_x - cutoff)[det_rank]
+        high = np.searchsorted(xs, det_x + cutoff, "right")[det_rank]
+    base = det_sample * span
+    first = np.searchsorted(gt_key, (base + low)[det_rows])
+    per_det = np.searchsorted(gt_key, (base + high)[det_rows]) - first
     ends = np.cumsum(per_det)
     det_pairs, gt_pairs = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
     start = 0
-    while start < len(order):
+    while start < len(per_det):
         stop = max(start + 1, int(np.searchsorted(ends, ends[start] - per_det[start] + _PAIR_BLOCK, "right")))
         counts = per_det[start:stop]
-        det_rows = np.repeat(order[start:stop], counts)
-        within = np.arange(len(det_rows)) - np.repeat(np.cumsum(counts) - counts, counts)
-        pair_gts = gt_rows[np.repeat(gt_first[samples[start:stop]], counts) + within]
+        pair_dets = np.repeat(det_rows[start:stop], counts)
+        within = np.arange(len(pair_dets)) - np.repeat(np.cumsum(counts) - counts, counts)
+        pair_gts = gt_rows[np.repeat(first[start:stop], counts) + within]
         with np.errstate(over="ignore"):  # centres ~1e308 apart: an infinite distance is out of reach
             distance = np.hypot(
-                det_center[det_rows, 0] - gt_center[pair_gts, 0], det_center[det_rows, 1] - gt_center[pair_gts, 1]
+                det_center[pair_dets, 0] - gt_center[pair_gts, 0], det_center[pair_dets, 1] - gt_center[pair_gts, 1]
             )
         keep = distance < cutoff
-        det_pairs.append(det_rows[keep])
+        det_pairs.append(pair_dets[keep])
         gt_pairs.append(pair_gts[keep])
         start = stop
     return np.concatenate(det_pairs), np.concatenate(gt_pairs)
@@ -309,7 +330,7 @@ def _greedy_matches(
 
     largest = max(thresholds)
     det_rows, gt_rows = _candidate_pairs(
-        gt_sample, gts.center, det_sample, dets.center, order, len(rank), largest + 1e-9 * max(1.0, largest)
+        gt_sample, gts.center, det_sample, dets.center, largest + 1e-9 * max(1.0, largest)
     )
     dx = (dets.center[det_rows, 0] - gts.center[gt_rows, 0]).tolist()
     dy = (dets.center[det_rows, 1] - gts.center[gt_rows, 1]).tolist()

@@ -102,10 +102,33 @@ def _optional(data: dict, key: str, default):
     return data[key]
 
 
+_JSON_TYPES = {
+    type(None): "null",
+    bool: "boolean",
+    int: "number",
+    float: "number",
+    str: "string",
+    list: "array",
+    dict: "object",
+}
+
+
+def _json_type(value) -> str:
+    """The JSON name of a parsed value's type, as an error message gives it."""
+    return _JSON_TYPES.get(type(value), type(value).__name__)
+
+
 def _array(value, name: str):
     """``value`` if it is an array; an object or a string is not iterated as one."""
     if not isinstance(value, (list, tuple)):
-        raise ValueError(f"{name} must be an array, got {type(value).__name__}")
+        raise ValueError(f"{name} must be an array, got {_json_type(value)}")
+    return value
+
+
+def _object(value, name: str) -> dict:
+    """``value`` if it is an object, so that its keys can be looked up."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} must be an object, got {_json_type(value)}")
     return value
 
 
@@ -123,11 +146,17 @@ def _check_keys(data: dict, allowed: set[str], where: str = "") -> None:
 
 
 def _section(data: dict, key: str, cls) -> dict:
-    """The run-config section ``data[key]``, whose keys must be fields of ``cls``."""
+    """The run-config section ``data[key]``, whose keys must be fields of ``cls``.
+
+    A field whose default is a tuple must be given as an array.
+    """
     section = data[key]
     if not isinstance(section, dict):
-        raise ValueError(f"run config: {key!r} must be an object, got {type(section).__name__}")
+        raise ValueError(f"run config: {key!r} must be an object, got {_json_type(section)}")
     _check_keys(section, {f.name for f in fields(cls)}, f" in {key!r}")
+    for f in fields(cls):
+        if isinstance(f.default, tuple) and f.name in section:
+            _array(section[f.name], f.name)
     return section
 
 
@@ -155,7 +184,7 @@ def pose_from_dict(data: dict) -> Pose:
         yaw=_require(data, "yaw", "pose"),
         pitch=_require(data, "pitch", "pose"),
         roll=_require(data, "roll", "pose"),
-        translation=_require(data, "t", "pose"),
+        translation=_array(_require(data, "t", "pose"), "t"),
     )
 
 
@@ -169,8 +198,8 @@ def camera_to_dict(cam: CameraModel) -> dict:
 
 def camera_from_dict(data: dict) -> CameraModel:
     return CameraModel(
-        intrinsics=intrinsics_from_dict(_require(data, "intrinsics", "camera")),
-        pose=pose_from_dict(_require(data, "pose", "camera")),
+        intrinsics=intrinsics_from_dict(_object(_require(data, "intrinsics", "camera"), "intrinsics")),
+        pose=pose_from_dict(_object(_require(data, "pose", "camera"), "pose")),
         camera_id=_require(data, "camera_id", "camera"),
     )
 
@@ -189,8 +218,8 @@ def box_to_dict(box: Box3D) -> dict:
 
 def box_from_dict(data: dict) -> Box3D:
     return Box3D(
-        center=_require(data, "center", "box"),
-        dims=_require(data, "dims", "box"),
+        center=_array(_require(data, "center", "box"), "center"),
+        dims=_array(_require(data, "dims", "box"), "dims"),
         yaw=_require(data, "yaw", "box"),
         class_id=_optional(data, "class_id", DEFAULT_CLASS_ID),
         score=_optional(data, "score", None),
@@ -212,8 +241,10 @@ def scene_to_dict(scene: Scene) -> dict:
 def scene_from_dict(data: dict) -> Scene:
     _check_version(data, "scene")
     scene_id = _require(data, "scene_id", "scene")
-    cameras = tuple(camera_from_dict(c) for c in _array(_require(data, "cameras", "scene"), "cameras"))
-    boxes = tuple(box_from_dict(b) for b in _array(_require(data, "boxes", "scene"), "boxes"))
+    cameras = _array(_require(data, "cameras", "scene"), "cameras")
+    boxes = _array(_require(data, "boxes", "scene"), "boxes")
+    cameras = tuple(camera_from_dict(_object(c, f"camera {i}")) for i, c in enumerate(cameras))
+    boxes = tuple(box_from_dict(_object(b, f"box {i}")) for i, b in enumerate(boxes))
     image_paths = _optional(data, "image_paths", None)
     if image_paths is not None:
         image_paths = _array(image_paths, "image_paths")
@@ -222,10 +253,12 @@ def scene_from_dict(data: dict) -> Scene:
 
 def records_from_dict(data: dict) -> list[DetectionRecord]:
     _check_version(data, "records")
-    return [
-        DetectionRecord(box=box_from_dict(entry), sample_id=_require(entry, "sample_id", "record"))
-        for entry in _array(_require(data, "records", "records"), "records")
-    ]
+    entries = _array(_require(data, "records", "records"), "records")
+    records = []
+    for i, entry in enumerate(entries):
+        entry = _object(entry, f"record {i}")
+        records.append(DetectionRecord(box=box_from_dict(entry), sample_id=_require(entry, "sample_id", "record")))
+    return records
 
 
 def _numeric_column(values: list, shape: tuple[int, ...]) -> np.ndarray | None:

@@ -508,7 +508,7 @@ class TestAugmentScene:
         capsys.readouterr()
         out = tmp_path / "aug"
         assert main(["augment", "--scene", str(tmp_path / "short.json"), "--output-dir", str(out)]) == 2
-        assert capsys.readouterr().err == "error: got 5 image paths for 6 cameras\n"
+        assert capsys.readouterr().err == f"error: {tmp_path / 'short.json'}: got 5 image paths for 6 cameras\n"
         assert not (out / "poses.json").exists()
 
     def test_scene_runs_augment_camera_per_index(self):

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import copy
+import gc
 import hashlib
 import io
 import json
@@ -356,6 +357,21 @@ class TestHomographyCommand:
         assert point_box[0]["num_pairs"] == 5
         assert all(entry["num_pairs"] == 0 for entry in point_box[1:])
 
+    def test_singular_fit_falls_back_alone(self, tmp_path):
+        # a camera 1e10 m away sees its 10 anchors within micrometres of one
+        # pixel: the system has full rank, but the solution is singular
+        data = scene_to_dict(generate_synthetic_scene(1, 6, 2))
+        scene_path = tmp_path / "scene.json"
+        scene_path.write_text(dumps_canonical(data), encoding="utf-8")
+        plain = homography_report(tmp_path, scene_path, "plain", seed=0)
+        data["cameras"][5]["pose"]["t"] = [0.0, 0.0, 1e10]
+        scene_path.write_text(dumps_canonical(data), encoding="utf-8")
+        distant = homography_report(tmp_path, scene_path, "distant", seed=0)
+        assert distant[:5] == plain[:5]
+        assert distant[5]["provenance"] == "identity-fallback"
+        assert distant[5]["matrix_row_major"] == (np.eye(3) / math.sqrt(3.0)).reshape(-1).tolist()
+        assert distant[5]["num_pairs"] >= 4
+
     def test_camera_on_the_ground_reports_null(self, tmp_path):
         scene_dir = tmp_path / "scene"
         assert main(["gen-scene", "--seed", "9", "--boxes", "40", "--output-dir", str(scene_dir)]) == 0
@@ -698,10 +714,10 @@ class TestEvaluateCommand:
             (dict(GOOD_RECORD, score=1.5), "score must be in [0, 1], got 1.5"),
             (dict(GOOD_RECORD, sample_id=""), "sample_id must be a non-empty string, got ''"),
             ({k: v for k, v in GOOD_RECORD.items() if k != "sample_id"}, "record: missing required key 'sample_id'"),
-            ([1, 2], "box: missing required key 'center'"),
-            (5, "argument of type 'int' is not iterable"),
-            (None, "argument of type 'NoneType' is not iterable"),
-            ("center", "string indices must be integers, not 'str'"),
+            ([1, 2], "record 3 must be an object, got array"),
+            (5, "record 3 must be an object, got number"),
+            (None, "record 3 must be an object, got null"),
+            ("center", "record 3 must be an object, got string"),
         ],
         ids=[
             "center-length-2",
@@ -726,7 +742,7 @@ class TestEvaluateCommand:
             paths[name].write_text(json.dumps({"schema_version": 1, "records": records}), encoding="utf-8")
         argv = ["evaluate", "--gt", str(paths["--gt"]), "--pred", str(paths["--pred"]), "--output-dir", str(tmp_path / "out")]
         assert main(argv) == 2
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr().err == f"error: {paths[flag]}: {message}\n"
         assert not (tmp_path / "out" / "metric_report.json").exists()
 
     @pytest.mark.parametrize(
@@ -794,15 +810,16 @@ class TestParallelLoad:
     @pytest.mark.parametrize(
         "bad_gt, bad_pred, message",
         [
-            (True, True, "records must be an array, got dict"),
-            (False, True, "center must be 3 finite values, got (10.0, 0.0)"),
+            (True, True, "{gt}: records must be an array, got object"),
+            (False, True, "{pred}: center must be 3 finite values, got (10.0, 0.0)"),
         ],
         ids=["both-bad-gt-wins", "pred-bad"],
     )
     def test_error_precedence(self, tmp_path, capsys, bad_gt, bad_pred, message):
         code = self.run(tmp_path, self.BAD_GT if bad_gt else self.GOOD, self.BAD_PRED if bad_pred else self.GOOD)
         assert code == 2
-        assert capsys.readouterr().err == f"error: {message}\n"
+        names = {"gt": tmp_path / "gt.json", "pred": tmp_path / "pred.json"}
+        assert capsys.readouterr().err == f"error: {message.format(**names)}\n"
         assert not (tmp_path / "out" / "metric_report.json").exists()
         assert_no_child_left()
 
@@ -917,6 +934,57 @@ class TestParallelLoad:
         assert forked[1] == (GOLDEN / "metric_report.json").read_bytes()
 
 
+@pytest.fixture
+def collector_state():
+    """Give the test the cyclic garbage collector, and restore its state after."""
+    enabled = gc.isenabled()
+    yield
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+class TestCollectorPause:
+    """``main`` runs a subcommand with the cyclic garbage collector paused and restores the caller's state."""
+
+    DEPTH = ["depth-convert", "--direction", "to-metric", "--fx", "1000", "--fy", "1000", "--values"]
+
+    @pytest.mark.parametrize("value, code", [("1", 0), ("nan", 2)], ids=["exit-0", "exit-2"])
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    def test_state_restored(self, collector_state, capsys, enabled, value, code):
+        gc.enable() if enabled else gc.disable()
+        assert main([*self.DEPTH, value]) == code
+        assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    def test_state_restored_when_an_exception_escapes(self, collector_state, monkeypatch, enabled):
+        def crash(*args, **kwargs):
+            raise RuntimeError("crash")
+
+        monkeypatch.setattr(bevkit.cli, "scale_invariant_to_metric", crash)
+        gc.enable() if enabled else gc.disable()
+        with pytest.raises(RuntimeError):
+            main([*self.DEPTH, "1"])
+        assert gc.isenabled() is enabled
+
+    def test_evaluate_runs_paused(self, collector_state, tmp_path, eval_files, monkeypatch, capsys):
+        gt_path, pred_path = eval_files
+        seen = []
+        real = bevkit.cli.evaluate
+
+        def recording(*args, **kwargs):
+            seen.append(gc.isenabled())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(bevkit.cli, "evaluate", recording)
+        gc.enable()
+        argv = ["evaluate", "--gt", str(gt_path), "--pred", str(pred_path), "--output-dir", str(tmp_path / "out")]
+        assert main(argv) == 0
+        assert seen == [False]
+        assert gc.isenabled()
+
+
 def test_cli_import_starts_no_process_pool():
     """A process pool's import would add tens of milliseconds to every CLI call."""
     code = "import sys, bevkit.cli; print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"
@@ -947,22 +1015,22 @@ class TestRejectedInput:
             (
                 ["augment", "--scene", "{scene}", "--config", "{file}", "--output-dir", "{out}"],
                 {"perturbation": {"seed": -3}},
-                "seed must be a non-negative integer, got -3",
+                "{file}: seed must be a non-negative integer, got -3",
             ),
             (
                 ["augment", "--scene", "{file}", "--output-dir", "{out}"],
                 {"scene_id": "s", "cameras": [], "boxes": [{"center": [10**400, 0, 0.75], "dims": [4, 2, 1.5], "yaw": 0}]},
-                "int too large to convert to float",
+                "{file}: int too large to convert to float",
             ),
             (
                 ["augment", "--scene", "{scene}", "--config", "{file}", "--output-dir", "{out}"],
                 {"perturbation": {"seed": 5.7}},
-                "seed must be a non-negative integer, got 5.7",
+                "{file}: seed must be a non-negative integer, got 5.7",
             ),
             (
                 ["augment", "--scene", "{scene}", "--config", "{file}", "--output-dir", "{out}"],
                 {"perturbation": {"seed": True}},
-                "seed must be a non-negative integer, got True",
+                "{file}: seed must be a non-negative integer, got True",
             ),
             (
                 ["augment", "--scene", "{file}", "--output-dir", "{out}"],
@@ -977,7 +1045,7 @@ class TestRejectedInput:
                     ],
                     "boxes": [],
                 },
-                "width must be a positive integer, got 703.9",
+                "{file}: width must be a positive integer, got 703.9",
             ),
             (
                 ["augment", "--scene", "{file}", "--output-dir", "{out}"],
@@ -992,7 +1060,7 @@ class TestRejectedInput:
                     ],
                     "boxes": [],
                 },
-                "fx must be a finite number, got True",
+                "{file}: fx must be a finite number, got True",
             ),
             (
                 ["augment", "--scene", "{file}", "--output-dir", "{out}"],
@@ -1007,52 +1075,52 @@ class TestRejectedInput:
                     ],
                     "boxes": [],
                 },
-                "yaw must be a finite number, got '0.5'",
+                "{file}: yaw must be a finite number, got '0.5'",
             ),
             (
                 ["evaluate", "--gt", "{file}", "--pred", "{pred}", "--output-dir", "{out}"],
                 {"records": [{"sample_id": "s0", "center": [10**400, 0, 0.75], "dims": [4, 2, 1.5], "yaw": 0}]},
-                "int too large to convert to float",
+                "{file}: int too large to convert to float",
             ),
             (
                 ["evaluate", "--gt", "{gt}", "--pred", "{pred}", "--config", "{file}", "--output-dir", "{out}"],
                 {"metrics": {"range_limit": 10**400}},
-                "int too large to convert to float",
+                "{file}: int too large to convert to float",
             ),
             (
                 ["evaluate", "--gt", "{gt}", "--pred", "{pred}", "--config", "{file}", "--output-dir", "{out}"],
                 {"metrics": {"distance_thresholds": [0.5, math.nan, 2.0]}},
-                "distance thresholds must be positive and finite, got (0.5, nan, 2.0)",
+                "{file}: distance thresholds must be positive and finite, got (0.5, nan, 2.0)",
             ),
             (
                 ["evaluate", "--gt", "{file}", "--pred", "{pred}", "--output-dir", "{out}"],
                 {"records": [{"sample_id": "s0", "center": [1.0, True, 0.5], "dims": [4, 2, 1.5], "yaw": 0}]},
-                "center must be a number, got True",
+                "{file}: center must be a number, got True",
             ),
             (
                 ["evaluate", "--gt", "{gt}", "--pred", "{file}", "--output-dir", "{out}"],
                 {"records": [{"sample_id": "s0", "center": [10, 0, 0.75], "dims": [4, 2, 1.5], "yaw": 0, "score": "0.5"}]},
-                "score must be a number, got '0.5'",
+                "{file}: score must be a number, got '0.5'",
             ),
             (
                 ["evaluate", "--gt", "{gt}", "--pred", "{file}", "--output-dir", "{out}"],
                 {"records": [{"sample_id": "s0", "center": [10, 0, 0.75], "dims": [4, 2, 1.5], "yaw": 0, "score": True}]},
-                "score must be a number, got True",
+                "{file}: score must be a number, got True",
             ),
             (
                 ["evaluate", "--gt", "{file}", "--pred", "{pred}", "--output-dir", "{out}"],
                 {"records": [{"sample_id": 7, "center": [10, 0, 0.75], "dims": [4, 2, 1.5], "yaw": 0}]},
-                "sample_id must be a non-empty string, got 7",
+                "{file}: sample_id must be a non-empty string, got 7",
             ),
             (
                 ["evaluate", "--gt", "{file}", "--pred", "{pred}", "--output-dir", "{out}"],
                 {"records": [{"sample_id": "s0", "center": [10, 0, 0.75], "dims": [4, 2, 1.5], "yaw": 0, "class_id": None}]},
-                "class_id must not be null",
+                "{file}: class_id must not be null",
             ),
             (
                 ["homography", "--scene", "{file}", "--output-dir", "{out}"],
                 {"scene_id": 5, "cameras": [], "boxes": []},
-                "scene_id must be a string, got 5",
+                "{file}: scene_id must be a string, got 5",
             ),
             (
                 ["homography", "--scene", "{file}", "--output-dir", "{out}"],
@@ -1067,17 +1135,17 @@ class TestRejectedInput:
                     ],
                     "boxes": [],
                 },
-                "camera_id must be a non-empty string, got 9",
+                "{file}: camera_id must be a non-empty string, got 9",
             ),
             (
                 ["augment", "--scene", "{scene}", "--config", "{file}", "--output-dir", "{out}"],
                 {"perturbation": {"d_yaw": "0.5"}},
-                "d_yaw must be a number, got '0.5'",
+                "{file}: d_yaw must be a number, got '0.5'",
             ),
             (
                 ["evaluate", "--gt", "{gt}", "--pred", "{pred}", "--config", "{file}", "--output-dir", "{out}"],
                 {"metrics": {"range_limit": True}},
-                "range_limit must be a number, got True",
+                "{file}: range_limit must be a number, got True",
             ),
             (
                 ["ordinal-loss", "--logits-json", "{file}", "--label", "0"],
@@ -1252,6 +1320,39 @@ class TestArbitraryValue:
                     assert len(lines) == 1 and lines[0].startswith("error: ") and lines[0].endswith("\n"), lines
 
 
+class TestMisplacedScalar:
+    """A null, number or boolean where an object or array belongs names its key or index and the file."""
+
+    @pytest.mark.parametrize(
+        "name, path, value, message",
+        [
+            ("scene.json", ("cameras", 1), None, "camera 1 must be an object, got null"),
+            ("scene.json", ("cameras", 0, "intrinsics"), 5, "intrinsics must be an object, got number"),
+            ("scene.json", ("cameras", 0, "pose"), True, "pose must be an object, got boolean"),
+            ("scene.json", ("cameras", 0, "pose", "t"), None, "t must be an array, got null"),
+            ("scene.json", ("boxes", 1), 0.5, "box 1 must be an object, got number"),
+            ("gt.json", ("records", 1), None, "record 1 must be an object, got null"),
+            ("pred.json", ("records", 0, "center"), 5, "center must be an array, got number"),
+            ("gt.json", ("records", 1, "dims"), False, "dims must be an array, got boolean"),
+            ("run.json", ("metrics", "distance_thresholds"), 4.0, "distance_thresholds must be an array, got number"),
+        ],
+        ids=["camera", "intrinsics", "pose", "t", "box", "record", "center", "dims", "distance-thresholds"],
+    )
+    def test_exits_2_naming_key_and_file(self, tmp_path, capsys, name, path, value, message):
+        files = {**TestArbitraryValue.FILES, name: with_value(TestArbitraryValue.FILES[name], path, value)}
+        for file_name, doc in files.items():
+            (tmp_path / file_name).write_text(json.dumps(doc), encoding="utf-8")
+        if name == "scene.json":
+            argv = ["homography", "--scene", str(tmp_path / "scene.json")]
+        else:
+            argv = ["evaluate", "--gt", str(tmp_path / "gt.json"), "--pred", str(tmp_path / "pred.json")]
+            argv += ["--config", str(tmp_path / "run.json")]
+        assert main([*argv, "--output-dir", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {tmp_path / name}: {message}\n"
+
+
 class TestRunConfigFile:
     REJECTED = [
         ({"metrics": {"range_limt": 100}}, "run config: unknown key 'range_limt' in 'metrics'"),
@@ -1295,7 +1396,7 @@ class TestRunConfigFile:
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: {message}\n"
+        assert captured.err == f"error: {config_path}: {message}\n"
         assert not (tmp_path / "out").exists()
 
 

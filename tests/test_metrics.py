@@ -569,3 +569,94 @@ class TestEvaluate:
         cfg = MetricConfig(range_limit=60)
         assert type(cfg.range_limit) is float
         assert cfg == MetricConfig(range_limit=60.0)
+
+
+def all_pairs_under(gt_sample, gt_center, det_sample, det_center, cutoff):
+    """Every same-sample (detection row, ground-truth row) pair with ``np.hypot`` distance below ``cutoff``."""
+    det_rows, gt_rows = np.meshgrid(np.arange(len(det_sample)), np.arange(len(gt_sample)), indexing="ij")
+    det_rows, gt_rows = det_rows.ravel(), gt_rows.ravel()
+    with np.errstate(over="ignore"):
+        distance = np.hypot(
+            det_center[det_rows, 0] - gt_center[gt_rows, 0], det_center[det_rows, 1] - gt_center[gt_rows, 1]
+        )
+    keep = (det_sample[det_rows] == gt_sample[gt_rows]) & (distance < cutoff)
+    return set(zip(det_rows[keep].tolist(), gt_rows[keep].tolist()))
+
+
+def columns(points):
+    """Sample and (n, 3) centre columns from (sample, x, y) triples."""
+    sample = np.array([p[0] for p in points], dtype=np.int64)
+    center = np.array([(p[1], p[2], 0.75) for p in points], dtype=float).reshape(-1, 3)
+    return sample, center
+
+
+class TestCandidatePairs:
+    """The x-window search finds exactly the pairs the all-pairs ``np.hypot`` test keeps."""
+
+    @staticmethod
+    def assert_window_is_exact(gt_points, det_points, cutoff):
+        gt_sample, gt_center = columns(gt_points)
+        det_sample, det_center = columns(det_points)
+        det_rows, gt_rows = metrics_module._candidate_pairs(gt_sample, gt_center, det_sample, det_center, cutoff)
+        found = list(zip(det_rows.tolist(), gt_rows.tolist()))
+        assert len(found) == len(set(found))
+        expected = all_pairs_under(gt_sample, gt_center, det_sample, det_center, cutoff)
+        assert set(found) == expected
+        return expected
+
+    @pytest.mark.parametrize("cutoff", [4.0, 1e300, 1.000000001e308])
+    def test_centres_near_the_largest_floats(self, cutoff):
+        # x +- cutoff and the differences across the origin overflow to infinity
+        big = 1e308
+        gts = [(0, big, 0.0), (0, -big, 0.0), (0, big - 3.0e292, 1.0), (0, 10.0, 0.0), (1, big, -big)]
+        dets = [(0, big, 0.0), (0, -big, 1.0), (0, 9.0, 0.0), (1, big, -big), (1, -big, big)]
+        pairs = self.assert_window_is_exact(gts, dets, cutoff)
+        assert (0, 0) in pairs and (1, 1) in pairs
+
+    def test_evaluate_with_centres_near_the_largest_floats(self):
+        big = 9.9e307
+        gts = [gt(big, 0.0), gt(-big, 0.0), gt(0.0, big), gt(10.0, 0.0)]
+        dets = [det(-big, 0.0, 0.9), det(big, 0.0, 0.8), det(0.0, big, 0.7), det(10.2, 0.0, 0.6)]
+        report = evaluate(gts, dets, MetricConfig(range_limit=1e308))
+        assert report.match_counts["matches@0.5"] == 4
+
+    def test_pair_exactly_at_the_cutoff_is_out(self):
+        below = math.nextafter(5.0, 0.0)
+        gts = [(0, 5.0, 0.0), (0, -5.0, 0.0), (0, 3.0, 4.0), (0, 0.0, 5.0), (0, below, 0.0), (0, -below, 0.0)]
+        pairs = self.assert_window_is_exact(gts, [(0, 0.0, 0.0)], 5.0)
+        assert pairs == {(0, 4), (0, 5)}
+
+    @pytest.mark.parametrize("x, cutoff, edge", [(-30.838374097986478, 4.0, 0), (33.85945971490406, 0.3, 1)])
+    def test_ground_truth_on_a_rounded_window_edge(self, x, cutoff, edge):
+        # x - cutoff (edge 0) or x + cutoff (edge 1) rounds toward x, and the
+        # ground truth on that edge lies just under the cutoff
+        gts = [(0, x - cutoff, 0.0), (0, x + cutoff, 0.0)]
+        assert (0, edge) in self.assert_window_is_exact(gts, [(0, x, 0.0)], cutoff)
+
+    def test_many_ground_truths_share_one_x(self):
+        gts = [(0, 7.0, float(y)) for y in np.linspace(-20.0, 20.0, 41)] + [(0, 3.0, 0.0), (0, 11.0, 0.0)]
+        dets = [(0, 7.0, 0.3), (0, 3.0, 0.0), (0, 11.0, -4.0), (0, 7.0 + 4.0, 0.0), (0, 2.9999, 19.0)]
+        assert len(self.assert_window_is_exact(gts, dets, 4.0)) >= 10
+
+    def test_samples_with_only_ground_truths_or_only_detections(self):
+        gts = [(0, 1.0, 1.0), (0, 2.0, 1.0), (2, 5.0, 5.0), (3, 0.0, 0.0)]
+        dets = [(1, 1.0, 1.0), (1, 2.0, 1.0), (2, 5.5, 5.0), (4, 0.0, 0.0)]
+        assert self.assert_window_is_exact(gts, dets, 4.0) == {(2, 2)}
+        assert self.assert_window_is_exact(gts, [], 4.0) == set()
+        assert self.assert_window_is_exact([], dets, 4.0) == set()
+
+    @pytest.mark.parametrize("block", [1, 3, 1 << 16])
+    def test_single_sample(self, monkeypatch, block):
+        monkeypatch.setattr(metrics_module, "_PAIR_BLOCK", block)
+        rng = np.random.default_rng(7)
+        gts = [(0, *xy) for xy in rng.uniform(-30.0, 30.0, size=(60, 2)).tolist()]
+        dets = [(0, *xy) for xy in rng.uniform(-30.0, 30.0, size=(90, 2)).tolist()]
+        assert len(self.assert_window_is_exact(gts, dets, 4.0)) > 0
+
+    def test_many_samples(self):
+        rng = np.random.default_rng(8)
+        gts, dets = [
+            [(int(s), *xy) for s, xy in zip(rng.integers(0, 12, n), rng.uniform(-50.0, 50.0, size=(n, 2)).tolist())]
+            for n in (300, 500)
+        ]
+        assert len(self.assert_window_is_exact(gts, dets, 4.0)) > 0

@@ -306,8 +306,8 @@ class TestRunConfigSerialization:
             ({"metric": {"range_limit": 100}}, "run config: unknown key 'metric'"),
             ({"metrics": {"range_limt": 100}}, "run config: unknown key 'range_limt' in 'metrics'"),
             ({"perturbation": {"d_yaw": 0.1, "yaw": 0.1}}, "run config: unknown key 'yaw' in 'perturbation'"),
-            ({"metrics": [1.0, 2.0]}, "run config: 'metrics' must be an object, got list"),
-            ({"perturbation": 0.02}, "run config: 'perturbation' must be an object, got float"),
+            ({"metrics": [1.0, 2.0]}, "run config: 'metrics' must be an object, got array"),
+            ({"perturbation": 0.02}, "run config: 'perturbation' must be an object, got number"),
         ],
         ids=["top-level-seed", "depth", "scheme", "top-level-key", "metrics-key", "perturbation-key", "metrics-list", "perturbation-number"],
     )

@@ -15,15 +15,27 @@ __all__ = ["read_pnm", "write_pnm"]
 _TOKEN = re.compile(rb"(?:\s|#[^\n]*\n)*(\S+)")
 
 
-def _read_tokens(data: bytearray, count: int, offset: int) -> tuple[list[bytes], int]:
-    tokens = []
-    while len(tokens) < count:
+def _read_header_numbers(path: str | Path, data: bytearray, offset: int) -> tuple[list[int], int]:
+    """Width, height and maxval after the magic, and the offset past maxval.
+
+    Each is a token of ASCII decimal digits: ``int`` alone would also read
+    ``+704`` and ``7_04`` as 704.
+    """
+    numbers = []
+    for name in ("width", "height", "maxval"):
         match = _TOKEN.match(data, offset)
         if match is None:
-            raise ValueError("truncated PNM header")
-        tokens.append(bytes(match.group(1)))
+            raise ValueError(f"{path}: truncated PNM header")
+        token = bytes(match.group(1))
+        if not token.isdigit():
+            text = token.decode("ascii", "backslashreplace")
+            raise ValueError(f"{path}: PNM {name} is not a decimal number: '{text}'")
+        try:
+            numbers.append(int(token))
+        except ValueError as error:  # more digits than the interpreter converts
+            raise ValueError(f"{path}: PNM {name}: {error}") from None
         offset = match.end()
-    return tokens, offset
+    return numbers, offset
 
 
 def read_pnm(path: str | Path) -> np.ndarray:
@@ -39,8 +51,7 @@ def read_pnm(path: str | Path) -> np.ndarray:
     if magic not in (b"P5", b"P6"):
         raise ValueError(f"{path}: unsupported PNM magic {magic!r} (only binary P5/P6)")
     channels = 1 if magic == b"P5" else 3
-    tokens, offset = _read_tokens(data, 3, 2)
-    width, height, maxval = (int(t) for t in tokens)
+    (width, height, maxval), offset = _read_header_numbers(path, data, 2)
     if width <= 0 or height <= 0:
         raise ValueError(f"{path}: invalid size {width}x{height}")
     if maxval != 255:

@@ -223,7 +223,7 @@ class TestAugmentCommand:
         assert code == 2
         assert "image_paths" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("damage", ["missing", "truncated", "maxval-100"])
+    @pytest.mark.parametrize("damage", ["missing", "truncated", "maxval-100", "width-70x", "header-cut"])
     def test_unreadable_raster_exits_2_without_json(self, tmp_path, capsys, damage):
         scene = self.scene(tmp_path)
         raster = scene.parent / "images" / "cam_03.pgm"
@@ -231,10 +231,15 @@ class TestAugmentCommand:
             raster.unlink()
         elif damage == "truncated":
             raster.write_bytes(raster.read_bytes()[:1000])
-        else:
+        elif damage == "maxval-100":
             raster.write_bytes(raster.read_bytes().replace(b"\n255\n", b"\n100\n", 1))
+        elif damage == "width-70x":
+            raster.write_bytes(raster.read_bytes().replace(b"P5\n704 ", b"P5\n70x ", 1))
+        else:
+            raster.write_bytes(b"P5\n704 ")
         with pytest.raises((OSError, ValueError)) as failure:
             read_pnm(raster)
+        assert str(raster) in str(failure.value)
         capsys.readouterr()
         out = tmp_path / "aug"
         assert main(["augment", "--scene", str(scene), "--workers", "2", "--output-dir", str(out)]) == 2

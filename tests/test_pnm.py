@@ -95,7 +95,41 @@ class TestPNM:
         result = subprocess.run(
             [sys.executable, "-c", code, str(path)], capture_output=True, text=True, env=env, timeout=30, check=True
         )
-        assert result.stdout == "truncated PNM header\n"
+        assert result.stdout == f"{path}: truncated PNM header\n"
+
+    @pytest.mark.parametrize(
+        "header, field, token",
+        [
+            (b"70x 2 255", "width", "70x"),
+            (b"+3 2 255", "width", "+3"),
+            (b"3_0 2 255", "width", "3_0"),
+            (b"3 \xd9\xa2 255", "height", "\\xd9\\xa2"),
+            (b"3 2 2_55", "maxval", "2_55"),
+            (b"3 2 +255", "maxval", "+255"),
+        ],
+        ids=["width-70x", "width-plus", "width-underscore", "height-arabic-indic-two", "maxval-underscore", "maxval-plus"],
+    )
+    def test_header_number_must_be_decimal_digits(self, tmp_path, header, field, token):
+        # int() alone reads +3, 3_0, 2_55 and +255 as numbers
+        path = tmp_path / "n.pgm"
+        path.write_bytes(b"P5\n" + header + b"\n" + bytes(range(60)))
+        with pytest.raises(ValueError) as failure:
+            read_pnm(path)
+        assert str(failure.value) == f"{path}: PNM {field} is not a decimal number: '{token}'"
+
+    def test_header_number_past_the_digit_limit_names_the_file(self, tmp_path):
+        path = tmp_path / "wide.pgm"
+        path.write_bytes(b"P5\n" + b"1" * 5000 + b" 2\n255\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: PNM width: ")):
+            read_pnm(path)
+
+    @pytest.mark.parametrize("header", [b"P6", b"P6\n3", b"P6\n3 2 \n\t"])
+    def test_truncated_header_names_the_file(self, tmp_path, header):
+        path = tmp_path / "cut.ppm"
+        path.write_bytes(header)
+        with pytest.raises(ValueError) as failure:
+            read_pnm(path)
+        assert str(failure.value) == f"{path}: truncated PNM header"
 
     def test_comment_longer_than_4_kib(self, tmp_path):
         path = tmp_path / "long.pgm"

@@ -1,3 +1,5 @@
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -71,9 +73,10 @@ def reference_warp(image, matrix, out_size):
 
 def random_raster(rng, height, width, dtype, color):
     shape = (height, width, 3) if color else (height, width)
-    if dtype == np.float64:
-        return rng.normal(0.0, 100.0, size=shape)
-    return rng.integers(0, np.iinfo(dtype).max, size=shape, endpoint=True, dtype=dtype)
+    if np.issubdtype(dtype, np.floating):
+        return rng.normal(0.0, 100.0, size=shape).astype(dtype)
+    info = np.iinfo(dtype)
+    return rng.integers(info.min, info.max, size=shape, endpoint=True, dtype=dtype)
 
 
 def random_map(rng, kind, src_size, out_size):
@@ -287,6 +290,71 @@ class TestWarpImage:
         assert cases >= 100
         assert sampled > 0
 
+    def test_signed_and_single_precision_match_reference_byte_for_byte(self, monkeypatch):
+        # int8 and int16 blends round below zero; float32 output is the
+        # float64 blend rounded once
+        kinds = ("near-identity", "leaves-source", "horizon")
+        dtypes = (np.int8, np.int16, np.float32)
+        cases = 0
+        for seed in range(300):
+            rng = np.random.default_rng(1000 + seed)
+            kind = kinds[seed % 3]
+            dtype = dtypes[(seed // 3) % 3]
+            color = bool((seed // 9) % 2)
+            src_width, src_height = (int(n) for n in rng.integers(1, 40, size=2))
+            out_width, out_height = (int(n) for n in rng.integers(1, 48, size=2))
+            block_pixels = int(rng.integers(1, 2 * out_width * out_height + 1))
+            monkeypatch.setattr(warp_module, "_BLOCK_PIXELS", block_pixels)
+
+            image = random_raster(rng, src_height, src_width, dtype, color)
+            try:
+                homography = Homography(random_map(rng, kind, (src_width, src_height), (out_width, out_height)))
+            except ValueError:  # a singular map
+                continue
+            expected = reference_warp(image, homography.matrix, (out_width, out_height))
+            got = warp_image(image, homography, (out_width, out_height))
+            context = (seed, kind, dtype, color, (src_width, src_height), (out_width, out_height), block_pixels)
+            assert got.dtype == expected.dtype == dtype, context
+            assert np.array_equal(got, expected), context
+            cases += 1
+        assert cases >= 250
+
+    def test_concurrent_calls_do_not_share_work_arrays(self, monkeypatch):
+        # augment warps frames on a thread pool: two calls at once on
+        # different frames of one size, with blocks of two rows and a short
+        # switch interval, must each match the reference
+        width, height = 640, 40
+        monkeypatch.setattr(warp_module, "_BLOCK_PIXELS", 2 * width)
+        rng = np.random.default_rng(11)
+        jobs = []
+        for color in (True, False):
+            image = random_raster(rng, height, width, np.uint8, color)
+            homography = Homography(random_map(rng, "near-identity", (width, height), (width, height)))
+            jobs.append((image, homography, (width, height)))
+        expected = [reference_warp(image, h.matrix, size) for image, h, size in jobs]
+        results = [[] for _ in jobs]
+        start = threading.Barrier(len(jobs))
+
+        def run(job, found):
+            start.wait(timeout=30)
+            for _ in range(10):
+                found.append(warp_image(*job))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=pair) for pair in zip(jobs, results)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for found, want in zip(results, expected):
+            assert len(found) == 10
+            assert all(np.array_equal(got, want) for got in found)
+
     def test_default_block_height_matches_reference_at_frame_size(self):
         # 900 rows are not a multiple of the 16-row blocks of a 1600-px canvas
         rng = np.random.default_rng(7)
@@ -306,5 +374,6 @@ class TestWarpImage:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # the output alone is 4.1 MiB; a full-frame float64 kernel needs ~265 MiB
-        assert peak < 32 * 2**20
+        # the output alone is 4.1 MiB and the work arrays of one call about
+        # 3 MiB; a full-frame float64 kernel needs ~265 MiB
+        assert peak < 12 * 2**20

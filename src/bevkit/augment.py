@@ -22,9 +22,8 @@ the oracle the fit is checked against.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence, TypeVar
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -54,7 +53,6 @@ __all__ = [
     "ground_plane_homography",
     "plan_camera",
     "augment_camera",
-    "map_cameras",
 ]
 
 # Below this many correspondences the 8-dof fit is underdetermined and the
@@ -62,8 +60,6 @@ __all__ = [
 MIN_PAIRS_FOR_FIT = 4
 
 _PROVENANCES = ("fitted", "analytic", "identity-fallback")
-
-_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -358,18 +354,4 @@ def augment_camera(
     if plan.homography.provenance != "fitted":
         return AugmentedView(image, cam.pose, plan.homography)
     return AugmentedView(warp_image(image, plan.homography, (width, height)), plan.perturbed, plan.homography)
-
-
-def map_cameras(step: Callable[[int], _T], count: int, workers: int) -> list[_T]:
-    """Run ``step(index)`` for camera indices 0..count-1 on one pool of ``workers`` threads.
-
-    Results come back in camera order.  At most ``workers`` steps run at
-    once, so a step that loads and stores its own camera's data bounds the
-    memory in use by the worker count.  The first failing step's exception
-    propagates; steps not yet started are cancelled.
-    """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(step, range(count)))
 

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .augment import Homography, PerturbationRange, augment_camera, ground_plane_homography, map_cameras, plan_camera
+from .augment import Homography, PerturbationRange, augment_camera, ground_plane_homography, plan_camera
 from .depth import (
     DATASET_DEPTH_RANGES,
     DEFAULT_REFERENCE_FOCAL,
@@ -30,7 +30,7 @@ from .depth import (
     scale_invariant_to_metric,
 )
 from .geometry import Intrinsics, is_real
-from .metrics import DetectionTable, evaluate
+from .metrics import evaluate
 from .ordinal import DATASET_SCHEMES, OrdinalDomainScheme, assign_label, ordinal_loss, ordinal_loss_grad, reverse_gradient
 from .pnm import read_pnm, write_pnm
 from .scene import (
@@ -107,6 +107,83 @@ def _cmd_gen_scene(args) -> int:
     return 0
 
 
+def _run_share(step, indices) -> list:
+    """``(index, step(index), None)`` for each index in turn, until ``(index, None, exception)`` of one that fails."""
+    outcomes = []
+    for index in indices:
+        try:
+            outcomes.append((index, step(index), None))
+        except Exception as exc:
+            return [*outcomes, (index, None, exc)]
+    return outcomes
+
+
+def _map_forked(step, sources, workers: int) -> list:
+    """``[step(i) for i in range(len(sources))]`` on up to ``workers`` processes; step i reads the file ``sources[i]``.
+
+    With one worker, one step or no ``os.fork`` the steps run here in turn.
+    Otherwise forked child k of w = min(workers, steps) processes runs
+    steps k, k + w, ... and this process the last share, each one step at
+    a time.  A child pickles its ``(index, result, exception)`` list into
+    its own pipe and leaves by ``os._exit``; one that exits without a full
+    payload fails its first step with an OSError naming that step's file.
+    The lowest failing index's exception is raised.  Children are killed
+    and reaped on every path where this process leaves early.
+    """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    count = len(sources)
+    width = min(workers, count)
+    if width < 2 or not hasattr(os, "fork"):
+        return [step(index) for index in range(count)]
+    pipes, children = [], []
+    try:
+        for first in range(width - 1):
+            read_fd, write_fd = os.pipe()
+            pipes.append(open(read_fd, "rb"))
+            with open(write_fd, "wb") as sink:
+                with warnings.catch_warnings():
+                    # Python 3.12+ warns on forking a threaded process (numpy's BLAS threads).
+                    warnings.simplefilter("ignore", DeprecationWarning)
+                    pid = os.fork()
+                if pid == 0:
+                    try:
+                        # Hold no read end, not even a sibling's: once this process dies, writes fail.
+                        for pipe in pipes:
+                            pipe.close()
+                        outcomes = _run_share(step, range(first, count, width))
+                        sink.write(pickle.dumps(outcomes, pickle.HIGHEST_PROTOCOL))
+                        sink.flush()
+                        os._exit(0)
+                    finally:
+                        os._exit(1)  # never return into the caller or flush its stdio
+            children.append(pid)
+        outcomes = _run_share(step, range(width - 1, count, width))
+        for first, pipe in enumerate(pipes):
+            payload = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(children[0], 0)[1])
+            del children[0]
+            if payload and code == 0:
+                outcomes += pickle.loads(payload)
+            else:
+                message = f"{sources[first]}: the process reading it exited with status {code} and no result"
+                outcomes.append((first, None, OSError(message)))
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        if children:
+            import signal
+
+            for pid in children:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    outcomes.sort(key=lambda outcome: outcome[0])
+    for _, _, error in outcomes:
+        if error is not None:
+            raise error
+    return [result for _, result, _ in outcomes]
+
+
 def _camera_record(camera_id: str, homography: Homography) -> dict:
     """One camera's entry of ``homographies.json``, the same in ``augment`` and ``homography``."""
     return {"camera_id": camera_id, "matrix_row_major": homography.row_major(), "provenance": homography.provenance}
@@ -117,21 +194,21 @@ def _cmd_augment(args) -> int:
     scene = _parse_file(args.scene, scene_from_dict)
     if scene.image_paths is None:
         raise ValueError(f"{args.scene}: scene has no image_paths; generate with --with-images")
-    base = Path(args.scene).parent
+    rasters = [Path(args.scene).parent / name for name in scene.image_paths]
     limits = _perturbation(args, cfg)
     out = _out_dir(args)
     image_dir = out / "augmented"
     image_dir.mkdir(exist_ok=True)
 
-    # Each camera is read, warped and written inside its own task, so at
+    # Each camera is read, warped and written inside its own step, so at
     # most `workers` frames (and their warped copies) are held at once.
     def camera(index: int):
         cam = scene.cameras[index]
-        view = augment_camera(cam, read_pnm(base / scene.image_paths[index]), scene.boxes, limits, index)
+        view = augment_camera(cam, read_pnm(rasters[index]), scene.boxes, limits, index)
         write_pnm(image_dir / f"{cam.camera_id}.pgm", view.image)
         return view.pose, view.homography
 
-    results = map_cameras(camera, len(scene.cameras), args.workers)
+    results = _map_forked(camera, rasters, args.workers)
     poses = []
     homographies = []
     for cam, (pose, homography) in zip(scene.cameras, results):
@@ -276,68 +353,10 @@ def _format_report_table(report) -> str:
     return "\n".join(lines)
 
 
-def _load_tables(gt_path: str, pred_path: str) -> tuple[DetectionTable, DetectionTable]:
-    """The ``--gt`` and ``--pred`` tables, parsed on two cores where ``os.fork`` exists.
-
-    A forked child parses ``--gt`` and pickles ``(table, None)`` or
-    ``(None, exception)`` into a pipe while this process parses
-    ``--pred``.  A ``--gt`` error wins over a ``--pred`` error, as when
-    the files are read in turn.  The child is reaped on every path, and
-    killed first if this process is stopped while it runs.
-    """
-    if not hasattr(os, "fork"):
-        return _parse_file(gt_path, table_from_dict), _parse_file(pred_path, table_from_dict)
-    read_fd, write_fd = os.pipe()
-    with open(read_fd, "rb") as pipe, open(write_fd, "wb") as sink:
-        with warnings.catch_warnings():
-            # Python 3.12+ warns that a forked child of a threaded process
-            # (numpy's BLAS threads) may deadlock; this child only parses.
-            warnings.simplefilter("ignore", DeprecationWarning)
-            pid = os.fork()
-        if pid == 0:
-            code = 1
-            try:
-                # Hold no read end: if the parent dies, the write fails with
-                # BrokenPipeError instead of blocking on a full pipe for good.
-                pipe.close()
-                try:
-                    result = (_parse_file(gt_path, table_from_dict), None)
-                except Exception as exc:
-                    result = (None, exc)
-                sink.write(pickle.dumps(result, pickle.HIGHEST_PROTOCOL))
-                sink.flush()
-                code = 0
-            finally:
-                os._exit(code)  # never return into the caller or flush its stdio
-        sink.close()
-        status = None
-        try:
-            try:
-                dets, pred_error = _parse_file(pred_path, table_from_dict), None
-            except Exception as exc:
-                dets, pred_error = None, exc
-            payload = pipe.read()
-            status = os.waitpid(pid, 0)[1]
-        finally:
-            if status is None:
-                import signal
-
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-    exit_code = os.waitstatus_to_exitcode(status)
-    if not payload or exit_code != 0:
-        raise OSError(f"{gt_path}: the process reading it exited with status {exit_code} and no result")
-    gts, gt_error = pickle.loads(payload)
-    if gt_error is not None:
-        raise gt_error
-    if pred_error is not None:
-        raise pred_error
-    return gts, dets
-
-
 def _cmd_evaluate(args) -> int:
     cfg = _load_run_config(args)
-    gts, dets = _load_tables(args.gt, args.pred)
+    paths = (args.gt, args.pred)
+    gts, dets = _map_forked(lambda index: _parse_file(paths[index], table_from_dict), paths, 2)
     report = evaluate(gts, dets, cfg.metrics, workers=args.workers)
     out = _out_dir(args)
     report_path = out / "metric_report.json"
@@ -418,12 +437,11 @@ def main(argv: list[str] | None = None) -> int:
     """Run one subcommand; the exception types caught here are bad input, reported as one ``error:`` line and exit 2.
 
     The subcommand runs with the cyclic garbage collector paused, and the
-    caller's collector state is restored on every path; the forked
-    ``--gt`` reader of ``evaluate`` inherits the pause.  What a subcommand
-    builds (parsed JSON trees, numpy columns, frozen dataclasses) holds no
-    reference cycles, so reference counting frees all of it, while the
-    collector would scan the growing JSON trees again and again and free
-    nothing.
+    caller's collector state is restored on every path; the children
+    ``_map_forked`` starts inherit the pause.  What a subcommand builds
+    (parsed JSON trees, numpy columns, frozen dataclasses) holds no cycles,
+    so reference counting frees all of it, while the collector would scan
+    the growing JSON trees again and again and free nothing.
     """
     parser = build_parser()
     args = parser.parse_args(argv)

@@ -20,9 +20,7 @@ bit-for-bit those of the per-record definition.  ``evaluate``,
 ``match_detections`` and ``average_precision`` also accept lists of
 ``DetectionRecord``, which they turn into tables.  A prediction without a
 score is rejected before the range filter, naming its input index.
-The ``evaluate`` command reads ``--gt`` in a forked child while it reads
-``--pred``; matching itself is single-threaded, and ``workers`` is
-accepted and has no effect.
+Matching is single-threaded; ``workers`` is accepted and has no effect.
 """
 
 from __future__ import annotations

@@ -12,7 +12,8 @@ __all__ = ["read_pnm", "write_pnm"]
 
 # Each separator consumes at least one byte, so a header cut off after
 # whitespace fails in linear time instead of backtracking exponentially.
-_TOKEN = re.compile(rb"(?:\s|#[^\n]*\n)*(\S+)")
+# A token never starts with '#': an unterminated comment is not a token.
+_TOKEN = re.compile(rb"(?:\s|#[^\n]*\n)*([^\s#]\S*)")
 
 
 def _read_header_numbers(path: str | Path, data: bytearray, offset: int) -> tuple[list[int], int]:

@@ -16,13 +16,12 @@ from bevkit.augment import (
     augment_camera,
     collect_pairs,
     fit_homography,
-    map_cameras,
     perturb_pose,
     plan_camera,
     _hartley_normalization,
 )
 from bevkit.boxes import Box3D, bottom_points
-from bevkit.cli import main
+from bevkit.cli import _map_forked, main
 from bevkit.geometry import CameraModel, Intrinsics, Pose, ego_to_camera_rotation, in_image, project_points
 from bevkit.scene import Scene, generate_synthetic_scene, render_pattern_image
 from reference_cases import pure_rotation_case, reference_collect_pairs
@@ -399,8 +398,8 @@ class TestOracleEquivalence:
 
 
 def augment_each(rig, images, boxes, limits, workers=1):
-    """augment_camera for every camera index, on one map_cameras pool, as the augment command runs it."""
-    return map_cameras(lambda i: augment_camera(rig[i], images[i], boxes, limits, i), len(rig), workers)
+    """augment_camera for every camera index, split over ``workers`` processes as the augment command runs it."""
+    return _map_forked(lambda i: augment_camera(rig[i], images[i], boxes, limits, i), rig, workers)
 
 
 class TestAugmentScene:
@@ -535,21 +534,3 @@ class TestAugmentScene:
         with pytest.raises(ValueError, match=message):
             augment_camera(rig[1], images[1], self.boxes_for_rig(), limits, 1)
 
-
-class TestMapCameras:
-    @pytest.mark.parametrize("workers", [1, 2, 8])
-    def test_results_in_camera_order(self, workers):
-        assert map_cameras(lambda index: index * index, 6, workers) == [0, 1, 4, 9, 16, 25]
-
-    def test_zero_workers_rejected(self):
-        with pytest.raises(ValueError, match=r"^workers must be >= 1, got 0$"):
-            map_cameras(lambda index: index, 3, 0)
-
-    def test_failing_step_propagates(self):
-        def step(index):
-            if index == 2:
-                raise ValueError("camera 2 failed")
-            return index
-
-        with pytest.raises(ValueError, match="camera 2 failed"):
-            map_cameras(step, 6, 2)

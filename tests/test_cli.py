@@ -4,6 +4,7 @@ import copy
 import gc
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -13,7 +14,6 @@ import signal
 import subprocess
 import sys
 import tempfile
-import threading
 import time
 from pathlib import Path
 
@@ -267,29 +267,100 @@ class TestAugmentCommand:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_at_most_workers_rasters_in_flight(self, tmp_path, monkeypatch, workers):
+        """Each raster is read once and held until written, by at most ``workers`` processes at once."""
         expected = self.run_augment(tmp_path, "plain", workers)
-        lock = threading.Lock()
-        counts = {"read": 0, "live": 0, "peak": 0}
+        log = tmp_path / "events.log"
+
+        def record(change, path):
+            # one short append per event, whichever process runs the camera
+            with open(log, "a", encoding="utf-8") as handle:
+                handle.write(f"{time.monotonic_ns()} {change} {os.getpid()} {Path(path).name}\n")
 
         def counting_read(path):
-            image = read_pnm(path)
-            with lock:
-                counts["read"] += 1
-                counts["live"] += 1
-                counts["peak"] = max(counts["peak"], counts["live"])
-            return image
+            record(+1, path)
+            return read_pnm(path)
 
         def counting_write(path, image):
             write_pnm(path, image)
-            with lock:
-                counts["live"] -= 1
+            record(-1, path)
 
         monkeypatch.setattr(bevkit.cli, "read_pnm", counting_read)
         monkeypatch.setattr(bevkit.cli, "write_pnm", counting_write)
         assert self.run_augment(tmp_path, "counted", workers) == expected
-        assert counts["read"] == 6
-        assert counts["live"] == 0
-        assert 1 <= counts["peak"] <= workers
+        events = []
+        for line in log.read_text().splitlines():
+            time_ns, change, pid, name = line.split()
+            events.append((int(time_ns), int(change), int(pid), name))
+        events.sort()
+        reads = [name for _, change, _, name in events if change == 1]
+        assert len(reads) == len(set(reads)) == 6
+        live = list(itertools.accumulate(change for _, change, _, _ in events))
+        assert live[-1] == 0
+        assert 1 <= max(live) <= workers
+        assert len({pid for _, _, pid, _ in events}) == workers
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="the cameras run in turn without os.fork")
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads process states from /proc")
+    def test_killed_parent_leaves_no_child(self, tmp_path):
+        """A parent killed outright runs no cleanup; each child must still exit, even while a sibling runs."""
+        marks = tmp_path / "marks"
+        marks.mkdir()
+        # With 3 workers, child 0 runs cameras 0 and 3, child 1 runs 1 and 4, and
+        # the parent 2 and 5.  The parent sleeps; child 1 waits for a release file;
+        # child 0's result outgrows a pipe buffer, so its write would block for as
+        # long as child 1 held that pipe's read end.
+        script = (
+            "import os, sys, time\n"
+            "from pathlib import Path\n"
+            "import bevkit.cli\n"
+            "marks, argv = Path(sys.argv[1]), sys.argv[2:]\n"
+            "parent, real_read, real_augment = os.getpid(), bevkit.cli.read_pnm, bevkit.cli.augment_camera\n"
+            "def read(path):\n"
+            "    stem = Path(path).stem\n"
+            "    if os.getpid() == parent:\n"
+            "        time.sleep(60.0)\n"
+            "    (marks / (stem + '.tmp')).write_text(str(os.getpid()))\n"
+            "    os.replace(marks / (stem + '.tmp'), marks / (stem + '.pid'))\n"
+            "    deadline = time.monotonic() + 30.0\n"
+            "    while stem == 'cam_01' and not (marks / 'release').exists() and time.monotonic() < deadline:\n"
+            "        time.sleep(0.01)\n"
+            "    return real_read(path)\n"
+            "def augment(cam, image, boxes, limits, index):\n"
+            "    view = real_augment(cam, image, boxes, limits, index)\n"
+            "    return view._replace(pose=bytes(4 << 20)) if index == 0 else view\n"
+            "bevkit.cli.read_pnm, bevkit.cli.augment_camera = read, augment\n"
+            "bevkit.cli.main(argv)\n"
+        )
+        argv = ["augment", "--scene", str(self.scene(tmp_path)), "--workers", "3", "--output-dir", str(tmp_path / "out")]
+        src = str(Path(bevkit.cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        parent = subprocess.Popen(
+            [sys.executable, "-c", script, str(marks), *argv], env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL
+        )
+        children = []
+        deadline = time.monotonic() + 30.0
+        try:
+            for stem in ("cam_00", "cam_01"):
+                while not (marks / f"{stem}.pid").exists():
+                    assert parent.poll() is None and time.monotonic() < deadline
+                    time.sleep(0.01)
+                children.append(int((marks / f"{stem}.pid").read_text()))
+            parent.kill()
+            parent.wait()
+            while process_running(children[0]):
+                assert time.monotonic() < deadline, "child 0 outlived its killed parent while child 1 ran"
+                time.sleep(0.05)
+            assert process_running(children[1])
+            (marks / "release").touch()
+            while process_running(children[1]):
+                assert time.monotonic() < deadline, "child 1 outlived its killed parent"
+                time.sleep(0.05)
+        finally:
+            parent.kill()
+            parent.wait()
+            for pid in children:
+                if process_running(pid):
+                    os.kill(pid, signal.SIGKILL)
 
 
 def apply_row_major(matrix, pixels):
@@ -797,9 +868,81 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+class TestMapForked:
+    """``_map_forked`` splits steps over forked children and this process, and returns them in index order."""
+
+    @pytest.mark.parametrize("count", [0, 1, 3, 6])
+    @pytest.mark.parametrize("workers", [1, 2, 8])
+    def test_results_in_index_order(self, workers, count):
+        assert bevkit.cli._map_forked(lambda index: index * index, range(count), workers) == [i * i for i in range(count)]
+        assert_no_child_left()
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="the steps run in turn without os.fork")
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_this_process_runs_the_last_share(self, workers):
+        pids = bevkit.cli._map_forked(lambda index: os.getpid(), range(7), workers)
+        assert pids == [pids[index % workers] for index in range(7)]
+        assert len(set(pids)) == workers
+        assert pids.index(os.getpid()) == workers - 1
+        assert_no_child_left()
+
+    def test_steps_run_here_without_fork(self, monkeypatch):
+        monkeypatch.delattr(os, "fork", raising=False)
+        assert bevkit.cli._map_forked(lambda index: (index, os.getpid()), range(3), 2) == [(i, os.getpid()) for i in range(3)]
+
+    def test_zero_workers_rejected(self):
+        with pytest.raises(ValueError, match=r"^workers must be >= 1, got 0$"):
+            bevkit.cli._map_forked(lambda index: index, range(3), 0)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("failing, lowest", [({2, 5}, 2), ({3, 4}, 3)])
+    def test_lowest_failing_index_wins(self, workers, failing, lowest):
+        # With 2 workers, step 2 fails in the child's share and step 3 in this process's.
+        def step(index):
+            if index in failing:
+                raise ValueError(f"step {index} failed")
+            return index
+
+        with pytest.raises(ValueError, match=f"^step {lowest} failed$"):
+            bevkit.cli._map_forked(step, range(6), workers)
+        assert_no_child_left()
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="the steps run in turn without os.fork")
+    def test_child_that_dies_fails_its_first_step(self):
+        parent = os.getpid()
+
+        def step(index):
+            if index == 4 and os.getpid() != parent:
+                os._exit(6)
+            return index
+
+        sources = ["a.pgm", "b.pgm", "c.pgm", "d.pgm", "e.pgm", "f.pgm"]
+        with pytest.raises(OSError, match=r"^b\.pgm: the process reading it exited with status 6 and no result$"):
+            bevkit.cli._map_forked(step, sources, 3)
+        assert_no_child_left()
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="the steps run in turn without os.fork")
+    def test_stopped_parent_kills_and_reaps_the_children(self):
+        class Stop(BaseException):
+            pass
+
+        parent = os.getpid()
+
+        def step(index):
+            if os.getpid() == parent:
+                raise Stop
+            time.sleep(60)
+
+        begin = time.monotonic()
+        with pytest.raises(Stop):
+            bevkit.cli._map_forked(step, range(4), 4)
+        assert time.monotonic() - begin < 30.0
+        assert_no_child_left()
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="the files are read in turn without os.fork")
 class TestParallelLoad:
-    """``evaluate`` parses --gt in a forked child while it parses --pred."""
+    """``evaluate`` parses --gt in a forked child while it parses --pred, both with ``_map_forked``."""
 
     GOOD = {"schema_version": 1, "records": [TestEvaluateCommand.GOOD_RECORD]}
     BAD_GT = {"schema_version": 1, "records": {}}
@@ -990,9 +1133,12 @@ class TestCollectorPause:
         assert gc.isenabled()
 
 
-def test_cli_import_starts_no_process_pool():
-    """A process pool's import would add tens of milliseconds to every CLI call."""
-    code = "import sys, bevkit.cli; print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"
+def test_cli_import_loads_no_pool_module():
+    """Importing a pool module (concurrent.futures, multiprocessing) would add to every CLI call's setup time."""
+    code = (
+        "import sys, bevkit.cli\n"
+        "print(sorted(name for name in sys.modules if name.split('.')[0] in ('concurrent', 'multiprocessing')))"
+    )
     src = str(Path(bevkit.cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)

@@ -123,7 +123,7 @@ class TestPNM:
         with pytest.raises(ValueError, match=re.escape(f"{path}: PNM width: ")):
             read_pnm(path)
 
-    @pytest.mark.parametrize("header", [b"P6", b"P6\n3", b"P6\n3 2 \n\t"])
+    @pytest.mark.parametrize("header", [b"P6", b"P6\n3", b"P6\n3 2 \n\t", b"P6\n3 2 # no maxval\n", b"P5\n3 2 #c"])
     def test_truncated_header_names_the_file(self, tmp_path, header):
         path = tmp_path / "cut.ppm"
         path.write_bytes(header)

@@ -107,15 +107,25 @@ def _cmd_gen_scene(args) -> int:
     return 0
 
 
-def _run_share(step, indices) -> list:
-    """``(index, step(index), None)`` for each index in turn, until ``(index, None, exception)`` of one that fails."""
-    outcomes = []
+def _run_share(step, indices):
+    """Yield ``(index, step(index), None)`` for each index in turn, until ``(index, None, exception)`` of one that fails."""
     for index in indices:
         try:
-            outcomes.append((index, step(index), None))
+            outcome = (index, step(index), None)
         except Exception as exc:
-            return [*outcomes, (index, None, exc)]
-    return outcomes
+            yield index, None, exc
+            return
+        yield outcome
+
+
+def _reported(pipe) -> list:
+    """The outcomes a child pickled into ``pipe``, one per step, up to the first one cut short."""
+    outcomes = []
+    try:
+        while True:
+            outcomes.append(pickle.load(pipe))
+    except (EOFError, pickle.UnpicklingError):  # the end, or a pickle cut short
+        return outcomes
 
 
 def _map_forked(step, sources, workers: int) -> list:
@@ -124,9 +134,10 @@ def _map_forked(step, sources, workers: int) -> list:
     With one worker, one step or no ``os.fork`` the steps run here in turn.
     Otherwise forked child k of w = min(workers, steps) processes runs
     steps k, k + w, ... and this process the last share, each one step at
-    a time.  A child pickles its ``(index, result, exception)`` list into
-    its own pipe and leaves by ``os._exit``; one that exits without a full
-    payload fails its first step with an OSError naming that step's file.
+    a time.  A child pickles one ``(index, result, exception)`` into its
+    own pipe as each step ends and leaves by ``os._exit``; one that exits
+    before its share is done fails the first step it did not report with
+    an OSError naming that step's file.
     The lowest failing index's exception is raised.  Children are killed
     and reaped on every path where this process leaves early.
     """
@@ -151,23 +162,25 @@ def _map_forked(step, sources, workers: int) -> list:
                         # Hold no read end, not even a sibling's: once this process dies, writes fail.
                         for pipe in pipes:
                             pipe.close()
-                        outcomes = _run_share(step, range(first, count, width))
-                        sink.write(pickle.dumps(outcomes, pickle.HIGHEST_PROTOCOL))
-                        sink.flush()
+                        for outcome in _run_share(step, range(first, count, width)):
+                            pickle.dump(outcome, sink, pickle.HIGHEST_PROTOCOL)
+                            sink.flush()
                         os._exit(0)
                     finally:
                         os._exit(1)  # never return into the caller or flush its stdio
             children.append(pid)
-        outcomes = _run_share(step, range(width - 1, count, width))
+        outcomes = list(_run_share(step, range(width - 1, count, width)))
         for first, pipe in enumerate(pipes):
-            payload = pipe.read()
+            share = range(first, count, width)
+            reported = _reported(pipe)
             code = os.waitstatus_to_exitcode(os.waitpid(children[0], 0)[1])
             del children[0]
-            if payload and code == 0:
-                outcomes += pickle.loads(payload)
-            else:
-                message = f"{sources[first]}: the process reading it exited with status {code} and no result"
-                outcomes.append((first, None, OSError(message)))
+            outcomes += reported
+            # A share ends at its last step or its first failure; a child that stopped short of both died.
+            if len(reported) < len(share) and (not reported or reported[-1][2] is None):
+                lost = share[len(reported)]
+                message = f"{sources[lost]}: the process reading it exited with status {code} and no result"
+                outcomes.append((lost, None, OSError(message)))
     finally:
         for pipe in pipes:
             pipe.close()

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .geometry import Intrinsics
+from .geometry import Intrinsics, real_number
 
 __all__ = [
     "DEFAULT_REFERENCE_FOCAL",
@@ -51,19 +51,30 @@ class DepthDecouplingConfig:
     metric_depth_range: tuple[float, float] = DATASET_DEPTH_RANGES["nuscenes"]
 
     def __post_init__(self) -> None:
-        c = float(self.reference_pixel_size)
-        if not math.isfinite(c) or c <= 0.0:
+        c = real_number("reference_pixel_size", self.reference_pixel_size)
+        if not 0.0 < c < math.inf:
             raise ValueError(f"reference_pixel_size must be positive, got {c!r}")
         object.__setattr__(self, "reference_pixel_size", c)
-        lo, hi = (float(v) for v in self.metric_depth_range)
-        if not (0.0 < lo < hi) or not math.isfinite(hi):
+        lo, hi = (real_number("metric_depth_range", v) for v in self.metric_depth_range)
+        if not 0.0 < lo < hi < math.inf:
             raise ValueError(f"metric_depth_range must satisfy 0 < min < max, got {self.metric_depth_range!r}")
         object.__setattr__(self, "metric_depth_range", (lo, hi))
 
 
 def pixel_size(intr: Intrinsics) -> float:
-    """s = sqrt(1/fx^2 + 1/fy^2); strictly decreasing in each focal length."""
-    return math.sqrt(1.0 / intr.fx**2 + 1.0 / intr.fy**2)
+    """s = sqrt(1/fx^2 + 1/fy^2); strictly decreasing in each focal length.
+
+    Where a square over- or underflows, s is the hypot of the reciprocals
+    (used only there: elsewhere it would move the last bit).  An s too
+    large for a float raises ValueError.
+    """
+    try:
+        s = math.sqrt(1.0 / intr.fx**2 + 1.0 / intr.fy**2)
+    except (OverflowError, ZeroDivisionError):
+        s = math.hypot(1.0 / intr.fx, 1.0 / intr.fy)
+    if s == math.inf:
+        raise ValueError(f"pixel size sqrt(1/fx^2 + 1/fy^2) overflows at fx={intr.fx}, fy={intr.fy}")
+    return s
 
 
 def metric_to_scale_invariant(d_m: float, intr: Intrinsics, cfg: DepthDecouplingConfig) -> float:
@@ -73,7 +84,7 @@ def metric_to_scale_invariant(d_m: float, intr: Intrinsics, cfg: DepthDecoupling
     depths raise DepthRangeError rather than being clamped, so caller
     bugs surface instead of being masked.
     """
-    d_m = float(d_m)
+    d_m = real_number("d_m", d_m)
     lo, hi = cfg.metric_depth_range
     if not (lo <= d_m <= hi):
         raise DepthRangeError(f"metric depth {d_m} outside [{lo}, {hi}]")
@@ -82,8 +93,8 @@ def metric_to_scale_invariant(d_m: float, intr: Intrinsics, cfg: DepthDecoupling
 
 def scale_invariant_to_metric(d: float, intr: Intrinsics, cfg: DepthDecouplingConfig) -> float:
     """Exact inverse of metric_to_scale_invariant: d_m = (c / s) * d."""
-    d = float(d)
-    if not math.isfinite(d) or d <= 0.0:
+    d = real_number("d", d)
+    if not 0.0 < d < math.inf:
         raise ValueError(f"scale-invariant depth must be positive and finite, got {d}")
     return cfg.reference_pixel_size / pixel_size(intr) * d
 
@@ -98,8 +109,8 @@ def resize_intrinsics(intr: Intrinsics, r_x: float, r_y: float) -> Intrinsics:
     Focal lengths and the principal point scale linearly; width and
     height round half-up so the result is platform independent.
     """
-    r_x, r_y = float(r_x), float(r_y)
-    if r_x <= 0.0 or r_y <= 0.0 or not (math.isfinite(r_x) and math.isfinite(r_y)):
+    r_x, r_y = real_number("r_x", r_x), real_number("r_y", r_y)
+    if not (0.0 < r_x < math.inf and 0.0 < r_y < math.inf):
         raise ValueError(f"resize rates must be positive, got ({r_x!r}, {r_y!r})")
     return Intrinsics(
         fx=r_x * intr.fx,

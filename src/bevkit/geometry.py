@@ -62,9 +62,7 @@ DEGENERATE_DEPTH_TOL = 1e-12
 
 def wrap_angle(angle: float) -> float:
     """Wrap a finite angle to (-pi, pi]; in-range values pass through unchanged."""
-    angle = float(angle)
-    if not math.isfinite(angle):
-        raise ValueError(f"angle must be finite, got {angle!r}")
+    angle = finite_number("angle", angle)
     if -math.pi < angle <= math.pi:
         return angle
     wrapped = math.fmod(angle + math.pi, 2.0 * math.pi)
@@ -193,12 +191,10 @@ class CameraModel:
 def euler_to_rotation(yaw: float, pitch: float, roll: float) -> np.ndarray:
     """Compose Z(yaw) @ Y(pitch) @ X(roll) into a 3x3 rotation matrix.
 
-    Raises ValueError on non-finite input.  The result satisfies
-    R^T R = I and det(R) = 1 up to floating point.
+    Raises ValueError on an angle ``finite_number`` rejects.  The result
+    satisfies R^T R = I and det(R) = 1 up to floating point.
     """
-    for name, value in (("yaw", yaw), ("pitch", pitch), ("roll", roll)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
+    yaw, pitch, roll = finite_number("yaw", yaw), finite_number("pitch", pitch), finite_number("roll", roll)
     cy, sy = math.cos(yaw), math.sin(yaw)
     cp, sp = math.cos(pitch), math.sin(pitch)
     cr, sr = math.cos(roll), math.sin(roll)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import whole_number
+from .geometry import real_number, whole_number
 
 __all__ = [
     "OrdinalDomainScheme",
@@ -47,13 +47,15 @@ class OrdinalDomainScheme:
     thresholds: tuple[float, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        alpha, beta = float(self.alpha), float(self.beta)
-        if not (math.isfinite(alpha) and math.isfinite(beta)) or alpha >= beta:
+        alpha, beta = real_number("alpha", self.alpha), real_number("beta", self.beta)
+        if not -math.inf < alpha < beta < math.inf:
             raise ValueError(f"need alpha < beta, got alpha={alpha}, beta={beta}")
         k = whole_number("num_subintervals", self.num_subintervals, 1)
         thresholds = tuple(alpha + (beta - alpha) * i / k for i in range(k + 1))
-        if not all(a < b for a, b in zip(thresholds, thresholds[1:])):
-            raise ValueError(f"thresholds must be strictly ascending, got {thresholds}")
+        # Edges collapse where K is large for beta - alpha, and overflow where (beta - alpha) * i does.
+        for i, (a, b) in enumerate(zip(thresholds, thresholds[1:])):
+            if not a < b < math.inf:
+                raise ValueError(f"thresholds must be strictly ascending and finite, got t_{i} = {a}, t_{i + 1} = {b}")
         for name, value in (("alpha", alpha), ("beta", beta), ("num_subintervals", k), ("thresholds", thresholds)):
             object.__setattr__(self, name, value)
 
@@ -76,8 +78,8 @@ def assign_label(scheme: OrdinalDomainScheme, focal: float) -> int:
     Returns 0 below the first edge, K + 1 at or above the last, and i + 1
     for focal in [t_i, t_{i+1}).
     """
-    focal = float(focal)
-    if not math.isfinite(focal) or focal <= 0.0:
+    focal = real_number("focal", focal)
+    if not 0.0 < focal < math.inf:
         raise ValueError(f"focal length must be positive and finite, got {focal!r}")
     thresholds = scheme.thresholds
     if focal < thresholds[0]:
@@ -98,14 +100,15 @@ def _logit_values(logits) -> np.ndarray:
 
 def _split_logits(logits, label: int) -> tuple[np.ndarray, np.ndarray]:
     values = _logit_values(logits)
-    if not np.all(np.isfinite(values)):
-        raise ValueError("logits must be finite")
+    with np.errstate(over="ignore", invalid="ignore"):
+        # margins[k] > 0 favors "below edge k"
+        margins = values[0::2] - values[1::2]
+    if not np.all(np.isfinite(margins)):
+        raise ValueError("logits must be finite, and so must the difference within each pair")
     num_edges = values.size // 2
-    label = int(label)
-    if not (0 <= label <= num_edges):
+    label = whole_number("label", label, 0)
+    if label > num_edges:
         raise ValueError(f"label must be in [0, {num_edges}], got {label}")
-    # margins[k] > 0 favors "below edge k"
-    margins = values[0::2] - values[1::2]
     below = (label <= np.arange(num_edges)).astype(float)
     return margins, below
 
@@ -116,12 +119,17 @@ def ordinal_loss(logits, label: int) -> float:
     Each edge k contributes -log P_k when the label says the focal length
     is below edge k (label <= k) and -log (1 - P_k) otherwise, where
     P_k = sigmoid(logit_{2k} - logit_{2k+1}).  Computed through a stable
-    softplus so saturated logits cannot overflow.
+    softplus so saturated logits cannot overflow; a sum beyond the float
+    range raises ValueError.
     """
     margins, below = _split_logits(logits, label)
     # -log sigmoid(m) = softplus(-m); -log(1 - sigmoid(m)) = softplus(m)
     terms = below * np.logaddexp(0.0, -margins) + (1.0 - below) * np.logaddexp(0.0, margins)
-    return float(np.sum(terms))
+    with np.errstate(over="ignore"):
+        loss = float(np.sum(terms))
+    if loss == math.inf:
+        raise ValueError("ordinal loss overflows a float")
+    return loss
 
 
 def ordinal_loss_grad(logits, label: int) -> np.ndarray:
@@ -149,7 +157,7 @@ def decode_label(logits) -> int:
 
 def reverse_gradient(grad, grl_lambda: float = 1.0) -> np.ndarray:
     """Scaled gradient negation, -lambda * grad (forward pass is the identity)."""
-    grl_lambda = float(grl_lambda)
-    if not math.isfinite(grl_lambda) or grl_lambda < 0.0:
+    grl_lambda = real_number("grl_lambda", grl_lambda)
+    if not 0.0 <= grl_lambda < math.inf:
         raise ValueError(f"lambda must be >= 0, got {grl_lambda!r}")
     return -grl_lambda * np.asarray(grad, dtype=float)

@@ -57,8 +57,8 @@ def warp_image(image: np.ndarray, homography, out_size: tuple[int, int]) -> np.n
     u = np.arange(out_width, dtype=float)
     x_u, y_u, denom_u = inverse[0, 0] * u, inverse[1, 0] * u, inverse[2, 0] * u
     block_rows = max(1, _BLOCK_PIXELS // out_width)
-    # Work arrays of one block, made per call (augment warps frames on a
-    # thread pool) and reused by every block through out=.
+    # Work arrays of one block, made per call (so library callers may warp
+    # on several threads) and reused by every block through out=.
     size = min(block_rows, out_height) * out_width
     floats = np.empty((11, size))
     ints = np.empty((4, size), dtype=np.intp)

@@ -576,6 +576,14 @@ class TestDepthConvert:
         flags = ", ".join(arg for arg in bounds if arg.startswith("--"))
         assert capsys.readouterr().err == f"error: --dataset cannot be combined with {flags}\n"
 
+    @pytest.mark.parametrize("focal", ["1e-200", "1e308"])
+    def test_extreme_focal_lengths_convert(self, capsys, focal):
+        # Either square over- or underflows a float; the pixel size sqrt(2) / focal does not.
+        argv = ["depth-convert", "--direction", "to-scale-invariant", "--fx", focal, "--fy", focal, "--values", "10"]
+        assert main(argv) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["converted"][0] == pytest.approx(10.0 * 707.0 / float(focal), rel=1e-12)
+
     @pytest.mark.parametrize("f_ref", ["0", "-1", "nan", "inf", "1e-320"])
     def test_non_positive_reference_focal_exits_2(self, capsys, f_ref):
         argv = ["depth-convert", "--direction", "to-metric", "--fx", "1000", "--fy", "1000", "--f-ref", f_ref, "--values", "20"]
@@ -908,7 +916,7 @@ class TestMapForked:
         assert_no_child_left()
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="the steps run in turn without os.fork")
-    def test_child_that_dies_fails_its_first_step(self):
+    def test_child_that_dies_fails_the_step_it_died_on(self):
         parent = os.getpid()
 
         def step(index):
@@ -916,8 +924,9 @@ class TestMapForked:
                 os._exit(6)
             return index
 
+        # With 3 workers the second child runs steps 1 and 4: step 1 is reported, step 4 is not.
         sources = ["a.pgm", "b.pgm", "c.pgm", "d.pgm", "e.pgm", "f.pgm"]
-        with pytest.raises(OSError, match=r"^b\.pgm: the process reading it exited with status 6 and no result$"):
+        with pytest.raises(OSError, match=r"^e\.pgm: the process reading it exited with status 6 and no result$"):
             bevkit.cli._map_forked(step, sources, 3)
         assert_no_child_left()
 
@@ -1161,6 +1170,21 @@ class TestRejectedInput:
                 None,
                 "scale-invariant depth must be positive and finite, got inf",
             ),
+            (
+                ["depth-convert", "--direction", "to-scale-invariant", "--fx", "1e-320", "--fy", "1", "--values", "10"],
+                None,
+                "pixel size sqrt(1/fx^2 + 1/fy^2) overflows at fx=1e-320, fy=1.0",
+            ),
+            (
+                ["bin-focal", "--alpha", "0", "--beta", "1e-320", "--subintervals", "5000", "--focals", "600"],
+                None,
+                "thresholds must be strictly ascending and finite, got t_0 = 0.0, t_1 = 0.0",
+            ),
+            (
+                ["bin-focal", "--alpha", "0", "--beta", "1e308", "--subintervals", "2", "--focals", "600"],
+                None,
+                "thresholds must be strictly ascending and finite, got t_1 = 5e+307, t_2 = inf",
+            ),
             (["gen-scene", "--seed", "-1", "--output-dir", "{out}"], None, "seed must be a non-negative integer, got -1"),
             (["augment", "--scene", "{scene}", "--seed", "-1", "--output-dir", "{out}"], None, "seed must be a non-negative integer, got -1"),
             (
@@ -1308,12 +1332,25 @@ class TestRejectedInput:
                 {"logits": [1, None, 2, 3]},
                 "{file}: expected an object with a 'logits' array of numbers",
             ),
+            (
+                ["ordinal-loss", "--logits-json", "{file}", "--label", "0"],
+                {"logits": [1e308, -1e308, 0, 0]},
+                "logits must be finite, and so must the difference within each pair",
+            ),
+            (
+                ["ordinal-loss", "--logits-json", "{file}", "--label", "2"],
+                {"logits": [1.7e308, 0, 1.7e308, 0]},
+                "ordinal loss overflows a float",
+            ),
         ],
         ids=[
             "bin-focal-nan",
             "bin-focal-inf",
             "depth-convert-nan",
             "depth-convert-inf",
+            "depth-convert-pixel-size-overflow",
+            "bin-focal-collapsed-edges",
+            "bin-focal-edge-overflow",
             "gen-scene-negative-seed",
             "augment-negative-seed",
             "augment-negative-config-seed",
@@ -1337,6 +1374,8 @@ class TestRejectedInput:
             "evaluate-boolean-config-range-limit",
             "ordinal-loss-scalar-logits",
             "ordinal-loss-null-logit",
+            "ordinal-loss-logit-difference-overflow",
+            "ordinal-loss-sum-overflow",
         ],
     )
     def test_exits_2_with_precise_message(self, tmp_path, eval_files, capsys, argv, content, expected):
@@ -1469,6 +1508,76 @@ class TestArbitraryValue:
                     assert out.getvalue() == ""
                     lines = err.getvalue().splitlines(keepends=True)
                     assert len(lines) == 1 and lines[0].startswith("error: ") and lines[0].endswith("\n"), lines
+
+
+def flag_floats():
+    """Any float, with those a numeric flag must survive drawn often: NaN, the infinities, subnormals, +-1e308."""
+    return st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, 5e-324, -1e-320, 1e-200, 1e308, -1e308])
+
+
+def flag(name, value):
+    """``--name=value``: argparse would take a separate "-1e+308" or "-inf" for an option."""
+    return f"{name}={value!r}"
+
+
+class TestArbitraryFlag:
+    """Any float in a numeric flag of depth-convert, bin-focal or ordinal-loss: exit 0, or exit 2 with one short error line."""
+
+    @staticmethod
+    def depth_convert(data, root):
+        argv = ["depth-convert", "--direction", data.draw(st.sampled_from(["to-scale-invariant", "to-metric"]))]
+        argv += [flag(name, data.draw(flag_floats(), label=name)) for name in ("--fx", "--fy")]
+        # A depth inside the default range reaches the pixel size.
+        argv.append(flag("--values", data.draw(flag_floats() | st.floats(2.0, 90.0), label="--values")))
+        f_ref = data.draw(st.none() | flag_floats(), label="--f-ref")
+        if f_ref is not None:
+            argv.append(flag("--f-ref", f_ref))
+        bounds = data.draw(st.none() | st.tuples(flag_floats(), flag_floats()), label="depth range")
+        if bounds is not None:
+            argv += [flag("--depth-min", bounds[0]), flag("--depth-max", bounds[1])]
+        return argv
+
+    @staticmethod
+    def bin_focal(data, root):
+        argv = ["bin-focal", flag("--focals", data.draw(flag_floats(), label="--focals"))]
+        alpha = data.draw(st.none() | flag_floats(), label="--alpha")
+        # A beta one float above alpha collapses the edges for any K > 1.
+        betas = flag_floats() if alpha is None else flag_floats() | st.just(math.nextafter(alpha, math.inf))
+        beta = data.draw(st.none() | betas, label="--beta")
+        argv += [flag(name, value) for name, value in (("--alpha", alpha), ("--beta", beta)) if value is not None]
+        subintervals = data.draw(st.none() | st.integers(0, 10_000), label="--subintervals")
+        if subintervals is not None:
+            argv.append(flag("--subintervals", subintervals))
+        return argv
+
+    @staticmethod
+    def ordinal_loss(data, root):
+        size = data.draw(st.sampled_from([4, 6]), label="logit count")
+        logits = data.draw(st.lists(flag_floats(), min_size=size, max_size=size), label="logits")
+        (root / "logits.json").write_text(json.dumps({"logits": logits}), encoding="utf-8")
+        argv = ["ordinal-loss", "--logits-json", str(root / "logits.json"), "--label", str(data.draw(st.integers(0, 3)))]
+        grl_lambda = data.draw(st.none() | flag_floats(), label="--grl-lambda")
+        if grl_lambda is not None:
+            argv.append(flag("--grl-lambda", grl_lambda))
+        return argv
+
+    @pytest.mark.parametrize("command", ["depth_convert", "bin_focal", "ordinal_loss"])
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_exits_0_or_2_with_one_short_error_line(self, command, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            argv = getattr(self, command)(data, Path(tmp))
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        if code == 0:
+            assert err.getvalue() == ""
+        else:
+            assert code == 2
+            assert out.getvalue() == ""
+            lines = err.getvalue().splitlines(keepends=True)
+            assert len(lines) == 1 and lines[0].startswith("error: ") and lines[0].endswith("\n"), lines
+            assert len(lines[0]) <= 1000, lines[0][:200]
 
 
 class TestMisplacedScalar:

@@ -1,4 +1,5 @@
 import math
+import pickle
 import re
 
 import numpy as np
@@ -17,6 +18,8 @@ from bevkit.geometry import (
     project_points,
     wrap_angle,
 )
+from bevkit.depth import DepthDecouplingConfig, metric_to_scale_invariant, resize_intrinsics, scale_invariant_to_metric
+from bevkit.ordinal import DATASET_SCHEMES, OrdinalDomainScheme, assign_label, ordinal_loss, ordinal_loss_grad, reverse_gradient
 from reference_cases import reference_project_point
 
 INTR = Intrinsics(fx=1000.0, fy=1000.0, px=352.0, py=128.0, width=704, height=256)
@@ -256,3 +259,47 @@ class TestValidation:
     def test_camera_id_required(self):
         with pytest.raises(ValueError):
             CameraModel(INTR, Pose(0.0, 0.0, 0.0), "")
+
+
+LOGITS = [0.5, -0.25, 1.0, 2.0, -1.5, 0.75]
+
+# Each scalar parameter that depth, ordinal and geometry take from a caller:
+# its name, a call that passes a value to it alone, and a whole value it accepts.
+NUMBER_PARAMETERS = [
+    pytest.param("angle", wrap_angle, 4, id="wrap-angle"),
+    pytest.param("yaw", lambda v: euler_to_rotation(v, 0.1, 0.2), 1, id="yaw"),
+    pytest.param("pitch", lambda v: euler_to_rotation(0.1, v, 0.2), 1, id="pitch"),
+    pytest.param("roll", lambda v: euler_to_rotation(0.1, 0.2, v), 1, id="roll"),
+    pytest.param("reference_pixel_size", lambda v: DepthDecouplingConfig(reference_pixel_size=v), 1, id="reference-pixel-size"),
+    pytest.param("metric_depth_range", lambda v: DepthDecouplingConfig(metric_depth_range=(v, 90.0)), 2, id="depth-min"),
+    pytest.param("metric_depth_range", lambda v: DepthDecouplingConfig(metric_depth_range=(2.0, v)), 90, id="depth-max"),
+    pytest.param("d_m", lambda v: metric_to_scale_invariant(v, INTR, DepthDecouplingConfig()), 40, id="metric-depth"),
+    pytest.param("d", lambda v: scale_invariant_to_metric(v, INTR, DepthDecouplingConfig()), 20, id="scale-invariant-depth"),
+    pytest.param("r_x", lambda v: resize_intrinsics(INTR, v, 0.5), 2, id="r-x"),
+    pytest.param("r_y", lambda v: resize_intrinsics(INTR, 0.5, v), 2, id="r-y"),
+    pytest.param("alpha", lambda v: OrdinalDomainScheme(v, 750.0, 5), 500, id="alpha"),
+    pytest.param("beta", lambda v: OrdinalDomainScheme(500.0, v, 5), 750, id="beta"),
+    pytest.param("focal", lambda v: assign_label(DATASET_SCHEMES["nuscenes"], v), 600, id="focal"),
+    pytest.param("label", lambda v: ordinal_loss(LOGITS, v), 1, id="loss-label"),
+    pytest.param("label", lambda v: ordinal_loss_grad(LOGITS, v), 1, id="grad-label"),
+    pytest.param("grl_lambda", lambda v: reverse_gradient(LOGITS, v), 2, id="grl-lambda"),
+]
+
+
+class TestNumberRule:
+    """``geometry``'s number rule holds for every scalar a caller hands depth, ordinal and geometry."""
+
+    @pytest.mark.parametrize("name, call, whole", NUMBER_PARAMETERS)
+    def test_bools_and_strings_rejected_by_name(self, name, call, whole):
+        for bad in (True, str(whole)):
+            with pytest.raises(ValueError, match=f"^{name} must be .*, got {re.escape(repr(bad))}$"):
+                call(bad)
+
+    @pytest.mark.parametrize("name, call, whole", NUMBER_PARAMETERS)
+    def test_int_and_float_give_identical_bits(self, name, call, whole):
+        assert pickle.dumps(call(whole)) == pickle.dumps(call(float(whole)))
+
+    @pytest.mark.parametrize("call", [ordinal_loss, ordinal_loss_grad], ids=["loss", "grad"])
+    def test_fractional_label_rejected_not_truncated(self, call):
+        with pytest.raises(ValueError, match=r"^label must be a non-negative integer, got 2\.5$"):
+            call(LOGITS, 2.5)

@@ -51,7 +51,6 @@ from .ordinal import (
     DATASET_SCHEMES,
     OrdinalDomainScheme,
     assign_label,
-    decode_label,
     ordinal_loss,
     ordinal_loss_grad,
     reverse_gradient,

@@ -36,6 +36,7 @@ from .geometry import (
     in_image,
     project_points,
     real_number,
+    shown,
     whole_number,
 )
 from .warp import warp_image
@@ -347,7 +348,7 @@ def augment_camera(
     width, height = cam.intrinsics.width, cam.intrinsics.height
     if image.shape[:2] != (height, width):
         raise ValueError(
-            f"camera {cam.camera_id!r}: image is {image.shape[1]}x{image.shape[0]}"
+            f"camera {shown(cam.camera_id)}: image is {image.shape[1]}x{image.shape[0]}"
             f" but its intrinsics are {width}x{height}"
         )
     plan = plan_camera(cam, boxes, limits, camera_index)

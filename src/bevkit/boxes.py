@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import finite_number, real_number, wrap_angle
+from .geometry import finite_number, real_number, shown, wrap_angle
 
 __all__ = ["DEFAULT_CLASS_ID", "Box3D", "bottom_points", "footprint_corners"]
 
@@ -36,11 +36,11 @@ class Box3D:
         center = tuple(real_number("center", v) for v in self.center)
         dims = tuple(real_number("dims", v) for v in self.dims)
         if len(center) != 3 or not all(math.isfinite(v) for v in center):
-            raise ValueError(f"center must be 3 finite values, got {center!r}")
+            raise ValueError(f"center must be 3 finite values, got {shown(center)}")
         if len(dims) != 3 or not all(math.isfinite(v) and v >= 0.0 for v in dims):
-            raise ValueError(f"dims must be 3 non-negative values, got {dims!r}")
+            raise ValueError(f"dims must be 3 non-negative values, got {shown(dims)}")
         if not isinstance(self.class_id, str):
-            raise ValueError(f"class_id must be a string, got {self.class_id!r}")
+            raise ValueError(f"class_id must be a string, got {shown(self.class_id)}")
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "yaw", wrap_angle(finite_number("yaw", self.yaw)))

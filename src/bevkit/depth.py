@@ -82,21 +82,31 @@ def metric_to_scale_invariant(d_m: float, intr: Intrinsics, cfg: DepthDecoupling
 
     The input must lie inside ``cfg.metric_depth_range``; out-of-range
     depths raise DepthRangeError rather than being clamped, so caller
-    bugs surface instead of being masked.
+    bugs surface instead of being masked.  A result too large for a float
+    raises ValueError.
     """
     d_m = real_number("d_m", d_m)
     lo, hi = cfg.metric_depth_range
     if not (lo <= d_m <= hi):
         raise DepthRangeError(f"metric depth {d_m} outside [{lo}, {hi}]")
-    return pixel_size(intr) / cfg.reference_pixel_size * d_m
+    d = pixel_size(intr) / cfg.reference_pixel_size * d_m
+    if d == math.inf:
+        raise ValueError(f"scale-invariant depth for metric depth {d_m} overflows a float at fx={intr.fx}, fy={intr.fy}")
+    return d
 
 
 def scale_invariant_to_metric(d: float, intr: Intrinsics, cfg: DepthDecouplingConfig) -> float:
-    """Exact inverse of metric_to_scale_invariant: d_m = (c / s) * d."""
+    """Exact inverse of metric_to_scale_invariant: d_m = (c / s) * d.
+
+    A result too large for a float raises ValueError.
+    """
     d = real_number("d", d)
     if not 0.0 < d < math.inf:
         raise ValueError(f"scale-invariant depth must be positive and finite, got {d}")
-    return cfg.reference_pixel_size / pixel_size(intr) * d
+    d_m = cfg.reference_pixel_size / pixel_size(intr) * d
+    if d_m == math.inf:
+        raise ValueError(f"metric depth for scale-invariant depth {d} overflows a float at fx={intr.fx}, fy={intr.fy}")
+    return d_m
 
 
 def _round_half_up(value: float) -> int:

@@ -71,6 +71,16 @@ def wrap_angle(angle: float) -> float:
     return wrapped - math.pi
 
 
+def clip(text: str) -> str:
+    """``text`` cut to its first 80 characters plus ``...`` when longer, so an error stays one short line."""
+    return text if len(text) <= 80 else text[:80] + "..."
+
+
+def shown(value) -> str:
+    """``repr(value)`` through ``clip``: the one way an error message quotes a value from input."""
+    return clip(repr(value))
+
+
 def is_real(value) -> bool:
     """The one rule for what a number read from a file is: a ``numbers.Real`` that is not a bool.
 
@@ -87,7 +97,7 @@ def whole_number(name: str, value, minimum: int) -> int:
     """
     if not is_real(value) or value % 1 != 0 or value < minimum:
         kind = "a positive" if minimum == 1 else "a non-negative"
-        raise ValueError(f"{name} must be {kind} integer, got {value!r}")
+        raise ValueError(f"{name} must be {kind} integer, got {shown(value)}")
     return int(value)
 
 
@@ -98,14 +108,14 @@ def real_number(name: str, value) -> float:
     them.  An integer too large for a float raises OverflowError.
     """
     if not is_real(value):
-        raise ValueError(f"{name} must be a number, got {value!r}")
+        raise ValueError(f"{name} must be a number, got {shown(value)}")
     return float(value)
 
 
 def finite_number(name: str, value) -> float:
     """``value`` as a float if ``is_real`` and finite; anything else raises ValueError."""
     if not is_real(value) or not math.isfinite(value):
-        raise ValueError(f"{name} must be a finite number, got {value!r}")
+        raise ValueError(f"{name} must be a finite number, got {shown(value)}")
     return float(value)
 
 
@@ -166,7 +176,7 @@ class Pose:
             object.__setattr__(self, name, wrap_angle(finite_number(name, getattr(self, name))))
         t = tuple(self.translation)
         if len(t) != 3:
-            raise ValueError(f"translation must be 3 finite values, got {self.translation!r}")
+            raise ValueError(f"translation must be 3 finite values, got {shown(self.translation)}")
         object.__setattr__(self, "translation", tuple(finite_number("translation", v) for v in t))
 
     def rotation_matrix(self) -> np.ndarray:
@@ -185,7 +195,7 @@ class CameraModel:
 
     def __post_init__(self) -> None:
         if not isinstance(self.camera_id, str) or not self.camera_id:
-            raise ValueError(f"camera_id must be a non-empty string, got {self.camera_id!r}")
+            raise ValueError(f"camera_id must be a non-empty string, got {shown(self.camera_id)}")
 
 
 def euler_to_rotation(yaw: float, pitch: float, roll: float) -> np.ndarray:

@@ -32,7 +32,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .boxes import Box3D
-from .geometry import real_number
+from .geometry import real_number, shown
 
 __all__ = [
     "UndefinedAPError",
@@ -63,7 +63,7 @@ class DetectionRecord:
 
     def __post_init__(self) -> None:
         if not isinstance(self.sample_id, str) or not self.sample_id:
-            raise ValueError(f"sample_id must be a non-empty string, got {self.sample_id!r}")
+            raise ValueError(f"sample_id must be a non-empty string, got {shown(self.sample_id)}")
 
 
 def _vocabulary(keys) -> tuple[tuple, np.ndarray]:
@@ -164,13 +164,13 @@ class MetricConfig:
     def __post_init__(self) -> None:
         thresholds = tuple(real_number("distance threshold", t) for t in self.distance_thresholds)
         if not thresholds or not all(0.0 < t < math.inf for t in thresholds):
-            raise ValueError(f"distance thresholds must be positive and finite, got {thresholds!r}")
+            raise ValueError(f"distance thresholds must be positive and finite, got {shown(thresholds)}")
         if any(b <= a for a, b in zip(thresholds, thresholds[1:])):
-            raise ValueError(f"distance thresholds must be ascending, got {thresholds!r}")
+            raise ValueError(f"distance thresholds must be ascending, got {shown(thresholds)}")
         object.__setattr__(self, "distance_thresholds", thresholds)
         object.__setattr__(self, "tp_threshold", real_number("tp_threshold", self.tp_threshold))
         if self.tp_threshold not in thresholds:
-            raise ValueError(f"tp_threshold {self.tp_threshold} not among {thresholds!r}")
+            raise ValueError(f"tp_threshold {self.tp_threshold} not among {shown(thresholds)}")
         range_limit = real_number("range_limit", self.range_limit)
         if not 0.0 < range_limit < math.inf:
             raise ValueError(f"range_limit must be positive and finite, got {range_limit!r}")

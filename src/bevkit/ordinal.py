@@ -26,7 +26,6 @@ __all__ = [
     "assign_label",
     "ordinal_loss",
     "ordinal_loss_grad",
-    "decode_label",
     "reverse_gradient",
 ]
 
@@ -90,16 +89,10 @@ def assign_label(scheme: OrdinalDomainScheme, focal: float) -> int:
     return int(np.searchsorted(np.asarray(thresholds), focal, side="right"))
 
 
-def _logit_values(logits) -> np.ndarray:
-    """Logits as a flat float array of (below, not below) pairs, at least two edges' worth."""
+def _split_logits(logits, label: int) -> tuple[np.ndarray, np.ndarray]:
     values = np.asarray(logits, dtype=float).reshape(-1)
     if values.size < 4 or values.size % 2 != 0:
         raise ValueError(f"logits length must be even and >= 4, got {values.size}")
-    return values
-
-
-def _split_logits(logits, label: int) -> tuple[np.ndarray, np.ndarray]:
-    values = _logit_values(logits)
     with np.errstate(over="ignore", invalid="ignore"):
         # margins[k] > 0 favors "below edge k"
         margins = values[0::2] - values[1::2]
@@ -142,17 +135,6 @@ def ordinal_loss_grad(logits, label: int) -> np.ndarray:
     grad[0::2] = d_margin
     grad[1::2] = -d_margin
     return grad
-
-
-def decode_label(logits) -> int:
-    """Rank decoding: count of edges the logits place below the focal length.
-
-    On logits saturated consistently with a label l this recovers l (the
-    first l edge classifiers say "not below").
-    """
-    values = _logit_values(logits)
-    margins = values[0::2] - values[1::2]
-    return int(np.sum(margins < 0.0))
 
 
 def reverse_gradient(grad, grl_lambda: float = 1.0) -> np.ndarray:

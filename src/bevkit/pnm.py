@@ -8,7 +8,9 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["read_pnm", "write_pnm"]
+from .geometry import clip
+
+__all__ = ["raster_channels", "read_pnm", "write_pnm"]
 
 # Each separator consumes at least one byte, so a header cut off after
 # whitespace fails in linear time instead of backtracking exponentially.
@@ -29,7 +31,7 @@ def _read_header_numbers(path: str | Path, data: bytearray, offset: int) -> tupl
             raise ValueError(f"{path}: truncated PNM header")
         token = bytes(match.group(1))
         if not token.isdigit():
-            text = token.decode("ascii", "backslashreplace")
+            text = clip(token.decode("ascii", "backslashreplace"))
             raise ValueError(f"{path}: PNM {name} is not a decimal number: '{text}'")
         try:
             numbers.append(int(token))
@@ -65,17 +67,24 @@ def read_pnm(path: str | Path) -> np.ndarray:
     return pixels.reshape((height, width) if channels == 1 else (height, width, 3))
 
 
-def write_pnm(path: str | Path, image: np.ndarray) -> None:
-    """Write a uint8 (h, w) array as P5 or (h, w, 3) as P6: the header, then the raster's buffer."""
-    image = np.asarray(image)
+def raster_channels(image: np.ndarray) -> int:
+    """1 for a uint8 (h, w) gray raster, 3 for a uint8 (h, w, 3) RGB one; anything else raises ValueError.
+
+    The one rule for what bevkit warps and writes as a raster; ``read_pnm`` returns no other.
+    """
     if image.dtype != np.uint8:
         raise ValueError(f"expected uint8 raster, got dtype {image.dtype}")
     if image.ndim == 2:
-        magic = b"P5"
-    elif image.ndim == 3 and image.shape[2] == 3:
-        magic = b"P6"
-    else:
-        raise ValueError(f"expected (h, w) or (h, w, 3) raster, got shape {image.shape}")
+        return 1
+    if image.ndim == 3 and image.shape[2] == 3:
+        return 3
+    raise ValueError(f"expected (h, w) or (h, w, 3) raster, got shape {image.shape}")
+
+
+def write_pnm(path: str | Path, image: np.ndarray) -> None:
+    """Write a uint8 (h, w) array as P5 or (h, w, 3) as P6: the header, then the raster's buffer."""
+    image = np.asarray(image)
+    magic = b"P5" if raster_channels(image) == 1 else b"P6"
     height, width = image.shape[:2]
     with open(path, "wb") as handle:
         handle.write(magic + f"\n{width} {height}\n255\n".encode("ascii"))

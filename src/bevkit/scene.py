@@ -16,7 +16,7 @@ import numpy as np
 
 from .augment import PerturbationRange
 from .boxes import DEFAULT_CLASS_ID, Box3D
-from .geometry import CameraModel, Intrinsics, Pose, ego_to_camera_rotation, is_real, whole_number, wrap_angle
+from .geometry import CameraModel, Intrinsics, Pose, ego_to_camera_rotation, is_real, shown, whole_number, wrap_angle
 from .metrics import DetectionRecord, DetectionTable, MetricConfig
 from .ordinal import DATASET_SCHEMES
 
@@ -54,16 +54,16 @@ class Scene:
 
     def __post_init__(self) -> None:
         if not isinstance(self.scene_id, str):
-            raise ValueError(f"scene_id must be a string, got {self.scene_id!r}")
+            raise ValueError(f"scene_id must be a string, got {shown(self.scene_id)}")
         object.__setattr__(self, "cameras", tuple(self.cameras))
         object.__setattr__(self, "boxes", tuple(self.boxes))
         ids = [cam.camera_id for cam in self.cameras]
         if len(set(ids)) != len(ids):
-            raise ValueError(f"camera ids must be unique, got {ids!r}")
+            raise ValueError(f"camera ids must be unique, got {shown(ids)}")
         if self.image_paths is not None:
             paths = tuple(self.image_paths)
             if not all(isinstance(p, str) for p in paths):
-                raise ValueError(f"image paths must be strings, got {paths!r}")
+                raise ValueError(f"image paths must be strings, got {shown(paths)}")
             if len(paths) != len(self.cameras):
                 raise ValueError(
                     f"got {len(paths)} image paths for {len(self.cameras)} cameras"
@@ -136,13 +136,13 @@ def _check_version(data: dict, kind: str) -> None:
     """``schema_version`` may be omitted; given, it must be 1, and ``true`` is not 1."""
     version = data.get("schema_version", SCHEMA_VERSION)
     if isinstance(version, bool) or version != SCHEMA_VERSION:
-        raise ValueError(f"unsupported {kind} schema_version {version!r}")
+        raise ValueError(f"unsupported {kind} schema_version {shown(version)}")
 
 
 def _check_keys(data: dict, allowed: set[str], where: str = "") -> None:
     for key in data:
         if key not in allowed:
-            raise ValueError(f"run config: unknown key {key!r}{where}")
+            raise ValueError(f"run config: unknown key {shown(key)}{where}")
 
 
 def _section(data: dict, key: str, cls) -> dict:
@@ -368,7 +368,7 @@ def generate_synthetic_scene(
         raise ValueError(f"n_cameras must be 5 or 6, got {n_cameras}")
     n_boxes = whole_number("n_boxes", n_boxes, 0)
     if rig_style not in RIG_STYLES:
-        raise ValueError(f"unsupported rig_style {rig_style!r}; supported: {RIG_STYLES}")
+        raise ValueError(f"unsupported rig_style {shown(rig_style)}; supported: {RIG_STYLES}")
     seed = whole_number("seed", seed, 0)
     scheme = DATASET_SCHEMES["nuscenes"]
 

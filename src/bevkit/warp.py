@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .geometry import whole_number
+from .pnm import raster_channels
 
 __all__ = ["warp_image"]
 
@@ -16,11 +17,11 @@ _BLOCK_PIXELS = 16 * 1600
 def warp_image(image: np.ndarray, homography, out_size: tuple[int, int]) -> np.ndarray:
     """Apply a homography to a raster, output pixel q' sampled at H^-1 q'.
 
-    ``image`` is (h, w) or (h, w, channels); ``out_size`` is (width,
-    height), two positive whole numbers.  Samples falling outside the
-    source are filled with 0.  The output is filled one block of rows at a
-    time, in work arrays made once per call and rewritten in place by every
-    block.  Every sample of a block is computed, and the invalid lanes are
+    ``image`` is an 8-bit gray (h, w) or RGB (h, w, 3) raster, as
+    ``pnm.raster_channels`` decides; ``out_size`` is (width, height), two
+    positive whole numbers.  Samples falling outside the source are filled
+    with 0.  The output is filled one block of rows at a time, in work
+    arrays made once per call and rewritten in place by every block.  Every sample of a block is computed, and the invalid lanes are
     masked to the source's first pixel for the gathers and set to 0 in the
     output.  The blend runs one channel at a time: the channel's four
     neighbours are gathered as contiguous arrays from a flat view of the
@@ -36,22 +37,19 @@ def warp_image(image: np.ndarray, homography, out_size: tuple[int, int]) -> np.n
     if abs(inverse[2, 2]) > 1e-12:
         inverse = inverse / inverse[2, 2]
 
-    if image.ndim not in (2, 3):
-        raise ValueError(f"expected a (h, w) or (h, w, c) raster, got shape {image.shape}")
+    channels = raster_channels(image)
     out_width = whole_number("out_size width", out_size[0], 1)
     out_height = whole_number("out_size height", out_size[1], 1)
     src_height, src_width = image.shape[:2]
-    channels = image.shape[2] if image.ndim == 3 else 1
-    out = np.zeros((out_height, out_width) + image.shape[2:], dtype=image.dtype)
+    out = np.zeros((out_height, out_width) + image.shape[2:], dtype=np.uint8)
     if image.size == 0:
         return out
     # One flat view of the source (a copy only if it is not contiguous):
     # channel ch of pixel (x, y) is element y * width * channels + x * channels
-    # + ch, so each channel's neighbours are gathered as contiguous items of
-    # the source's own dtype from the view starting at ch.
+    # + ch, so each channel's neighbours are gathered as contiguous bytes
+    # from the view starting at ch.
     flat = image.reshape(-1)
     out_pixels = out.reshape(out_height * out_width, channels)
-    integer = np.issubdtype(image.dtype, np.integer)
     row_stride = src_width * channels
 
     u = np.arange(out_width, dtype=float)
@@ -120,23 +118,17 @@ def warp_image(image: np.ndarray, homography, out_size: tuple[int, int]) -> np.n
         np.multiply(fx, fy, out=w11)
 
         out_block = out_pixels[top * out_width : bottom * out_width]
-        # A non-finite float source may meet a zero weight; the NaN that
-        # makes is the full-frame result too, so it is not reported.
-        with np.errstate(invalid="ignore"):
-            for ch in range(channels):
-                channel = flat[ch:]
-                # The same products, summed left to right, as the full-frame
-                # w00 * p00 + w01 * p01 + w10 * p10 + w11 * p11.
-                np.multiply(w00, channel.take(i00), out=value)
-                np.add(value, np.multiply(w01, channel.take(i01), out=term), out=value)
-                np.add(value, np.multiply(w10, channel.take(i10), out=term), out=value)
-                np.add(value, np.multiply(w11, channel.take(i11), out=term), out=value)
-                if masked:
-                    np.copyto(value, 0.0, where=invalid)
-                if integer:
-                    # No clip: the weights are non-negative and sum to 1 within
-                    # a few ulp, so a blend of in-range values rounds in range.
-                    np.rint(value, out=out_block[:, ch], casting="unsafe")
-                else:
-                    out_block[:, ch] = value
+        for ch in range(channels):
+            channel = flat[ch:]
+            # The same products, summed left to right, as the full-frame
+            # w00 * p00 + w01 * p01 + w10 * p10 + w11 * p11.
+            np.multiply(w00, channel.take(i00), out=value)
+            np.add(value, np.multiply(w01, channel.take(i01), out=term), out=value)
+            np.add(value, np.multiply(w10, channel.take(i10), out=term), out=value)
+            np.add(value, np.multiply(w11, channel.take(i11), out=term), out=value)
+            if masked:
+                np.copyto(value, 0.0, where=invalid)
+            # No clip: the weights are non-negative and sum to 1 within a few
+            # ulp, so a blend of bytes rounds to a byte.
+            np.rint(value, out=out_block[:, ch], casting="unsafe")
     return out

@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bevkit.cli
-from bevkit.augment import collect_pairs
+from bevkit.augment import PerturbationRange, augment_camera, collect_pairs
 from bevkit.cli import build_parser, main
 from bevkit.geometry import ego_to_camera_rotation
 from bevkit.scene import dumps_canonical, generate_synthetic_scene, scene_from_dict, scene_to_dict
@@ -153,6 +153,25 @@ class TestAugmentCommand:
         assert set(str(k) for k in first) >= {"homographies.json", "poses.json"}
         assert list(first.values()) == list(again.values())
         assert list(first.values()) == list(threaded.values())
+
+    def test_colour_rasters_warp_to_p6_across_workers(self, tmp_path):
+        scene_path = self.scene(tmp_path)
+        scene = scene_from_dict(json.loads(scene_path.read_text()))
+        sources = [scene_path.parent / name for name in scene.image_paths]
+        for source in sources:
+            gray = read_pnm(source)
+            write_pnm(source, np.stack([gray, 255 - gray, gray // 3], axis=-1))
+        first = self.run_augment(tmp_path, "w1", 1)
+        assert self.run_augment(tmp_path, "w2", 2) == first
+        applied = json.loads(first[Path("homographies.json")])["homographies"]
+        assert any(entry["provenance"] == "fitted" for entry in applied)
+        limits = PerturbationRange(seed=5)
+        for index, cam in enumerate(scene.cameras):
+            expected = augment_camera(cam, read_pnm(sources[index]), scene.boxes, limits, index).image
+            assert expected.shape == (cam.intrinsics.height, cam.intrinsics.width, 3)
+            written = tmp_path / "w1" / "augmented" / f"{cam.camera_id}.pgm"
+            assert written.read_bytes().startswith(b"P6\n")
+            assert np.array_equal(read_pnm(written), expected)
 
     def test_homography_file_shape(self, tmp_path):
         tree = self.run_augment(tmp_path, "w1", 1)
@@ -1176,6 +1195,30 @@ class TestRejectedInput:
                 "pixel size sqrt(1/fx^2 + 1/fy^2) overflows at fx=1e-320, fy=1.0",
             ),
             (
+                ["depth-convert", "--direction", "to-metric", "--fx", "10000", "--fy", "10000", "--values", "1e308"],
+                None,
+                "metric depth for scale-invariant depth 1e+308 overflows a float at fx=10000.0, fy=10000.0",
+            ),
+            (
+                [
+                    "depth-convert",
+                    "--direction",
+                    "to-scale-invariant",
+                    "--fx",
+                    "1e-300",
+                    "--fy",
+                    "1e-300",
+                    "--depth-min",
+                    "1",
+                    "--depth-max",
+                    "1e300",
+                    "--values",
+                    "1e300",
+                ],
+                None,
+                "scale-invariant depth for metric depth 1e+300 overflows a float at fx=1e-300, fy=1e-300",
+            ),
+            (
                 ["bin-focal", "--alpha", "0", "--beta", "1e-320", "--subintervals", "5000", "--focals", "600"],
                 None,
                 "thresholds must be strictly ascending and finite, got t_0 = 0.0, t_1 = 0.0",
@@ -1349,6 +1392,8 @@ class TestRejectedInput:
             "depth-convert-nan",
             "depth-convert-inf",
             "depth-convert-pixel-size-overflow",
+            "depth-convert-metric-overflow",
+            "depth-convert-scale-invariant-overflow",
             "bin-focal-collapsed-edges",
             "bin-focal-edge-overflow",
             "gen-scene-negative-seed",
@@ -1390,6 +1435,48 @@ class TestRejectedInput:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {expected.format(**names)}\n"
+
+
+class TestLongValue:
+    """An error quotes a long value from input cut short: one ``error:`` line of at most 1,000 characters."""
+
+    def run(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines(keepends=True)
+        assert len(lines) == 1 and lines[0].startswith("error: ") and lines[0].endswith("\n"), len(captured.err)
+        assert len(lines[0]) <= 1000, len(lines[0])
+        return lines[0]
+
+    def test_raster_header_running_into_the_raster(self, tmp_path, capsys):
+        scene_dir = tmp_path / "scene"
+        assert main(["gen-scene", "--seed", "3", "--with-images", "--output-dir", str(scene_dir)]) == 0
+        capsys.readouterr()
+        # no maxval: the header's last token runs into the black raster's NUL bytes
+        raster = scene_dir / "images" / "cam_01.pgm"
+        raster.write_bytes(b"P6\n1600 900 # no maxval\n" + bytes(1600 * 900 * 3))
+        argv = ["augment", "--scene", str(scene_dir / "scene.json"), "--output-dir", str(tmp_path / "out")]
+        line = self.run(capsys, argv)
+        assert line.startswith(f"error: {raster}: PNM maxval is not a decimal number: '\x00")
+        assert line.endswith("...'\n")
+
+    def test_box_center_of_many_numbers(self, tmp_path, capsys):
+        data = scene_to_dict(generate_synthetic_scene(1, 6, 2))
+        data["boxes"][0]["center"] = [0.5] * 300_000
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        line = self.run(capsys, ["homography", "--scene", str(path), "--output-dir", str(tmp_path / "out")])
+        assert line.startswith(f"error: {path}: center must be 3 finite values, got (0.5, 0.5, ")
+
+    def test_sample_id_of_many_elements(self, tmp_path, eval_files, capsys):
+        gt_path, pred_path = eval_files
+        data = json.loads(gt_path.read_text())
+        data["records"][0]["sample_id"] = [0] * 200_000
+        gt_path.write_text(json.dumps(data), encoding="utf-8")
+        argv = ["evaluate", "--gt", str(gt_path), "--pred", str(pred_path), "--output-dir", str(tmp_path / "out")]
+        line = self.run(capsys, argv)
+        assert line.startswith(f"error: {gt_path}: sample_id must be a non-empty string, got [0, 0, ")
 
 
 DEEP_ARRAY = "[" * 100_000 + "]" * 100_000
@@ -1508,6 +1595,7 @@ class TestArbitraryValue:
                     assert out.getvalue() == ""
                     lines = err.getvalue().splitlines(keepends=True)
                     assert len(lines) == 1 and lines[0].startswith("error: ") and lines[0].endswith("\n"), lines
+                    assert len(lines[0]) <= 1000, lines
 
 
 def flag_floats():

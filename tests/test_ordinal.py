@@ -7,7 +7,6 @@ from bevkit.ordinal import (
     DATASET_SCHEMES,
     OrdinalDomainScheme,
     assign_label,
-    decode_label,
     ordinal_loss,
     ordinal_loss_grad,
     reverse_gradient,
@@ -174,13 +173,6 @@ class TestOrdinalLossGrad:
                 ) / (2.0 * step)
             denom = max(float(np.abs(numeric).max()), 1e-8)
             assert float(np.abs(analytic - numeric).max()) / denom < 1e-5
-
-
-class TestDecodeLabel:
-    def test_recovers_label_from_saturated_logits(self):
-        num_edges = 6  # K = 5
-        for label in range(num_edges + 1):
-            assert decode_label(saturated_logits(num_edges, label)) == label
 
 
 class TestReverseGradient:

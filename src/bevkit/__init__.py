@@ -13,7 +13,7 @@ from .augment import (
     perturb_pose,
     plan_camera,
 )
-from .boxes import Box3D, bottom_points, footprint_corners
+from .boxes import Box3D, bottom_points
 from .depth import (
     DATASET_DEPTH_RANGES,
     DepthDecouplingConfig,

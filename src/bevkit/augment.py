@@ -203,7 +203,7 @@ def collect_pairs(cam: CameraModel, perturbed: Pose, boxes: Sequence[Box3D]) -> 
     keep the anchor order, box by box.  An empty result is valid (no boxes
     in view).
     """
-    anchors = np.array([bottom_points(box) for box in boxes]).reshape(-1, 3)
+    anchors = bottom_points(boxes).reshape(-1, 3)
     pixels, depths = project_points(cam, anchors)
     pixels_hat, depths_hat = project_points(CameraModel(cam.intrinsics, perturbed, cam.camera_id), anchors)
     keep = (

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .geometry import finite_number, real_number, shown, wrap_angle
 
-__all__ = ["DEFAULT_CLASS_ID", "Box3D", "bottom_points", "footprint_corners"]
+__all__ = ["DEFAULT_CLASS_ID", "Box3D", "bottom_points"]
 
 # The class of a box, or of a file's record, that names none.
 DEFAULT_CLASS_ID = "vehicle"
@@ -51,28 +52,24 @@ class Box3D:
             object.__setattr__(self, "score", score)
 
 
-def footprint_corners(box: Box3D) -> np.ndarray:
-    """The 4 ground-plane corners of the yaw-rotated footprint, shape (4, 2).
+# The sign of each half extent at the 4 footprint corners, in bottom_points' order.
+_CORNER_SIGNS = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, -1.0], [-1.0, 1.0]])
 
-    Corner order is fixed: (+x, +y), (+x, -y), (-x, -y), (-x, +y) in the
-    box's own frame before rotation.
+
+def bottom_points(boxes: Sequence[Box3D]) -> np.ndarray:
+    """The 5 bottom anchor points of every box, shape (n, 5, 3), ego frame.
+
+    Row 0 of a box is its bottom center (center lowered by dz/2); rows 1..4
+    are its bottom corners, (+x, +y), (+x, -y), (-x, -y), (-x, +y) in the
+    box's own frame, rotated by yaw.  The corners of all boxes are one
+    stacked product of each box's (4, 2) half extents and its transposed
+    (2, 2) rotation.
     """
-    hx, hy = box.dims[0] / 2.0, box.dims[1] / 2.0
-    local = np.array([[hx, hy], [hx, -hy], [-hx, -hy], [-hx, hy]])
-    c, s = math.cos(box.yaw), math.sin(box.yaw)
-    rot = np.array([[c, -s], [s, c]])
-    return local @ rot.T + np.array(box.center[:2])
-
-
-def bottom_points(box: Box3D) -> np.ndarray:
-    """The 5 bottom anchor points of a box, shape (5, 3), ego frame.
-
-    Row 0 is the bottom center (center lowered by dz/2); rows 1..4 are the
-    bottom corners in the footprint_corners order.
-    """
-    bottom_z = box.center[2] - box.dims[2] / 2.0
-    points = np.empty((5, 3))
-    points[0] = (box.center[0], box.center[1], bottom_z)
-    points[1:, :2] = footprint_corners(box)
-    points[1:, 2] = bottom_z
+    rows = np.array([(*box.center, *box.dims, math.cos(box.yaw), math.sin(box.yaw)) for box in boxes])
+    center, dims, c, s = np.hsplit(rows.reshape(-1, 8), [3, 6, 7])
+    rot_t = np.hstack([c, s, -s, c]).reshape(-1, 2, 2)
+    points = np.empty((len(center), 5, 3))
+    points[:, 0, :2] = center[:, :2]
+    points[:, 1:, :2] = (_CORNER_SIGNS * (dims[:, None, :2] / 2.0)) @ rot_t + center[:, None, :2]
+    points[:, :, 2] = center[:, 2:] - dims[:, 2:] / 2.0
     return points

@@ -264,16 +264,27 @@ def _cmd_homography(args) -> int:
     return 0
 
 
+def _given(args, *flags: str) -> list[str]:
+    """The ``flags`` that were given on the command line."""
+    return [flag for flag in flags if getattr(args, flag[2:].replace("-", "_")) is not None]
+
+
 def _reject_with_dataset(args, *flags: str) -> None:
     """Exit 2 if ``--dataset`` is given with any of ``flags``, which set what it sets."""
-    given = [flag for flag in flags if getattr(args, flag[2:].replace("-", "_")) is not None]
+    given = _given(args, *flags)
     if args.dataset and given:
         raise ValueError(f"--dataset cannot be combined with {', '.join(given)}")
 
 
 def _depth_config(args) -> DepthDecouplingConfig:
-    """c = sqrt(2) / ``--f-ref``; the depth range from ``--dataset`` or the flags, else the config's default."""
+    """c = sqrt(2) / ``--f-ref``; the depth range from ``--dataset`` or the flags, else the config's default.
+
+    Only ``to-scale-invariant`` reads a depth range, so ``to-metric`` exits 2 on any range flag.
+    """
     _reject_with_dataset(args, "--depth-min", "--depth-max")
+    given = _given(args, "--dataset", "--depth-min", "--depth-max")
+    if args.direction == "to-metric" and given:
+        raise ValueError(f"--direction to-metric reads no depth range, got {', '.join(given)}")
     kwargs = {}
     if args.dataset:
         kwargs["metric_depth_range"] = DATASET_DEPTH_RANGES[args.dataset]

@@ -17,6 +17,11 @@ __all__ = ["raster_channels", "read_pnm", "write_pnm"]
 # A token never starts with '#': an unterminated comment is not a token.
 _TOKEN = re.compile(rb"(?:\s|#[^\n]*\n)*([^\s#]\S*)")
 
+# A quoted header token shows each ASCII control byte as \xNN, the way
+# backslashreplace shows the non-ASCII ones: raw, 0x1c-0x1e would break
+# the error line and an ESC would reach the terminal.
+_CONTROL_ESCAPES = {code: f"\\x{code:02x}" for code in (*range(0x20), 0x7F)}
+
 
 def _read_header_numbers(path: str | Path, data: bytearray, offset: int) -> tuple[list[int], int]:
     """Width, height and maxval after the magic, and the offset past maxval.
@@ -31,7 +36,8 @@ def _read_header_numbers(path: str | Path, data: bytearray, offset: int) -> tupl
             raise ValueError(f"{path}: truncated PNM header")
         token = bytes(match.group(1))
         if not token.isdigit():
-            text = clip(token.decode("ascii", "backslashreplace"))
+            # 81 bytes give clip its 80 characters and its "..."
+            text = clip(token[:81].decode("ascii", "backslashreplace").translate(_CONTROL_ESCAPES))
             raise ValueError(f"{path}: PNM {name} is not a decimal number: '{text}'")
         try:
             numbers.append(int(token))

@@ -2,8 +2,10 @@
 
 ``REFERENCE_NDS_STAR_ROWS`` holds frozen NDS* aggregates; ``pure_rotation_case``
 draws a camera whose perturbation is a pure rotation, so the closed-form
-homography is exact on its anchor correspondences.  ``reference_collect_pairs``
-is the per-anchor loop that ``collect_pairs`` must reproduce bit for bit.
+homography is exact on its anchor correspondences.  ``reference_bottom_points``
+builds one box's anchors, which ``boxes.bottom_points`` must reproduce bit for
+bit, and ``reference_collect_pairs`` is the per-anchor loop that
+``collect_pairs`` must reproduce bit for bit.
 ``aligned_iou`` and ``yaw_difference`` are the per-pair TP error terms that
 ``metrics.tp_errors`` must reproduce bit for bit, and ``records_to_dict``
 writes detection records as a detection file.
@@ -16,7 +18,7 @@ import math
 import numpy as np
 
 from bevkit.augment import PerturbationRange, collect_pairs, perturb_pose
-from bevkit.boxes import Box3D, bottom_points
+from bevkit.boxes import Box3D
 from bevkit.geometry import DEGENERATE_DEPTH_TOL, CameraModel, Intrinsics, Pose, ego_to_camera_rotation
 from bevkit.metrics import DetectionRecord
 from bevkit.scene import SCHEMA_VERSION, box_to_dict
@@ -110,6 +112,22 @@ def pure_rotation_case(
     raise RuntimeError("failed to draw a pure-rotation case with enough visible anchors")
 
 
+def reference_bottom_points(box: Box3D) -> np.ndarray:
+    """One box's 5 bottom anchors, shape (5, 3): the bottom center, then the
+    corners (+x, +y), (+x, -y), (-x, -y), (-x, +y) rotated by one ``local @ rot.T``.
+    """
+    hx, hy = box.dims[0] / 2.0, box.dims[1] / 2.0
+    local = np.array([[hx, hy], [hx, -hy], [-hx, -hy], [-hx, hy]])
+    c, s = math.cos(box.yaw), math.sin(box.yaw)
+    rot = np.array([[c, -s], [s, c]])
+    bottom_z = box.center[2] - box.dims[2] / 2.0
+    points = np.empty((5, 3))
+    points[0] = (box.center[0], box.center[1], bottom_z)
+    points[1:, :2] = local @ rot.T + np.array(box.center[:2])
+    points[1:, 2] = bottom_z
+    return points
+
+
 def reference_project_point(cam: CameraModel, point) -> tuple[np.ndarray, float] | None:
     """One point through ``R @ q + t`` and the intrinsics; None on the camera plane."""
     cam_point = ego_to_camera_rotation(cam.pose) @ np.asarray(point, dtype=float) + cam.pose.translation_vector()
@@ -132,7 +150,7 @@ def reference_collect_pairs(cam: CameraModel, perturbed: Pose, boxes) -> tuple[n
     perturbed_cam = CameraModel(intr, perturbed, cam.camera_id)
     source, target = [], []
     for box in boxes:
-        for anchor in bottom_points(box):
+        for anchor in reference_bottom_points(box):
             original = reference_project_point(cam, anchor)
             moved = reference_project_point(perturbed_cam, anchor)
             if original is None or moved is None:

@@ -20,11 +20,11 @@ from bevkit.augment import (
     plan_camera,
     _hartley_normalization,
 )
-from bevkit.boxes import Box3D, bottom_points
+from bevkit.boxes import Box3D
 from bevkit.cli import _map_forked, main
 from bevkit.geometry import CameraModel, Intrinsics, Pose, ego_to_camera_rotation, in_image, project_points
 from bevkit.scene import Scene, generate_synthetic_scene, render_pattern_image
-from reference_cases import pure_rotation_case, reference_collect_pairs
+from reference_cases import pure_rotation_case, reference_bottom_points, reference_collect_pairs
 
 INTR = Intrinsics(fx=1000.0, fy=1000.0, px=352.0, py=128.0, width=704, height=256)
 
@@ -137,7 +137,7 @@ class TestCollectPairs:
 
         expected = []
         for box in boxes:
-            for anchor in bottom_points(box):
+            for anchor in reference_bottom_points(box):
                 q, d = brute_project(cam.pose, anchor)
                 q_hat, d_hat = brute_project(perturbed, anchor)
                 visible = (

@@ -595,6 +595,18 @@ class TestDepthConvert:
         flags = ", ".join(arg for arg in bounds if arg.startswith("--"))
         assert capsys.readouterr().err == f"error: --dataset cannot be combined with {flags}\n"
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--dataset", "waymo"], ["--depth-min", "50", "--depth-max", "60"], ["--depth-max", "60"]],
+        ids=["dataset", "both-bounds", "max"],
+    )
+    def test_range_flag_on_to_metric_exits_2(self, capsys, flags):
+        # scale_invariant_to_metric reads no depth range: the flag would change nothing
+        argv = ["depth-convert", "--direction", "to-metric", "--fx", "1000", "--fy", "1000", "--values", "10"]
+        assert main([*argv, *flags]) == 2
+        named = ", ".join(arg for arg in flags if arg.startswith("--"))
+        assert capsys.readouterr() == ("", f"error: --direction to-metric reads no depth range, got {named}\n")
+
     @pytest.mark.parametrize("focal", ["1e-200", "1e308"])
     def test_extreme_focal_lengths_convert(self, capsys, focal):
         # Either square over- or underflows a float; the pixel size sqrt(2) / focal does not.
@@ -1458,7 +1470,7 @@ class TestLongValue:
         raster.write_bytes(b"P6\n1600 900 # no maxval\n" + bytes(1600 * 900 * 3))
         argv = ["augment", "--scene", str(scene_dir / "scene.json"), "--output-dir", str(tmp_path / "out")]
         line = self.run(capsys, argv)
-        assert line.startswith(f"error: {raster}: PNM maxval is not a decimal number: '\x00")
+        assert line.startswith(f"error: {raster}: PNM maxval is not a decimal number: '\\x00\\x00")
         assert line.endswith("...'\n")
 
     def test_box_center_of_many_numbers(self, tmp_path, capsys):

@@ -117,6 +117,17 @@ class TestPNM:
             read_pnm(path)
         assert str(failure.value) == f"{path}: PNM {field} is not a decimal number: '{token}'"
 
+    @pytest.mark.parametrize("control", [b"\x1c", b"\x1d", b"\x1e", b"\x1b", b"\x00"], ids=["fs", "gs", "rs", "esc", "nul"])
+    def test_control_byte_in_header_token_stays_one_line(self, tmp_path, control):
+        # str.splitlines breaks at 0x1c-0x1e; ESC and NUL must not reach a terminal raw
+        path = tmp_path / "ctl.pgm"
+        path.write_bytes(b"P5\n3 2" + control + b"x 255\n" + bytes(6))
+        with pytest.raises(ValueError) as failure:
+            read_pnm(path)
+        message = str(failure.value)
+        assert message == f"{path}: PNM height is not a decimal number: '2\\x{control[0]:02x}x'"
+        assert len(message.splitlines()) == 1 and message.isprintable()
+
     def test_header_number_past_the_digit_limit_names_the_file(self, tmp_path):
         path = tmp_path / "wide.pgm"
         path.write_bytes(b"P5\n" + b"1" * 5000 + b" 2\n255\n")

@@ -31,7 +31,7 @@ from .depth import (
 )
 from .geometry import Intrinsics, is_real
 from .metrics import evaluate
-from .ordinal import DATASET_SCHEMES, OrdinalDomainScheme, assign_label, ordinal_loss, ordinal_loss_grad, reverse_gradient
+from .ordinal import DATASET_SCHEMES, assign_label, ordinal_loss, ordinal_loss_grad, reverse_gradient
 from .pnm import read_pnm, write_pnm
 from .scene import (
     RIG_STYLES,
@@ -323,15 +323,9 @@ def _cmd_depth_convert(args) -> int:
 
 def _cmd_bin_focal(args) -> int:
     _reject_with_dataset(args, "--alpha", "--beta", "--subintervals")
-    if args.dataset:
-        scheme = DATASET_SCHEMES[args.dataset]
-    else:
-        base = DATASET_SCHEMES["nuscenes"]
-        scheme = OrdinalDomainScheme(
-            base.alpha if args.alpha is None else args.alpha,
-            base.beta if args.beta is None else args.beta,
-            base.num_subintervals if args.subintervals is None else args.subintervals,
-        )
+    flags = {"alpha": args.alpha, "beta": args.beta, "num_subintervals": args.subintervals}
+    given = {name: value for name, value in flags.items() if value is not None}
+    scheme = dataclasses.replace(DATASET_SCHEMES[args.dataset or "nuscenes"], **given)
     labels = [assign_label(scheme, focal) for focal in args.focals]
     print(
         dumps_canonical(

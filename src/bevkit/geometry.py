@@ -196,6 +196,11 @@ class CameraModel:
     def __post_init__(self) -> None:
         if not isinstance(self.camera_id, str) or not self.camera_id:
             raise ValueError(f"camera_id must be a non-empty string, got {shown(self.camera_id)}")
+        # the id names the camera's raster, augmented/<camera_id>.pgm
+        if self.camera_id in (".", "..") or any(c in self.camera_id for c in "/\\\0"):
+            raise ValueError(
+                f"camera_id must name a file: no '/', '\\' or NUL, and not '.' or '..', got {shown(self.camera_id)}"
+            )
 
 
 def euler_to_rotation(yaw: float, pitch: float, roll: float) -> np.ndarray:

@@ -196,24 +196,21 @@ class TPErrors(NamedTuple):
 
 @dataclass(frozen=True)
 class MetricReport:
-    m_ap: float
+    """What ``evaluate`` measured; mAP and NDS* are derived from it."""
+
     m_ate: float
     m_ase: float
     m_aoe: float
-    nds_star: float
     per_threshold_ap: dict[float, float]
     match_counts: dict[str, int]
 
-    def __post_init__(self) -> None:
-        for name in ("m_ap", "nds_star"):
-            value = getattr(self, name)
-            if not (0.0 <= value <= 1.0):
-                raise ValueError(f"{name} must be in [0, 1], got {value!r}")
-        recomputed = nds_star(self.m_ap, self.m_ate, self.m_ase, self.m_aoe)
-        if abs(recomputed - self.nds_star) > 1e-9:
-            raise ValueError(
-                f"nds_star {self.nds_star!r} inconsistent with its inputs (expected {recomputed!r})"
-            )
+    @property
+    def m_ap(self) -> float:
+        return sum(self.per_threshold_ap.values()) / len(self.per_threshold_ap)
+
+    @property
+    def nds_star(self) -> float:
+        return nds_star(self.m_ap, self.m_ate, self.m_ase, self.m_aoe)
 
     def to_dict(self) -> dict:
         return {
@@ -529,7 +526,6 @@ def evaluate(
             _tp_flags(order, matches), len(gts), cfg.recall_floor, cfg.precision_floor
         )
         match_counts[f"matches@{threshold:g}"] = len(matches)
-    m_ap = sum(per_threshold_ap.values()) / len(per_threshold_ap)
 
     tps = matched[cfg.distance_thresholds.index(cfg.tp_threshold)]
     gt_rows = [m.gt_index for m in tps]
@@ -538,12 +534,4 @@ def evaluate(
         [m.distance for m in tps], gts.dims[gt_rows], dets.dims[det_rows], gts.yaw[gt_rows], dets.yaw[det_rows]
     )
 
-    return MetricReport(
-        m_ap=m_ap,
-        m_ate=errors.m_ate,
-        m_ase=errors.m_ase,
-        m_aoe=errors.m_aoe,
-        nds_star=nds_star(m_ap, errors.m_ate, errors.m_ase, errors.m_aoe),
-        per_threshold_ap=per_threshold_ap,
-        match_counts=match_counts,
-    )
+    return MetricReport(**errors._asdict(), per_threshold_ap=per_threshold_ap, match_counts=match_counts)

@@ -13,6 +13,7 @@ Logits come in pairs: entry 2k scores "below edge k", entry 2k + 1 scores
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -80,13 +81,8 @@ def assign_label(scheme: OrdinalDomainScheme, focal: float) -> int:
     focal = real_number("focal", focal)
     if not 0.0 < focal < math.inf:
         raise ValueError(f"focal length must be positive and finite, got {focal!r}")
-    thresholds = scheme.thresholds
-    if focal < thresholds[0]:
-        return 0
-    if focal >= thresholds[-1]:
-        return scheme.num_subintervals + 1
-    # np.searchsorted(side="right") gives the count of edges <= focal.
-    return int(np.searchsorted(np.asarray(thresholds), focal, side="right"))
+    # the count of edges <= focal
+    return bisect.bisect_right(scheme.thresholds, focal)
 
 
 def _split_logits(logits, label: int) -> tuple[np.ndarray, np.ndarray]:

@@ -21,15 +21,15 @@ def warp_image(image: np.ndarray, homography, out_size: tuple[int, int]) -> np.n
     ``pnm.raster_channels`` decides; ``out_size`` is (width, height), two
     positive whole numbers.  Samples falling outside the source are filled
     with 0.  The output is filled one block of rows at a time, in work
-    arrays made once per call and rewritten in place by every block.  Every sample of a block is computed, and the invalid lanes are
-    masked to the source's first pixel for the gathers and set to 0 in the
+    arrays made once per call and rewritten in place by every block.
+    Every sample of a block is computed, and the invalid lanes are masked
+    to the source's first pixel for the gathers and set to 0 in the
     output.  The blend runs one channel at a time: the channel's four
     neighbours are gathered as contiguous arrays from a flat view of the
     source, and their weighted sum is rounded straight into the output.
     Memory stays small at any frame size, and the bytes equal those of
-    full-frame bilinear sampling.
-    ``homography`` is a ``Homography``, whose constructor rejects a
-    singular map.
+    full-frame bilinear sampling.  ``homography`` is a ``Homography``,
+    whose constructor rejects a singular map.
     """
     inverse = np.linalg.inv(homography.matrix)
     # Rescaling by the last element keeps the identity map exact after the

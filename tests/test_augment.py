@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -233,6 +234,32 @@ class TestHomographyType:
     def test_singular_rejected(self):
         with pytest.raises(ValueError):
             Homography(np.diag([1.0, 1.0, 0.0]))
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [np.eye(2), np.eye(4), np.ones(9), np.diag([1.0, math.nan, 1.0]), np.diag([1.0, 1.0, -math.inf])],
+        ids=["2x2", "4x4", "flat", "nan", "inf"],
+    )
+    def test_non_finite_or_non_3x3_rejected(self, matrix):
+        with pytest.raises(ValueError, match=r"^homography must be a finite 3x3 matrix$"):
+            Homography(matrix)
+
+    def test_zero_matrix_rejected(self):
+        with pytest.raises(ValueError, match=r"^homography matrix is zero$"):
+            Homography(np.zeros((3, 3)))
+
+    def test_unknown_provenance_rejected(self):
+        expected = "provenance must be one of ('fitted', 'analytic', 'identity-fallback'), got 'guessed'"
+        with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+            Homography(np.eye(3), provenance="guessed")
+
+    def test_zero_h33_gauge_makes_largest_entry_positive(self):
+        # h33 = 0 leaves the sign open; the largest-magnitude entry (-2) fixes it
+        matrix = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0], [-2.0, 0.0, 0.0]])
+        h = Homography(matrix)
+        assert np.array_equal(h.matrix, -matrix / np.linalg.norm(matrix))
+        assert h.matrix[2, 0] > 0.0
+        assert np.array_equal(Homography(-3.0 * matrix).matrix, h.matrix)
 
     def test_apply_matches_manual_dehomogenization(self):
         rng = np.random.default_rng(8)

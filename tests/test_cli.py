@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 import bevkit.cli
 from bevkit.augment import PerturbationRange, augment_camera, collect_pairs
 from bevkit.cli import build_parser, main
-from bevkit.geometry import ego_to_camera_rotation
+from bevkit.geometry import ego_to_camera_rotation, shown
 from bevkit.scene import dumps_canonical, generate_synthetic_scene, scene_from_dict, scene_to_dict
 from bevkit.boxes import Box3D
 from bevkit.metrics import DetectionRecord
@@ -275,6 +275,24 @@ class TestAugmentCommand:
         assert main(["augment", "--scene", str(scene), "--output-dir", str(out)]) == 2
         assert capsys.readouterr().err == "error: camera 'cam_02': image is 100x50 but its intrinsics are 704x256\n"
         assert not (out / "poses.json").exists()
+
+    @pytest.mark.parametrize(
+        "camera_id", ["../../escaped", "{tmp}/abs/elsewhere/planted", "a/b", "a\\b", "a\x00b", ".", ".."]
+    )
+    def test_camera_id_that_is_not_a_file_name_exits_2_writing_nothing(self, tmp_path, capsys, camera_id):
+        scene = self.scene(tmp_path)
+        data = json.loads(scene.read_text())
+        data["cameras"][2]["camera_id"] = camera_id.format(tmp=tmp_path)
+        scene.write_text(json.dumps(data))
+        before = sorted(tmp_path.rglob("*"))
+        capsys.readouterr()
+        out = tmp_path / "out" / "aug"
+        assert main(["augment", "--scene", str(scene), "--workers", "2", "--output-dir", str(out)]) == 2
+        shown_id = shown(camera_id.format(tmp=tmp_path))
+        assert capsys.readouterr().err == (
+            f"error: {scene}: camera_id must name a file: no '/', '\\' or NUL, and not '.' or '..', got {shown_id}\n"
+        )
+        assert sorted(tmp_path.rglob("*")) == before
 
     def test_zero_workers_exits_2(self, tmp_path, capsys):
         scene = self.scene(tmp_path)
@@ -594,6 +612,11 @@ class TestDepthConvert:
         assert main([*argv, "--dataset", "waymo", *bounds]) == 2
         flags = ", ".join(arg for arg in bounds if arg.startswith("--"))
         assert capsys.readouterr().err == f"error: --dataset cannot be combined with {flags}\n"
+
+    def test_depth_min_without_depth_max_exits_2(self, capsys):
+        argv = ["depth-convert", "--direction", "to-scale-invariant", "--fx", "1000", "--fy", "1000", "--values", "40"]
+        assert main([*argv, "--depth-min", "1"]) == 2
+        assert capsys.readouterr() == ("", "error: --depth-min and --depth-max must be given together\n")
 
     @pytest.mark.parametrize(
         "flags",

@@ -480,17 +480,18 @@ class TestEvaluate:
         with pytest.raises(ValueError, match=r"^detection record 2 has no score$"):
             evaluate(gts, [det(10.0, 0.0, 0.9), det(90.0, 0.0, 0.9), unscored(11.0)])
 
-    def test_report_consistency_enforced(self):
-        with pytest.raises(ValueError):
-            MetricReport(
-                m_ap=0.5,
-                m_ate=0.2,
-                m_ase=0.2,
-                m_aoe=0.2,
-                nds_star=0.9,
-                per_threshold_ap={2.0: 0.5},
-                match_counts={},
-            )
+    def test_report_derives_map_and_nds_star_from_its_fields(self):
+        report = MetricReport(
+            m_ate=0.2, m_ase=0.3, m_aoe=1.5, per_threshold_ap={0.5: 0.25, 1.0: 0.5, 2.0: 0.75}, match_counts={}
+        )
+        assert report.m_ap == (0.25 + 0.5 + 0.75) / 3
+        assert report.nds_star == nds_star(report.m_ap, 0.2, 0.3, 1.5)
+        assert report.to_dict()["NDS_star"] == report.nds_star
+        for name in ("m_ap", "nds_star"):
+            with pytest.raises(TypeError, match=name):
+                MetricReport(
+                    m_ate=0.2, m_ase=0.2, m_aoe=0.2, per_threshold_ap={2.0: 0.5}, match_counts={}, **{name: 0.5}
+                )
 
     def test_random_inputs_match_brute_force_exactly(self):
         # half-meter lattice: many equidistant GTs and distances exactly at a threshold;

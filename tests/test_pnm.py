@@ -68,6 +68,12 @@ class TestPNM:
         with pytest.raises(ValueError, match="8-bit.*got maxval 100$"):
             read_pnm(path)
 
+    def test_zero_size_rejected(self, tmp_path):
+        path = tmp_path / "z.pgm"
+        path.write_bytes(b"P5\n0 3\n255\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: invalid size 0x3')}$"):
+            read_pnm(path)
+
     def test_truncated_raster_rejected(self, tmp_path):
         path = tmp_path / "t.pgm"
         path.write_bytes(b"P5\n4 4\n255\n" + b"\x00" * 3)

@@ -2,8 +2,9 @@
 
 Each case changes one field of a schema-valid file (a bool, a numeric
 string, a null, a nested list, a wrong length, an object or a string for an
-array, a non-string id, a missing key, a negative or out-of-range value, an
-integer or a huge integer for a number) and runs the file through ``homography``, ``evaluate`` or
+array, a non-string id, a camera id that is not a file name, a missing
+key, a negative or out-of-range value, an integer or a huge integer for a
+number) and runs the file through ``homography``, ``evaluate`` or
 ``--config``.  The CLI must exit 2 with a one-line ``error: ...`` exactly
 when jsonschema rejects the file.  JSON Schema cannot state non-finite
 numbers or rules across fields, so those hold one way only: a NaN or an
@@ -86,6 +87,11 @@ def mutations(value, key, rng: random.Random):
     elif isinstance(value, str):
         yield "non-string-id", 7
         yield "empty-string", ""
+        if key == "camera_id":
+            yield "path", "../escaped"
+            yield "backslash", "a\\b"
+            yield "nul", "a\x00b"
+            yield "dot-dot", ".."
     elif isinstance(value, int):
         yield "numeric-string", str(value)
         yield "fraction", value + 0.5

@@ -38,12 +38,16 @@ from .scene import (
     RunConfig,
     dumps_canonical,
     generate_synthetic_scene,
+    head_records,
+    joined_records,
     pose_to_dict,
+    records_cut,
     render_pattern_image,
     run_config_from_dict,
     scene_from_dict,
     scene_to_dict,
     table_from_dict,
+    tail_records,
 )
 
 __all__ = ["main"]
@@ -140,6 +144,13 @@ def _map_forked(step, sources, workers: int) -> list:
     an OSError naming that step's file.
     The lowest failing index's exception is raised.  Children are killed
     and reaped on every path where this process leaves early.
+
+    A child's results wait in its pipe until this process's own share
+    ends, so a child whose result outgrows the pipe buffer (64 KiB on
+    Linux) blocks there until then: a step that must start promptly after
+    another has to be part of one step with it, its child's only one.
+    Split into two steps, the tail of ``evaluate``'s larger file started
+    130 ms late, behind the 1.77 MB pickle of the child's first result.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -371,10 +382,70 @@ def _format_report_table(report) -> str:
     return "\n".join(lines)
 
 
+def _read_text(path: str) -> str | None:
+    """The text ``_load_json`` reads from ``path``; None where it cannot be read."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except (OSError, ValueError):
+        return None
+
+
+def _load_tables(paths: tuple[str, str]) -> list:
+    """``table_from_dict`` of the --gt and --pred files, parsed on two processes; an error in --gt is raised first.
+
+    A forked child parses the smaller file, and also the records in the last
+    (big - small) / 2 characters of the larger file, after a cut between two
+    of its records; this process parses the records before the cut.  The
+    halves' tables are joined only where both halves accept their text (see
+    ``scene.head_records`` and ``scene.tail_records``) and so equal the whole
+    file's; otherwise, or without ``os.fork``, the larger file is parsed
+    whole, and every table and error is that of ``_parse_file``.
+    """
+
+    def whole(index: int):
+        return _parse_file(paths[index], table_from_dict)
+
+    try:
+        sizes = [os.path.getsize(path) for path in paths]
+    except OSError:
+        sizes = [0, 0]
+    big = int(sizes[1] > sizes[0])
+    tail = (sizes[big] - sizes[1 - big]) // 2
+    text = _read_text(paths[big]) if tail and hasattr(os, "fork") else None
+    comma = None if text is None else records_cut(text, tail)
+    if comma is None:
+        return _map_forked(whole, paths, 2)
+
+    def share(index: int):
+        nonlocal text
+        if index:  # here: the records before the cut
+            head, text = text[:comma], None  # drop the whole text once cut
+            return head_records(head)
+        rest, text = text[comma + 1 :], None
+        try:
+            small = whole(1 - big)
+        except ValueError as exc:
+            small = exc
+        return small, tail_records(rest)
+
+    # One step per process: a child's result waits in its pipe until this process's share ends.
+    (small, tail_part), head_part = _map_forked(share, (paths[1 - big], paths[big]), 2)
+    joined = joined_records(head_part, tail_part)
+
+    def table(index: int):
+        found = joined if index == big else small
+        if isinstance(found, ValueError):
+            raise found
+        return whole(index) if found is None else found
+
+    return [table(0), table(1)]
+
+
 def _cmd_evaluate(args) -> int:
+    """Score --pred against --gt; the tables and errors are those of each file parsed whole (see ``_load_tables``)."""
     cfg = _load_run_config(args)
-    paths = (args.gt, args.pred)
-    gts, dets = _map_forked(lambda index: _parse_file(paths[index], table_from_dict), paths, 2)
+    gts, dets = _load_tables((args.gt, args.pred))
     report = evaluate(gts, dets, cfg.metrics, workers=args.workers)
     out = _out_dir(args)
     report_path = out / "metric_report.json"

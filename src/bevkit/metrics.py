@@ -128,6 +128,22 @@ class DetectionTable:
             [math.nan if r.box.score is None else r.box.score for r in records],
         )
 
+    def join(self, other: "DetectionTable") -> "DetectionTable":
+        """``from_columns`` over this table's records, then ``other``'s; both built by ``from_columns``."""
+        samples, sample_codes = _vocabulary(self.sample_ids + other.sample_ids)
+        classes, class_codes = _vocabulary(self.class_ids + other.class_ids)
+        return DetectionTable(
+            sample_ids=samples,
+            class_ids=classes,
+            sample=np.concatenate([self.sample, sample_codes[len(self.sample_ids) :][other.sample]]),
+            class_index=np.concatenate([self.class_index, class_codes[len(self.class_ids) :][other.class_index]]),
+            center=np.concatenate([self.center, other.center]),
+            dims=np.concatenate([self.dims, other.dims]),
+            yaw=np.concatenate([self.yaw, other.yaw]),
+            score=np.concatenate([self.score, other.score]),
+            index=np.arange(len(self) + len(other)),
+        )
+
     def select(self, keep: np.ndarray) -> "DetectionTable":
         """The rows where ``keep`` is true."""
         return replace(

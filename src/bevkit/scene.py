@@ -4,12 +4,19 @@ All files are UTF-8 JSON with angles in radians and lengths in meters;
 ``dumps_canonical`` fixes key order and indentation so identical inputs
 produce byte-identical files.  The corresponding schema documents live
 under docs/schemas/.
+
+A detection file's text can also be parsed in two halves, cut at the comma
+between two records (``records_cut``, ``head_records``, ``tail_records``):
+``joined_records`` returns the table ``table_from_dict`` gives for the
+whole file, or None wherever that is in doubt, so the caller parses the
+file whole and every accepted table and every error is the whole file's.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -35,6 +42,10 @@ __all__ = [
     "box_from_dict",
     "records_from_dict",
     "table_from_dict",
+    "records_cut",
+    "head_records",
+    "tail_records",
+    "joined_records",
     "generate_synthetic_scene",
     "render_pattern_image",
 ]
@@ -326,6 +337,63 @@ def table_from_dict(data: dict) -> DetectionTable:
         if table is not None:
             return table
     return DetectionTable.from_records(records_from_dict(data))
+
+
+# One record's end and the next one's start: a cut at its comma that both
+# halves below accept lies between two entries of the top-level records array.
+_RECORD_GAP = re.compile(r"\}[ \t\n\r]*,[ \t\n\r]*\{")
+# A half's table and the top-level keys it read besides ``records``.
+_Half = tuple[DetectionTable, dict]
+
+
+def records_cut(text: str, tail: int) -> int | None:
+    """The comma of the first record gap at or after ``len(text) - tail``; None without one or for a tail of 0."""
+    gap = _RECORD_GAP.search(text, max(len(text) - tail, 0)) if tail > 0 else None
+    return None if gap is None else text.index(",", gap.start())
+
+
+def head_records(head: str) -> _Half | None:
+    """The table of a detection file's text before a cut, and its other top-level keys; None to parse it whole.
+
+    ``head + "]}"`` parses only if the cut is in an array that is a value of
+    the top-level object (a cut in a string leaves it unterminated, one in a
+    nested array leaves the outer array open), and that array is the value
+    of the last key read, so it is ``records`` when no other value is a list.
+    """
+    try:
+        data = json.loads(head + "]}")
+    except (ValueError, RecursionError):
+        return None
+    if type(data) is not dict or type(data.get("records")) is not list:
+        return None
+    entries = data.pop("records")
+    table = None if any(type(value) is list for value in data.values()) else _table_from_entries(entries)
+    return None if table is None else (table, data)
+
+
+def tail_records(tail: str) -> _Half | None:
+    """The table of a detection file's text after a cut's comma, and the keys after its records; None to parse it whole.
+
+    A later ``records`` key is declined: the whole file's parse would take its value.
+    """
+    try:
+        entries, end = json.JSONDecoder().raw_decode("[" + tail)
+        rest = json.loads('{"":0' + tail[end - 1 :])
+    except (ValueError, RecursionError):
+        return None
+    table = None if "records" in rest else _table_from_entries(entries)
+    return None if table is None else (table, rest)
+
+
+def joined_records(head: _Half | None, tail: _Half | None) -> DetectionTable | None:
+    """``table_from_dict`` of the whole file from its two halves; None where either declined or its version does."""
+    if head is None or tail is None:
+        return None
+    try:
+        _check_version({**head[1], **tail[1]}, "records")  # the last schema_version given, as the whole parse reads it
+    except ValueError:
+        return None
+    return head[0].join(tail[0])
 
 
 def run_config_from_dict(data: dict) -> RunConfig:

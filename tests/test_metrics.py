@@ -572,6 +572,24 @@ class TestEvaluate:
         assert cfg == MetricConfig(range_limit=60.0)
 
 
+class TestDetectionTableJoin:
+    def test_join_equals_from_columns_over_both_halves(self):
+        rng = np.random.default_rng(7)
+        samples = ["b", "a", "b", "c", "a", "d", "c", "b"]
+        classes = ["car", "car", "ped", "car", "bus", "ped", "car", "car"]
+        center, dims = rng.normal(size=(8, 3)), rng.uniform(1, 2, (8, 3))
+        yaw, score = rng.uniform(-3, 3, 8), np.array([0.5, np.nan, 0.1, 0.9, np.nan, 0.3, 0.2, 0.7])
+        whole = DetectionTable.from_columns(samples, classes, center, dims, yaw, score)
+        for cut in range(1, 8):
+            head = DetectionTable.from_columns(samples[:cut], classes[:cut], center[:cut], dims[:cut], yaw[:cut], score[:cut])
+            tail = DetectionTable.from_columns(samples[cut:], classes[cut:], center[cut:], dims[cut:], yaw[cut:], score[cut:])
+            joined = head.join(tail)
+            assert (joined.sample_ids, joined.class_ids) == (whole.sample_ids, whole.class_ids)
+            for name in ("sample", "class_index", "center", "dims", "yaw", "score", "index"):
+                got, want = getattr(joined, name), getattr(whole, name)
+                assert got.dtype == want.dtype and np.array_equal(got, want, equal_nan=True), (cut, name)
+
+
 def all_pairs_under(gt_sample, gt_center, det_sample, det_center, cutoff):
     """Every same-sample (detection row, ground-truth row) pair with ``np.hypot`` distance below ``cutoff``."""
     det_rows, gt_rows = np.meshgrid(np.arange(len(det_sample)), np.arange(len(gt_sample)), indexing="ij")

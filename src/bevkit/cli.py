@@ -39,7 +39,6 @@ from .scene import (
     dumps_canonical,
     generate_synthetic_scene,
     head_records,
-    joined_records,
     pose_to_dict,
     records_cut,
     render_pattern_image,
@@ -397,10 +396,9 @@ def _load_tables(paths: tuple[str, str]) -> list:
     A forked child parses the smaller file, and also the records in the last
     (big - small) / 2 characters of the larger file, after a cut between two
     of its records; this process parses the records before the cut.  The
-    halves' tables are joined only where both halves accept their text (see
-    ``scene.head_records`` and ``scene.tail_records``) and so equal the whole
-    file's; otherwise, or without ``os.fork``, the larger file is parsed
-    whole, and every table and error is that of ``_parse_file``.
+    halves' tables are joined where both halves accept their text; where
+    either declines, or without ``os.fork``, the larger file is parsed whole
+    (the exactness rule is in the ``scene`` module docstring).
     """
 
     def whole(index: int):
@@ -431,7 +429,7 @@ def _load_tables(paths: tuple[str, str]) -> list:
 
     # One step per process: a child's result waits in its pipe until this process's share ends.
     (small, tail_part), head_part = _map_forked(share, (paths[1 - big], paths[big]), 2)
-    joined = joined_records(head_part, tail_part)
+    joined = None if head_part is None or tail_part is None else head_part.join(tail_part)
 
     def table(index: int):
         found = joined if index == big else small
@@ -537,6 +535,8 @@ def main(argv: list[str] | None = None) -> int:
     collecting = gc.isenabled()
     gc.disable()
     try:
+        if getattr(args, "workers", 1) < 1:
+            raise ValueError(f"workers must be >= 1, got {args.workers}")
         return args.func(args)
     except (ValueError, TypeError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

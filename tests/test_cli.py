@@ -302,6 +302,15 @@ class TestAugmentCommand:
         assert capsys.readouterr().err == "error: workers must be >= 1, got 0\n"
         assert not (out / "poses.json").exists()
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_1_exit_2_before_any_output(self, tmp_path, capsys, workers):
+        scene = self.scene(tmp_path)
+        capsys.readouterr()
+        out = tmp_path / "aug"
+        assert main(["augment", "--scene", str(scene), "--workers", str(workers), "--output-dir", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: workers must be >= 1, got {workers}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_at_most_workers_rasters_in_flight(self, tmp_path, monkeypatch, workers):
         """Each raster is read once and held until written, by at most ``workers`` processes at once."""
@@ -769,6 +778,15 @@ class TestEvaluateCommand:
             blobs.append((out / "metric_report.json").read_bytes())
         assert blobs[0] == blobs[1] == blobs[2]
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_1_exit_2_before_reading(self, tmp_path, capsys, workers):
+        """The flag is checked before either file is read (neither exists) and before the output directory is made."""
+        missing, out = str(tmp_path / "missing.json"), tmp_path / "report"
+        argv = ["evaluate", "--gt", missing, "--pred", missing, "--workers", str(workers), "--output-dir", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: workers must be >= 1, got {workers}\n"
+        assert not out.exists()
+
     def test_malformed_json_exits_2(self, tmp_path, eval_files, capsys):
         gt_path, _ = eval_files
         broken = tmp_path / "broken.json"
@@ -1206,6 +1224,21 @@ def test_cli_import_loads_no_pool_module():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     assert result.stdout == "[]\n"
+
+
+def test_cli_import_loads_only_the_standard_library_and_numpy():
+    """bevkit is a pure-numpy toolkit, and the benchmark's ``setup_s`` times this import in a fresh interpreter."""
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import bevkit.cli\n"
+        "print(' '.join(sorted({name.partition('.')[0] for name in set(sys.modules) - before})))"
+    )
+    src = str(Path(bevkit.cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    loaded = set(result.stdout.split())
+    assert loaded - set(sys.stdlib_module_names) == {"bevkit", "numpy"}
 
 
 class TestRejectedInput:

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 import bevkit.cli
 from bevkit.cli import main
 from bevkit.metrics import DetectionTable
-from bevkit.scene import head_records, joined_records, records_cut, table_from_dict, tail_records
+from bevkit.scene import head_records, records_cut, table_from_dict, tail_records
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 GAP = re.compile(r"\}[ \t\n\r]*,[ \t\n\r]*\{")
@@ -51,28 +51,29 @@ def loaded(paths) -> list | str:
 
 @contextlib.contextmanager
 def split_watch():
-    """The outcome of each split tried: True where both halves were joined, False where it declined."""
-    tried = []
-    real = bevkit.cli.joined_records
+    """One True per ``DetectionTable.join`` call in this process: every case has a cut, so a call means the split was
+    used and none that it declined."""
+    joins = []
+    real = DetectionTable.join
 
     def watch(head, tail):
-        table = real(head, tail)
-        tried.append(table is not None)
-        return table
+        joins.append(True)
+        return real(head, tail)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(bevkit.cli, "joined_records", watch)
-        yield tried
+        patch.setattr(DetectionTable, "join", watch)
+        yield joins
 
 
 def split_and_whole(paths):
-    """``loaded(paths)`` with the split, the splits tried, and ``loaded(paths)`` without ``os.fork``."""
-    with split_watch() as tried:
+    """``loaded(paths)`` with the split, [True] where it was used or [False] where it declined, and ``loaded(paths)``
+    without ``os.fork``."""
+    with split_watch() as joins:
         split = loaded(paths)
     with pytest.MonkeyPatch.context() as patch:
         patch.delattr(os, "fork")
         whole = loaded(paths)
-    return split, tried, whole
+    return split, joins or [False], whole
 
 
 def write_split(root, big_text, at, big="pred", small=SMALL):
@@ -116,7 +117,9 @@ CASES = {
     ),
     "version-before-records": (compact({"schema_version": 1, "records": RECORDS}), last_gap, True),
     "version-after-records": (compact({"records": RECORDS, "schema_version": 1}), last_gap, True),
-    "bad-version-before-good-after": ('{"schema_version":2,' + VERSION_AFTER[1:], last_gap, True),
+    # each half checks its own version: a bad one before the records declines, though a later good one overrides it
+    "bad-version-before-good-after": ('{"schema_version":2,' + VERSION_AFTER[1:], last_gap, False),
+    "bad-version-before-none-after": (compact({"schema_version": 2, "records": RECORDS}), last_gap, False),
     "good-version-before-bad-after": ('{"schema_version":1,' + VERSION_AFTER[1:].replace(':1}', ':2}'), last_gap, False),
     "second-records-after": (
         compact({"records": RECORDS})[:-1] + ',"records":' + compact(RECORDS[:2]) + "}",
@@ -151,6 +154,7 @@ def test_same_tables_or_error_as_the_whole_file(tmp_path, name, big):
     [
         ("bad-version-before-good-after", None),
         ("good-version-before-bad-after", "unsupported records schema_version 2"),
+        ("bad-version-before-none-after", "unsupported records schema_version 2"),
         ("trailing-comma", "json"),
         ("bad-record-in-head-and-tail", "score must be in [0, 1], got 1.5"),
         ("bad-record-in-tail", "record 7 must be an object, got number"),
@@ -299,7 +303,8 @@ def test_every_cut_declines_or_gives_the_whole_table(drawn):
     assert cuts or not clean
     for at in cuts:
         comma = records_cut(text, len(text) - at)
-        table = joined_records(head_records(text[:comma]), tail_records(text[comma + 1 :]))
+        head, tail = head_records(text[:comma]), tail_records(text[comma + 1 :])
+        table = None if head is None or tail is None else head.join(tail)
         if clean:
             assert table is not None
         if table is not None:

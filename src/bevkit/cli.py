@@ -148,8 +148,8 @@ def _map_forked(step, sources, workers: int) -> list:
     ends, so a child whose result outgrows the pipe buffer (64 KiB on
     Linux) blocks there until then: a step that must start promptly after
     another has to be part of one step with it, its child's only one.
-    Split into two steps, the tail of ``evaluate``'s larger file started
-    130 ms late, behind the 1.77 MB pickle of the child's first result.
+    Split into two steps, the tail of ``evaluate``'s --pred started 130 ms
+    late, behind the 1.77 MB pickle of the child's first result.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -393,51 +393,41 @@ def _read_text(path: str) -> str | None:
 def _load_tables(paths: tuple[str, str]) -> list:
     """``table_from_dict`` of the --gt and --pred files, parsed on two processes; an error in --gt is raised first.
 
-    A forked child parses the smaller file, and also the records in the last
-    (big - small) / 2 characters of the larger file, after a cut between two
-    of its records; this process parses the records before the cut.  The
-    halves' tables are joined where both halves accept their text; where
-    either declines, or without ``os.fork``, the larger file is parsed whole
-    (the exactness rule is in the ``scene`` module docstring).
+    Step 0, a forked child, parses --gt whole and then --pred's records in
+    its last (pred - gt) / 2 characters, after a cut between two of its
+    records; step 1, this process, parses --pred's records before the cut.
+    Where there is no cut (--pred is no larger than --gt, or holds no record
+    gap there), step 1 parses all of --pred, and without ``os.fork`` both
+    steps run here in turn.  The halves' tables are joined where both halves
+    accept their text; where either declines, --pred is parsed whole (the
+    exactness rule is in the ``scene`` module docstring).
     """
-
-    def whole(index: int):
-        return _parse_file(paths[index], table_from_dict)
-
+    gt, pred = paths
     try:
-        sizes = [os.path.getsize(path) for path in paths]
+        tail = (os.path.getsize(pred) - os.path.getsize(gt)) // 2
     except OSError:
-        sizes = [0, 0]
-    big = int(sizes[1] > sizes[0])
-    tail = (sizes[big] - sizes[1 - big]) // 2
-    text = _read_text(paths[big]) if tail and hasattr(os, "fork") else None
+        tail = 0
+    text = _read_text(pred) if tail > 0 and hasattr(os, "fork") else None
     comma = None if text is None else records_cut(text, tail)
-    if comma is None:
-        return _map_forked(whole, paths, 2)
 
-    def share(index: int):
+    # One step per process: a child's result waits in its pipe until this process's step ends.
+    def step(index: int):
         nonlocal text
+        if comma is None:
+            return _parse_file(paths[index], table_from_dict)
         if index:  # here: the records before the cut
             head, text = text[:comma], None  # drop the whole text once cut
             return head_records(head)
         rest, text = text[comma + 1 :], None
-        try:
-            small = whole(1 - big)
-        except ValueError as exc:
-            small = exc
-        return small, tail_records(rest)
+        return _parse_file(gt, table_from_dict), tail_records(rest)
 
-    # One step per process: a child's result waits in its pipe until this process's share ends.
-    (small, tail_part), head_part = _map_forked(share, (paths[1 - big], paths[big]), 2)
-    joined = None if head_part is None or tail_part is None else head_part.join(tail_part)
-
-    def table(index: int):
-        found = joined if index == big else small
-        if isinstance(found, ValueError):
-            raise found
-        return whole(index) if found is None else found
-
-    return [table(0), table(1)]
+    parts = _map_forked(step, paths, 2)
+    if comma is None:
+        return parts
+    (gts, tail_part), head_part = parts
+    if head_part is None or tail_part is None:
+        return [gts, _parse_file(pred, table_from_dict)]
+    return [gts, head_part.join(tail_part)]
 
 
 def _cmd_evaluate(args) -> int:

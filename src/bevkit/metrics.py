@@ -11,16 +11,17 @@ over the matches at a single threshold, and the summary score is
     NDS* = (3 * mAP + sum over the three errors of (1 - min(1, err))) / 6.
 
 Records are evaluated as a ``DetectionTable``: numpy columns of sample,
-class, center, dims, yaw, score and input index.  ``scene.table_from_dict``
-builds one from a detection file.  The range filter and the search for
-same-sample pairs within the largest threshold run on the columns; the
-greedy claim then runs in Python over those candidate pairs only, with
-every ``Match.distance`` computed by ``math.hypot`` so that reports are
-bit-for-bit those of the per-record definition.  ``evaluate``,
-``match_detections`` and ``average_precision`` also accept lists of
-``DetectionRecord``, which they turn into tables.  A prediction without a
-score is rejected before the range filter, naming its input index.
-Matching is single-threaded; ``workers`` is accepted and has no effect.
+class, center, dims, yaw and score, one row per record in input order.
+``scene.table_from_dict`` builds one from a detection file.  The range
+filter and the search for same-sample pairs within the largest threshold
+run on the columns; the greedy claim then runs in Python over those
+candidate pairs only, with every ``Match.distance`` computed by
+``math.hypot`` so that reports are bit-for-bit those of the per-record
+definition.  ``evaluate``, ``match_detections`` and ``average_precision``
+also accept lists of ``DetectionRecord``, which they turn into tables.  A
+prediction without a score is rejected before the range filter, naming its
+input index.  Matching is single-threaded; ``workers`` is accepted and has
+no effect.
 """
 
 from __future__ import annotations
@@ -75,13 +76,13 @@ def _vocabulary(keys) -> tuple[tuple, np.ndarray]:
 
 @dataclass(frozen=True, eq=False)
 class DetectionTable:
-    """Detection records as numpy columns; row ``i`` holds input record ``index[i]``.
+    """Detection records as numpy columns, one row per record in input order.
 
     ``sample`` and ``class_index`` index the ``sample_ids`` and
     ``class_ids`` vocabularies.  ``center`` and ``dims`` are (n, 3) and
     ``yaw`` lies in (-pi, pi], as on ``Box3D``; ``score`` is NaN for a
     record without one.  The builders take values that are already
-    validated; ``select`` keeps the vocabularies and each row's input index.
+    validated; ``select`` keeps the vocabularies and the rows' order.
     """
 
     sample_ids: tuple[str, ...]
@@ -92,10 +93,9 @@ class DetectionTable:
     dims: np.ndarray
     yaw: np.ndarray
     score: np.ndarray
-    index: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.index)
+        return len(self.sample)
 
     @classmethod
     def from_columns(
@@ -114,7 +114,6 @@ class DetectionTable:
             dims=np.asarray(dims, dtype=float).reshape(n, 3),
             yaw=np.asarray(yaw, dtype=float).reshape(n),
             score=np.asarray(score, dtype=float).reshape(n),
-            index=np.arange(n),
         )
 
     @classmethod
@@ -141,7 +140,6 @@ class DetectionTable:
             dims=np.concatenate([self.dims, other.dims]),
             yaw=np.concatenate([self.yaw, other.yaw]),
             score=np.concatenate([self.score, other.score]),
-            index=np.arange(len(self) + len(other)),
         )
 
     def select(self, keep: np.ndarray) -> "DetectionTable":
@@ -154,7 +152,6 @@ class DetectionTable:
             dims=self.dims[keep],
             yaw=self.yaw[keep],
             score=self.score[keep],
-            index=self.index[keep],
         )
 
 
@@ -249,7 +246,7 @@ def ground_distance(a: Box3D, b: Box3D) -> float:
 def _require_scores(dets: DetectionTable) -> None:
     missing = np.flatnonzero(np.isnan(dets.score))
     if len(missing):
-        raise ValueError(f"detection record {dets.index[missing[0]]} has no score")
+        raise ValueError(f"detection record {missing[0]} has no score")
 
 
 # Largest number of detection x ground-truth window pairs one numpy pass of
@@ -324,10 +321,11 @@ def _greedy_matches(
 ) -> tuple[np.ndarray, list[list[Match]]]:
     """Score order of ``dets`` rows and, per threshold, its matches in that order.
 
-    The score order is score descending, then ``sample_id``, then input
-    index.  numpy finds the same-sample pairs within the largest threshold
-    (plus a margin for rounding); each one's ``Match.distance`` is
-    recomputed with ``math.hypot``, as ``ground_distance`` does.  The pairs
+    The score order is score descending, then ``sample_id``, then row,
+    which is input order (``np.lexsort`` is stable).  numpy finds the
+    same-sample pairs within the largest threshold (plus a margin for
+    rounding); each one's ``Match.distance`` is recomputed with
+    ``math.hypot``, as ``ground_distance`` does.  The pairs
     are sorted once by (detection's place in the score order, distance,
     ground-truth row), so at each threshold a detection claims the first
     of its pairs under the threshold whose ground truth is unclaimed.
@@ -336,7 +334,7 @@ def _greedy_matches(
     rank = {name: r for r, name in enumerate(sorted(set(gts.sample_ids).union(dets.sample_ids)))}
     gt_sample = np.array([rank[name] for name in gts.sample_ids], dtype=np.int64)[gts.sample]
     det_sample = np.array([rank[name] for name in dets.sample_ids], dtype=np.int64)[dets.sample]
-    order = np.lexsort((dets.index, det_sample, -dets.score))
+    order = np.lexsort((det_sample, -dets.score))
     position = np.argsort(order)  # each row's place in the score order
 
     largest = max(thresholds)

@@ -585,7 +585,7 @@ class TestDetectionTableJoin:
             tail = DetectionTable.from_columns(samples[cut:], classes[cut:], center[cut:], dims[cut:], yaw[cut:], score[cut:])
             joined = head.join(tail)
             assert (joined.sample_ids, joined.class_ids) == (whole.sample_ids, whole.class_ids)
-            for name in ("sample", "class_index", "center", "dims", "yaw", "score", "index"):
+            for name in ("sample", "class_index", "center", "dims", "yaw", "score"):
                 got, want = getattr(joined, name), getattr(whole, name)
                 assert got.dtype == want.dtype and np.array_equal(got, want, equal_nan=True), (cut, name)
 

@@ -133,7 +133,7 @@ def record(sample="s0", center=(10.0, 0.0, 0.75), dims=(4.0, 2.0, 1.5), yaw=0.0,
 
 def assert_tables_equal(table, expected):
     assert (table.sample_ids, table.class_ids) == (expected.sample_ids, expected.class_ids)
-    for column in ("sample", "class_index", "center", "dims", "yaw", "score", "index"):
+    for column in ("sample", "class_index", "center", "dims", "yaw", "score"):
         got, want = getattr(table, column), getattr(expected, column)
         assert got.dtype == want.dtype and got.shape == want.shape, column
         assert np.array_equal(got, want, equal_nan=True), column

@@ -1,4 +1,4 @@
-"""``evaluate`` parses the larger detection file on two processes, split between two records.
+"""``evaluate`` parses --pred on two processes, split between two records, while its child also parses --gt.
 
 Every case is checked against the whole-file path: ``_load_tables`` without
 ``os.fork`` parses each file whole, as ``_parse_file(path, table_from_dict)``.
@@ -15,7 +15,7 @@ from dataclasses import fields
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bevkit.cli
@@ -51,8 +51,8 @@ def loaded(paths) -> list | str:
 
 @contextlib.contextmanager
 def split_watch():
-    """One True per ``DetectionTable.join`` call in this process: every case has a cut, so a call means the split was
-    used and none that it declined."""
+    """One True per ``DetectionTable.join`` call in this process: a call means the split was used, and none that there
+    was no cut or that a half declined."""
     joins = []
     real = DetectionTable.join
 
@@ -77,7 +77,7 @@ def split_and_whole(paths):
 
 
 def write_split(root, big_text, at, big="pred", small=SMALL):
-    """Write ``big_text`` as the ``big`` file and ``small``, padded with spaces, so the cut search starts at ``at``.
+    """Write ``big_text`` as the ``big`` file and ``small``, padded with spaces, so a cut search in it starts at ``at``.
 
     The tail is (big - small) / 2 characters, so a small file of 2 at - len(big_text) puts the search at ``at``.
     """
@@ -108,7 +108,7 @@ def gap_in_first_array(text):
 VERSION_AFTER = compact({"records": RECORDS, "schema_version": 1})
 
 
-# name -> (big file text, where the cut search starts, whether the split is used)
+# name -> (big file text, where the cut search starts, whether the split is used when it is --pred)
 CASES = {
     "gap-inside-sample-id": (
         compact({"records": [*RECORDS[:6], rec(6, sample_id="a},{b"), rec(7)]}),
@@ -146,7 +146,7 @@ def test_same_tables_or_error_as_the_whole_file(tmp_path, name, big):
     paths = write_split(tmp_path, text, start(text), big)
     split, tried, whole = split_and_whole(paths)
     assert split == whole
-    assert tried == [used]
+    assert tried == [used and big == "pred"]  # only --pred is ever split
 
 
 @pytest.mark.parametrize(
@@ -177,10 +177,10 @@ def test_error_line_names_the_first_fault(tmp_path, capsys, name, message):
 @pytest.mark.parametrize(
     "gt_text, message",
     [
-        # --gt is the larger file, its split declined by a bad record in its head
+        # --gt is the larger file and is parsed whole, in the child
         (compact({"records": [rec(0), 5, *RECORDS[2:]]}), "record 1 must be an object, got number"),
         (compact({"records": RECORDS})[:-1] + ",}", "json"),
-        # --gt's split is used; --pred's error is raised after it
+        # --gt parses; --pred's error is raised after it
         (compact({"records": RECORDS}), None),
     ],
     ids=["gt-record", "gt-json", "gt-good"],
@@ -190,7 +190,7 @@ def test_gt_error_first_when_gt_is_larger(tmp_path, capsys, gt_text, message):
     gt, pred = write_split(tmp_path, gt_text, last_gap(gt_text), big="gt", small=bad_pred)
     split, tried, whole = split_and_whole((gt, pred))
     assert split == whole
-    assert tried == [message is None]
+    assert tried == [False]
     assert main(["evaluate", "--gt", gt, "--pred", pred, "--output-dir", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     if message is None:
@@ -218,12 +218,41 @@ def test_reader_that_dies_names_the_file_it_read(tmp_path, capsys, monkeypatch, 
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_split_used_on_the_benchmark_inputs(tmp_path, monkeypatch):
-    """The eval-crowded seed-1 files: pred.json splits about 72 / 28 and the tables equal the whole parse."""
+@pytest.mark.parametrize("pair", ["pred-cut", "pred-without-gap", "gt-larger"])
+def test_child_parses_gt_and_this_process_pred(tmp_path, monkeypatch, pair):
+    """--gt is read in the forked child; --pred whole, or its head, here, and its tail in the child."""
+    text = compact({"records": RECORDS})
+    if pair == "pred-without-gap":
+        text = compact({"records": [rec(0, sample_id="a" * 200)]})
+    at = len(text) - 1 if pair == "pred-without-gap" else last_gap(text)  # a larger --gt has a gap there, uncut
+    gt, pred = write_split(tmp_path, text, at, "gt" if pair == "gt-larger" else "pred")
+    log = tmp_path / "parsed-in"
+
+    def noted(name, parse):
+        def wrapper(arg):
+            with open(log, "a", encoding="utf-8") as handle:
+                handle.write(f"{name(arg)} {'here' if os.getpid() == here else 'child'}\n")
+            return parse(arg)
+
+        return wrapper
+
+    here = os.getpid()
+    files = {gt: "gt", pred: "pred"}
+    monkeypatch.setattr(bevkit.cli, "_load_json", noted(files.get, bevkit.cli._load_json))
+    monkeypatch.setattr(bevkit.cli, "head_records", noted(lambda _: "pred-head", head_records))
+    monkeypatch.setattr(bevkit.cli, "tail_records", noted(lambda _: "pred-tail", tail_records))
+    bevkit.cli._load_tables((gt, pred))
+    expected = {"pred-cut": ["gt child", "pred-head here", "pred-tail child"]}
+    assert sorted(log.read_text(encoding="utf-8").splitlines()) == expected.get(pair, ["gt child", "pred here"])
+
+
+@pytest.mark.parametrize("workload", ["eval-crowded", "eval-sparse"])
+def test_split_used_on_the_benchmark_inputs(tmp_path, monkeypatch, workload):
+    """The seed-1 files of both eval workloads: pred.json splits about 72 / 28 and the tables equal the whole parse."""
     monkeypatch.syspath_prepend(str(BENCH))
     import inputs
 
-    inputs.make_inputs(tmp_path, 1, "eval-crowded")
+    inputs.make_inputs(tmp_path, 1, workload)
     text = (tmp_path / "pred.json").read_text(encoding="utf-8")
     assert 0.70 < records_cut(text, (len(text) - (tmp_path / "gt.json").stat().st_size) // 2) / len(text) < 0.75
     split, tried, whole = split_and_whole((str(tmp_path / "gt.json"), str(tmp_path / "pred.json")))
@@ -296,6 +325,8 @@ def detection_texts(draw):
 
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(drawn=detection_texts())
+# a bad version before the records and none after: only the head's own version check declines it
+@example(drawn=("faulty", compact({"schema_version": 2, "records": RECORDS[:2]})))
 def test_every_cut_declines_or_gives_the_whole_table(drawn):
     mode, text = drawn
     clean = mode == "clean"

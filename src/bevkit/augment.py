@@ -22,7 +22,7 @@ the oracle the fit is checked against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -81,15 +81,15 @@ class PerturbationRange:
         object.__setattr__(self, "seed", whole_number("seed", self.seed, 0))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Homography:
     """3x3 projective map between two image planes, q_perturbed ~ H q.
 
     The stored matrix is gauge-normalized: unit Frobenius norm with the
-    last element non-negative, so equal maps compare equal.  ``provenance``
-    records how the matrix was obtained: "fitted" (least squares on
-    correspondences), "analytic" (closed form from known motion), or
-    "identity-fallback" (too few or degenerate correspondences).
+    last element non-negative, so equal maps have equal ``matrix`` arrays.
+    ``provenance`` records how the matrix was obtained: "fitted" (least
+    squares on correspondences), "analytic" (closed form from known
+    motion), or "identity-fallback" (too few or degenerate correspondences).
     """
 
     matrix: np.ndarray
@@ -132,7 +132,7 @@ class Homography:
         return [float(v) for v in self.matrix.reshape(-1)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MatchedPairSet:
     """Pixel correspondences between the original and perturbed views.
 
@@ -187,12 +187,7 @@ def perturb_pose(pose: Pose, limits: PerturbationRange, rng: np.random.Generator
     d_yaw = float(rng.uniform(-limits.d_yaw, limits.d_yaw))
     d_pitch = float(rng.uniform(-limits.d_pitch, limits.d_pitch))
     d_roll = float(rng.uniform(-limits.d_roll, limits.d_roll))
-    return Pose(
-        yaw=pose.yaw + d_yaw,
-        pitch=pose.pitch + d_pitch,
-        roll=pose.roll + d_roll,
-        translation=pose.translation,
-    )
+    return replace(pose, yaw=pose.yaw + d_yaw, pitch=pose.pitch + d_pitch, roll=pose.roll + d_roll)
 
 
 def collect_pairs(cam: CameraModel, perturbed: Pose, boxes: Sequence[Box3D]) -> MatchedPairSet:
@@ -205,7 +200,7 @@ def collect_pairs(cam: CameraModel, perturbed: Pose, boxes: Sequence[Box3D]) -> 
     """
     anchors = bottom_points(boxes).reshape(-1, 3)
     pixels, depths = project_points(cam, anchors)
-    pixels_hat, depths_hat = project_points(CameraModel(cam.intrinsics, perturbed, cam.camera_id), anchors)
+    pixels_hat, depths_hat = project_points(replace(cam, pose=perturbed), anchors)
     keep = (
         (depths > DEGENERATE_DEPTH_TOL)
         & (depths_hat > DEGENERATE_DEPTH_TOL)

@@ -103,7 +103,7 @@ def _cmd_gen_scene(args) -> int:
             name = f"images/{cam.camera_id}.pgm"
             write_pnm(out / name, render_pattern_image(cam.intrinsics.width, cam.intrinsics.height, index))
             paths.append(name)
-        scene = type(scene)(scene.scene_id, scene.cameras, scene.boxes, tuple(paths))
+        scene = dataclasses.replace(scene, image_paths=paths)
     scene_path = out / "scene.json"
     scene_path.write_text(dumps_canonical(scene_to_dict(scene)), encoding="utf-8")
     print(scene_path)
@@ -148,11 +148,7 @@ def _map_forked(step, sources, workers: int) -> list:
     ends, so a child whose result outgrows the pipe buffer (64 KiB on
     Linux) blocks there until then: a step that must start promptly after
     another has to be part of one step with it, its child's only one.
-    Split into two steps, the tail of ``evaluate``'s --pred started 130 ms
-    late, behind the 1.77 MB pickle of the child's first result.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     count = len(sources)
     width = min(workers, count)
     if width < 2 or not hasattr(os, "fork"):
@@ -407,10 +403,10 @@ def _load_tables(paths: tuple[str, str]) -> list:
         tail = (os.path.getsize(pred) - os.path.getsize(gt)) // 2
     except OSError:
         tail = 0
+    # Without os.fork both steps run here in turn, and step 0 would drop the text that step 1 cuts.
     text = _read_text(pred) if tail > 0 and hasattr(os, "fork") else None
     comma = None if text is None else records_cut(text, tail)
 
-    # One step per process: a child's result waits in its pipe until this process's step ends.
     def step(index: int):
         nonlocal text
         if comma is None:
@@ -434,7 +430,7 @@ def _cmd_evaluate(args) -> int:
     """Score --pred against --gt; the tables and errors are those of each file parsed whole (see ``_load_tables``)."""
     cfg = _load_run_config(args)
     gts, dets = _load_tables((args.gt, args.pred))
-    report = evaluate(gts, dets, cfg.metrics, workers=args.workers)
+    report = evaluate(gts, dets, cfg.metrics)
     out = _out_dir(args)
     report_path = out / "metric_report.json"
     report_path.write_text(dumps_canonical(report.to_dict()), encoding="utf-8")

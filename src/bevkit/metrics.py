@@ -415,8 +415,8 @@ def average_precision(
     gts: DetectionTable | Sequence[DetectionRecord],
     dets: DetectionTable | Sequence[DetectionRecord],
     threshold: float,
-    recall_floor: float = 0.1,
-    precision_floor: float = 0.1,
+    recall_floor: float = MetricConfig.recall_floor,
+    precision_floor: float = MetricConfig.precision_floor,
 ) -> float:
     """AP on the 101-point recall grid above the recall/precision floors.
 

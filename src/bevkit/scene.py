@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -175,14 +175,7 @@ def _section(data: dict, key: str, cls) -> dict:
 
 
 def intrinsics_to_dict(intr: Intrinsics) -> dict:
-    return {
-        "fx": intr.fx,
-        "fy": intr.fy,
-        "px": intr.px,
-        "py": intr.py,
-        "width": intr.width,
-        "height": intr.height,
-    }
+    return {f.name: getattr(intr, f.name) for f in fields(Intrinsics)}
 
 
 def intrinsics_from_dict(data: dict) -> Intrinsics:
@@ -348,8 +341,8 @@ _RECORD_GAP = re.compile(r"\}[ \t\n\r]*,[ \t\n\r]*\{")
 
 
 def records_cut(text: str, tail: int) -> int | None:
-    """The comma of the first record gap at or after ``len(text) - tail``; None without one or for a tail of 0."""
-    gap = _RECORD_GAP.search(text, max(len(text) - tail, 0)) if tail > 0 else None
+    """The comma of the first record gap at or after ``len(text) - tail``; None without one."""
+    gap = _RECORD_GAP.search(text, max(len(text) - tail, 0))
     return None if gap is None else text.index(",", gap.start())
 
 
@@ -364,7 +357,7 @@ def head_records(head: str) -> DetectionTable | None:
     """
     try:
         data = json.loads(head + "]}")
-        if type(data) is not dict or type(data.get("records")) is not list:
+        if type(data.get("records")) is not list:
             return None
         _check_version(data, "records")
     except (ValueError, RecursionError):
@@ -445,20 +438,15 @@ def generate_synthetic_scene(
             width=width,
             height=height,
         )
-        pose_angles = Pose(
+        pose = Pose(
             yaw=yaw,
             pitch=float(rng.uniform(-0.03, 0.0)),
             roll=float(rng.uniform(-0.005, 0.005)),
         )
         # camera center on a 1.5 m circle at 1.6 m height; t = -R @ center
         center = np.array([1.5 * math.cos(yaw), 1.5 * math.sin(yaw), 1.6])
-        translation = -(ego_to_camera_rotation(pose_angles) @ center)
-        pose = Pose(
-            yaw=pose_angles.yaw,
-            pitch=pose_angles.pitch,
-            roll=pose_angles.roll,
-            translation=tuple(float(v) for v in translation),
-        )
+        translation = -(ego_to_camera_rotation(pose) @ center)
+        pose = replace(pose, translation=tuple(float(v) for v in translation))
         cameras.append(CameraModel(intr, pose, f"cam_{index:02d}"))
 
     boxes = []

@@ -220,6 +220,13 @@ class TestMatchedPairSet:
         pairs = MatchedPairSet()
         assert len(pairs) == 0
 
+    def test_eq_and_hash_do_not_raise(self):
+        # Array fields: a set is equal only to itself, and hashes by identity.
+        pairs = MatchedPairSet(np.eye(2), np.ones((2, 2)))
+        again = MatchedPairSet(np.eye(2), np.ones((2, 2)))
+        assert pairs == pairs and pairs != again
+        assert isinstance(hash(pairs), int)
+
 
 class TestHomographyType:
     def test_gauge_normalized(self):
@@ -234,6 +241,17 @@ class TestHomographyType:
     def test_singular_rejected(self):
         with pytest.raises(ValueError):
             Homography(np.diag([1.0, 1.0, 0.0]))
+
+    def test_eq_and_hash_do_not_raise(self):
+        # Array fields: a map is equal only to itself, and hashes by identity.
+        h = Homography(np.eye(3))
+        assert h == h and h != Homography(np.eye(3))
+        assert isinstance(hash(h), int)
+        plan = plan_camera(EDGE_CAM, [], PerturbationRange(), 0)
+        assert plan == plan and isinstance(hash(plan), int)
+
+    def test_same_map_built_twice_has_equal_matrices(self):
+        assert np.array_equal(Homography(np.eye(3)).matrix, Homography(-4.0 * np.eye(3)).matrix)
 
     @pytest.mark.parametrize(
         "matrix",

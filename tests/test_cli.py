@@ -38,6 +38,10 @@ GOLDEN = Path(__file__).resolve().parent / "data" / "evaluate_golden"
 # SHA-256 of each file augment and homography wrote for gen-scene seed 3 and
 # --seed 5 when the half-widths were flags: --d-yaw 0.04 --d-pitch 0 --d-roll 0.03.
 PERTURBATION_GOLDEN = Path(__file__).resolve().parent / "data" / "perturbation_config_golden.json"
+# SHA-256 of each file gen-scene --boxes 40 --with-images wrote for seeds 0-5,
+# per rig: "ring" (--style ring) and "frontal" (--cameras 5 --style frontal).
+GEN_SCENE_GOLDEN = Path(__file__).resolve().parent / "data" / "gen_scene_golden.json"
+GEN_SCENE_RIGS = {"ring": ["--style", "ring"], "frontal": ["--cameras", "5", "--style", "frontal"]}
 
 def read_tree(root):
     return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
@@ -114,6 +118,16 @@ class TestGenScene:
     def test_scene_matches_schema(self, tmp_path):
         assert main(["gen-scene", "--seed", "4", "--with-images", "--output-dir", str(tmp_path)]) == 0
         validate(json.loads((tmp_path / "scene.json").read_text()), "scene.schema.json")
+
+    @pytest.mark.parametrize("rig", sorted(GEN_SCENE_RIGS))
+    def test_bytes_match_the_golden(self, tmp_path, rig):
+        expected = json.loads(GEN_SCENE_GOLDEN.read_text(encoding="utf-8"))[rig]
+        for seed in range(6):
+            out = tmp_path / str(seed)
+            argv = ["gen-scene", "--seed", str(seed), "--boxes", "40", "--with-images", *GEN_SCENE_RIGS[rig]]
+            assert main([*argv, "--output-dir", str(out)]) == 0
+            digests = {path.as_posix(): hashlib.sha256(data).hexdigest() for path, data in read_tree(out).items()}
+            assert digests == expected[str(seed)]
 
     def test_bad_style_exits_2(self, tmp_path, capsys):
         code = main(["gen-scene", "--style", "spiral", "--output-dir", str(tmp_path)])
@@ -293,14 +307,6 @@ class TestAugmentCommand:
             f"error: {scene}: camera_id must name a file: no '/', '\\' or NUL, and not '.' or '..', got {shown_id}\n"
         )
         assert sorted(tmp_path.rglob("*")) == before
-
-    def test_zero_workers_exits_2(self, tmp_path, capsys):
-        scene = self.scene(tmp_path)
-        capsys.readouterr()
-        out = tmp_path / "aug"
-        assert main(["augment", "--scene", str(scene), "--workers", "0", "--output-dir", str(out)]) == 2
-        assert capsys.readouterr().err == "error: workers must be >= 1, got 0\n"
-        assert not (out / "poses.json").exists()
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_workers_below_1_exit_2_before_any_output(self, tmp_path, capsys, workers):
@@ -969,10 +975,6 @@ class TestMapForked:
     def test_steps_run_here_without_fork(self, monkeypatch):
         monkeypatch.delattr(os, "fork", raising=False)
         assert bevkit.cli._map_forked(lambda index: (index, os.getpid()), range(3), 2) == [(i, os.getpid()) for i in range(3)]
-
-    def test_zero_workers_rejected(self):
-        with pytest.raises(ValueError, match=r"^workers must be >= 1, got 0$"):
-            bevkit.cli._map_forked(lambda index: index, range(3), 0)
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize("failing, lowest", [({2, 5}, 2), ({3, 4}, 3)])

@@ -130,6 +130,7 @@ CASES = {
     "extra-after-records-cut-in-records": (compact({"records": RECORDS, "extra": [{}, {}]}), gap_in_first_array, True),
     "extra-after-records-cut-in-extra": (compact({"records": RECORDS, "extra": [{}, {}]}), last_gap, False),
     "record-like-extra-cut-in-extra": (compact({"records": RECORDS[:6], "extra": RECORDS[6:]}), last_gap, False),
+    "records-only-in-extra": (compact({"extra": RECORDS, "schema_version": 1}), last_gap, False),
     "trailing-comma": (compact({"records": RECORDS})[:-1] + ",}", last_gap, False),
     "pretty-printed": (json.dumps({"schema_version": 1, "records": RECORDS}, indent=2), last_gap, True),
     "crlf-and-tabs": (json.dumps({"records": RECORDS}, indent="\t").replace("\n", "\r\n"), last_gap, True),
@@ -158,6 +159,7 @@ def test_same_tables_or_error_as_the_whole_file(tmp_path, name, big):
         ("trailing-comma", "json"),
         ("bad-record-in-head-and-tail", "score must be in [0, 1], got 1.5"),
         ("bad-record-in-tail", "record 7 must be an object, got number"),
+        ("records-only-in-extra", "records: missing required key 'records'"),
     ],
 )
 def test_error_line_names_the_first_fault(tmp_path, capsys, name, message):
@@ -201,6 +203,23 @@ def test_gt_error_first_when_gt_is_larger(tmp_path, capsys, gt_text, message):
         assert err == f"error: {gt}: {error.value}\n"
     else:
         assert err == f"error: {gt}: {message}\n"
+
+
+@pytest.mark.parametrize("gt_text", [SMALL, json.dumps({"records": {}})], ids=["gt-good", "gt-bad"])
+def test_pred_that_is_not_utf8_is_not_cut(tmp_path, capsys, gt_text):
+    """A larger --pred that cannot be read as text gives the whole-file error, after any --gt error."""
+    data = compact({"records": RECORDS}).encode("utf-8").replace(b'"s1"', b'"s\xff"', 1)
+    gt, pred, out = tmp_path / "gt.json", tmp_path / "pred.json", tmp_path / "out"
+    gt.write_text(gt_text, encoding="utf-8")
+    pred.write_bytes(data)
+    with pytest.raises(UnicodeDecodeError) as error:
+        data.decode("utf-8")
+    expected = f"error: {pred}: {error.value}" if gt_text == SMALL else f"error: {gt}: records must be an array, got object"
+    split, tried, whole = split_and_whole((str(gt), str(pred)))
+    assert (split, tried, whole) == (expected, [False], expected)
+    assert main(["evaluate", "--gt", str(gt), "--pred", str(pred), "--output-dir", str(out)]) == 2
+    assert capsys.readouterr().err == expected + "\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("dies_in", ["small-file", "tail"])

@@ -1,7 +1,7 @@
 """Command-line entry point.
 
 Subcommands: gen-scene, augment, homography, depth-convert, bin-focal,
-ordinal-loss, evaluate.  Every subcommand is pure in (inputs, seed):
+evaluate.  Every subcommand is pure in (inputs, seed):
 identical invocations produce byte-identical files and stdout.
 Exit codes: 0 success, 2 input or format error.
 """
@@ -29,9 +29,9 @@ from .depth import (
     metric_to_scale_invariant,
     scale_invariant_to_metric,
 )
-from .geometry import Intrinsics, is_real
+from .geometry import Intrinsics
 from .metrics import evaluate
-from .ordinal import DATASET_SCHEMES, assign_label, ordinal_loss, ordinal_loss_grad, reverse_gradient
+from .ordinal import DATASET_SCHEMES, assign_label
 from .pnm import read_pnm, write_pnm
 from .scene import (
     RIG_STYLES,
@@ -347,20 +347,6 @@ def _cmd_bin_focal(args) -> int:
     return 0
 
 
-def _cmd_ordinal_loss(args) -> int:
-    data = _load_json(args.logits_json)
-    logits = data.get("logits")
-    if not isinstance(logits, list) or not all(is_real(v) for v in logits):
-        raise ValueError(f"{args.logits_json}: expected an object with a 'logits' array of numbers")
-    loss = ordinal_loss(logits, args.label)
-    grad = ordinal_loss_grad(logits, args.label)
-    result = {"label": args.label, "loss": loss, "gradient": [float(g) for g in grad]}
-    if args.grl_lambda is not None:
-        result["reversed_gradient"] = [float(g) for g in reverse_gradient(grad, args.grl_lambda)]
-    print(dumps_canonical(result), end="")
-    return 0
-
-
 def _format_report_table(report) -> str:
     rows = [
         ("mAP", report.m_ap),
@@ -489,12 +475,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", choices=sorted(DATASET_SCHEMES), default=None)
     p.add_argument("--focals", type=float, nargs="+", required=True)
     p.set_defaults(func=_cmd_bin_focal)
-
-    p = sub.add_parser("ordinal-loss", help="evaluate the ordinal loss and its gradient")
-    p.add_argument("--logits-json", required=True, help="JSON file with a 'logits' array")
-    p.add_argument("--label", type=int, required=True)
-    p.add_argument("--grl-lambda", type=float, default=None, help="also emit the reversed gradient")
-    p.set_defaults(func=_cmd_ordinal_loss)
 
     p = sub.add_parser("evaluate", help="score detections against ground truth")
     add_common(p, "--config", "--output-dir")

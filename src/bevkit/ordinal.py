@@ -9,6 +9,8 @@ ordering information a plain cross-entropy would ignore.
 
 Logits come in pairs: entry 2k scores "below edge k", entry 2k + 1 scores
 "not below", so a scheme with K sub-intervals needs 2 (K + 1) logits.
+Logits, and the gradient ``reverse_gradient`` takes, are a numpy array of
+integer or float dtype or a list or tuple of ``geometry.is_real`` numbers.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import real_number, whole_number
+from .geometry import is_real, real_number, shown, whole_number
 
 __all__ = [
     "OrdinalDomainScheme",
@@ -85,8 +87,17 @@ def assign_label(scheme: OrdinalDomainScheme, focal: float) -> int:
     return bisect.bisect_right(scheme.thresholds, focal)
 
 
+def _real_array(name: str, values) -> np.ndarray:
+    """``values`` as a float array; a numpy array passes on its dtype alone, with no Python loop over it."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iuf" or (
+        isinstance(values, (list, tuple)) and all(map(is_real, values))
+    ):
+        return np.asarray(values, dtype=float)
+    raise ValueError(f"{name} must be a list, tuple or array of numbers, got {shown(values)}")
+
+
 def _split_logits(logits, label: int) -> tuple[np.ndarray, np.ndarray]:
-    values = np.asarray(logits, dtype=float).reshape(-1)
+    values = _real_array("logits", logits).reshape(-1)
     if values.size < 4 or values.size % 2 != 0:
         raise ValueError(f"logits length must be even and >= 4, got {values.size}")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -138,4 +149,4 @@ def reverse_gradient(grad, grl_lambda: float = 1.0) -> np.ndarray:
     grl_lambda = real_number("grl_lambda", grl_lambda)
     if not 0.0 <= grl_lambda < math.inf:
         raise ValueError(f"lambda must be >= 0, got {grl_lambda!r}")
-    return -grl_lambda * np.asarray(grad, dtype=float)
+    return -grl_lambda * _real_array("grad", grad)

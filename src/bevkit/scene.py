@@ -259,12 +259,17 @@ def scene_from_dict(data: dict) -> Scene:
 
 
 def records_from_dict(data: dict) -> list[DetectionRecord]:
+    """Detection records; an error in record i keeps its type and reads ``record i: ...``."""
     _check_version(data, "records")
     entries = _array(_require(data, "records", "records"), "records")
     records = []
     for i, entry in enumerate(entries):
         entry = _object(entry, f"record {i}")
-        records.append(DetectionRecord(box=box_from_dict(entry), sample_id=_require(entry, "sample_id", "record")))
+        try:
+            records.append(DetectionRecord(box=box_from_dict(entry), sample_id=_require(entry, "sample_id", "record")))
+        except (ValueError, TypeError, OverflowError) as exc:
+            # The record's index replaces the context ("box", "record") that a missing key's message names.
+            raise type(exc)(f"record {i}: {str(exc).removeprefix('box: ').removeprefix('record: ')}") from exc
     return records
 
 

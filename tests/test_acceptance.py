@@ -21,7 +21,14 @@ from bevkit.depth import DepthDecouplingConfig, metric_to_scale_invariant, resiz
 from bevkit.geometry import CameraModel, Intrinsics, ego_to_camera_rotation, in_image, project_points
 from bevkit.metrics import DetectionRecord, DetectionTable, nds_star, evaluate
 from bevkit.scene import generate_synthetic_scene
-from bevkit.ordinal import OrdinalDomainScheme, ordinal_loss, ordinal_loss_grad
+from bevkit.ordinal import (
+    DATASET_SCHEMES,
+    OrdinalDomainScheme,
+    assign_label,
+    ordinal_loss,
+    ordinal_loss_grad,
+    reverse_gradient,
+)
 from reference_cases import REFERENCE_NDS_STAR_ROWS, pure_rotation_case, records_to_dict
 
 
@@ -306,4 +313,70 @@ def test_acceptance_7_decoupled_depth_closes_the_focal_gap():
         f"\nACCEPTANCE 7 decoupled-depth: PASS ({len(gts)} GT boxes in view; metric head NDS* "
         + ", ".join(f"{scores[r]['metric']:.2f} at r={r}" for r in sorted(scores))
         + "; decoupled head 1.0 at every r)"
+    )
+
+
+def train_with_gradient_reversal(grl_lambda, n=150, epochs=150, lr=0.05, seed=8):
+    """Source MSE, target MSE and refitted domain loss of a one-output encoder trained at ``grl_lambda``.
+
+    The task is to predict s from a noisy copy of s and from the focal
+    feature (f - 625) / 100.  In the source the focal length tracks s (a
+    spurious cue); in the target it is uniform over 450-800.  A linear task
+    head and a linear ordinal domain head over the nuScenes scheme's labels
+    read the encoder's output z, and full-batch gradient descent gives the
+    encoder the task gradient plus the reversed domain gradient.  Then an
+    independent logistic fit per edge, refitted on the frozen z, measures
+    how much domain z still carries.
+    """
+    scheme = DATASET_SCHEMES["nuscenes"]
+    num_edges = len(scheme.thresholds)
+    rng = np.random.default_rng(seed)
+
+    def domain(focal_of):
+        s = rng.normal(size=n)
+        focal = focal_of(s)
+        features = np.column_stack([s + rng.normal(0.0, 0.5, n), (focal - 625.0) / 100.0])
+        return features, s, [assign_label(scheme, f) for f in focal]
+
+    x_src, y_src, labels = domain(lambda s: 625.0 + 70.0 * s + rng.normal(0.0, 30.0, n))
+    x_tgt, y_tgt, _ = domain(lambda s: rng.uniform(450.0, 800.0, n))
+    w, a, c = np.array([0.1, 0.1]), 1.0, 0.0  # encoder z = x @ w; task head a z + c
+    u, v = np.zeros(2 * num_edges), np.zeros(2 * num_edges)  # domain head logits z u + v
+    for _ in range(epochs):
+        z = x_src @ w
+        residual = a * z + c - y_src
+        domain_grad = np.array([ordinal_loss_grad(z_i * u + v, label) for z_i, label in zip(z, labels)]) / n
+        encoder_grad = 2.0 * residual * a / n + reverse_gradient(domain_grad, grl_lambda) @ u
+        a, c = a - lr * 2.0 * np.mean(residual * z), c - lr * 2.0 * np.mean(residual)
+        u, v = u - lr * (domain_grad.T @ z), v - lr * domain_grad.sum(axis=0)
+        w = w - lr * (x_src.T @ encoder_grad)
+
+    z = x_src @ w
+    design = np.column_stack([(z - z.mean()) / z.std(), np.ones(n)])
+    logits = np.zeros((n, 2 * num_edges))
+    for k in range(num_edges):
+        below = np.array([label <= k for label in labels], dtype=float)
+        beta = np.zeros(2)
+        for _ in range(30):  # Newton steps on a lightly ridged logistic loss
+            p = 1.0 / (1.0 + np.exp(-(design @ beta)))
+            hessian = design.T @ (design * (p * (1.0 - p))[:, None]) + 1e-3 * np.eye(2)
+            beta -= np.linalg.solve(hessian, design.T @ (p - below) + 1e-3 * beta)
+        logits[:, 2 * k] = design @ beta
+    refit = float(np.mean([ordinal_loss(row, label) for row, label in zip(logits, labels)]))
+    mse = [float(np.mean((a * (x @ w) + c - y) ** 2)) for x, y in ((x_src, y_src), (x_tgt, y_tgt))]
+    return mse[0], mse[1], refit
+
+
+def test_acceptance_8_gradient_reversal_removes_the_focal_cue():
+    started = time.perf_counter()
+    plain, reversed_ = (train_with_gradient_reversal(grl_lambda) for grl_lambda in (0.0, 1.0))
+    elapsed = time.perf_counter() - started
+    # the reversed domain gradient trades source fit for target fit, and leaves less domain in z
+    assert reversed_[1] < plain[1]
+    assert reversed_[2] > plain[2]
+    assert elapsed < 3.0
+    print(
+        f"\nACCEPTANCE 8 adversarial-pseudo-domain: PASS (lambda 0 -> 1: source MSE {plain[0]:.3f} -> {reversed_[0]:.3f}, "
+        f"target MSE {plain[1]:.3f} -> {reversed_[1]:.3f}, refit domain loss {plain[2]:.3f} -> {reversed_[2]:.3f}; "
+        f"{elapsed:.2f}s < 3s)"
     )

@@ -695,22 +695,6 @@ class TestBinFocal:
         assert captured.err == f"error: --dataset cannot be combined with {given}\n"
 
 
-class TestOrdinalLossCommand:
-    def test_loss_and_gradient(self, tmp_path, capsys):
-        logits_path = tmp_path / "logits.json"
-        logits_path.write_text(json.dumps({"logits": [0.0, 0.0, 0.0, 0.0]}))
-        code = main(["ordinal-loss", "--logits-json", str(logits_path), "--label", "0", "--grl-lambda", "1.0"])
-        assert code == 0
-        data = json.loads(capsys.readouterr().out)
-        assert data["loss"] == pytest.approx(2.0 * math.log(2.0))
-        assert data["reversed_gradient"] == [-g for g in data["gradient"]]
-
-    def test_missing_logits_key_exits_2(self, tmp_path, capsys):
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"values": [1, 2]}))
-        assert main(["ordinal-loss", "--logits-json", str(bad), "--label", "0"]) == 2
-
-
 def golden_eval_inputs():
     """Seeded gt/pred files: 50 samples of 40 GTs and 80 detections on a half-meter lattice.
 
@@ -870,12 +854,12 @@ class TestEvaluateCommand:
     @pytest.mark.parametrize(
         "bad, message",
         [
-            (dict(GOOD_RECORD, center=[10.0, 0.0]), "center must be 3 finite values, got (10.0, 0.0)"),
-            (dict(GOOD_RECORD, center=[float("nan"), 0.0, 0.75]), "center must be 3 finite values, got (nan, 0.0, 0.75)"),
-            (dict(GOOD_RECORD, dims=[4.0, -2.0, 1.5]), "dims must be 3 non-negative values, got (4.0, -2.0, 1.5)"),
-            (dict(GOOD_RECORD, score=1.5), "score must be in [0, 1], got 1.5"),
-            (dict(GOOD_RECORD, sample_id=""), "sample_id must be a non-empty string, got ''"),
-            ({k: v for k, v in GOOD_RECORD.items() if k != "sample_id"}, "record: missing required key 'sample_id'"),
+            (dict(GOOD_RECORD, center=[10.0, 0.0]), "record 3: center must be 3 finite values, got (10.0, 0.0)"),
+            (dict(GOOD_RECORD, center=[float("nan"), 0.0, 0.75]), "record 3: center must be 3 finite values, got (nan, 0.0, 0.75)"),
+            (dict(GOOD_RECORD, dims=[4.0, -2.0, 1.5]), "record 3: dims must be 3 non-negative values, got (4.0, -2.0, 1.5)"),
+            (dict(GOOD_RECORD, score=1.5), "record 3: score must be in [0, 1], got 1.5"),
+            (dict(GOOD_RECORD, sample_id=""), "record 3: sample_id must be a non-empty string, got ''"),
+            ({k: v for k, v in GOOD_RECORD.items() if k != "sample_id"}, "record 3: missing required key 'sample_id'"),
             ([1, 2], "record 3 must be an object, got array"),
             (5, "record 3 must be an object, got number"),
             (None, "record 3 must be an object, got null"),
@@ -1042,7 +1026,7 @@ class TestParallelLoad:
         "bad_gt, bad_pred, message",
         [
             (True, True, "{gt}: records must be an array, got object"),
-            (False, True, "{pred}: center must be 3 finite values, got (10.0, 0.0)"),
+            (False, True, "{pred}: record 0: center must be 3 finite values, got (10.0, 0.0)"),
         ],
         ids=["both-bad-gt-wins", "pred-bad"],
     )
@@ -1368,7 +1352,7 @@ class TestRejectedInput:
             (
                 ["evaluate", "--gt", "{file}", "--pred", "{pred}", "--output-dir", "{out}"],
                 {"records": [{"sample_id": "s0", "center": [10**400, 0, 0.75], "dims": [4, 2, 1.5], "yaw": 0}]},
-                "{file}: int too large to convert to float",
+                "{file}: record 0: int too large to convert to float",
             ),
             (
                 ["evaluate", "--gt", "{gt}", "--pred", "{pred}", "--config", "{file}", "--output-dir", "{out}"],
@@ -1383,27 +1367,27 @@ class TestRejectedInput:
             (
                 ["evaluate", "--gt", "{file}", "--pred", "{pred}", "--output-dir", "{out}"],
                 {"records": [{"sample_id": "s0", "center": [1.0, True, 0.5], "dims": [4, 2, 1.5], "yaw": 0}]},
-                "{file}: center must be a number, got True",
+                "{file}: record 0: center must be a number, got True",
             ),
             (
                 ["evaluate", "--gt", "{gt}", "--pred", "{file}", "--output-dir", "{out}"],
                 {"records": [{"sample_id": "s0", "center": [10, 0, 0.75], "dims": [4, 2, 1.5], "yaw": 0, "score": "0.5"}]},
-                "{file}: score must be a number, got '0.5'",
+                "{file}: record 0: score must be a number, got '0.5'",
             ),
             (
                 ["evaluate", "--gt", "{gt}", "--pred", "{file}", "--output-dir", "{out}"],
                 {"records": [{"sample_id": "s0", "center": [10, 0, 0.75], "dims": [4, 2, 1.5], "yaw": 0, "score": True}]},
-                "{file}: score must be a number, got True",
+                "{file}: record 0: score must be a number, got True",
             ),
             (
                 ["evaluate", "--gt", "{file}", "--pred", "{pred}", "--output-dir", "{out}"],
                 {"records": [{"sample_id": 7, "center": [10, 0, 0.75], "dims": [4, 2, 1.5], "yaw": 0}]},
-                "{file}: sample_id must be a non-empty string, got 7",
+                "{file}: record 0: sample_id must be a non-empty string, got 7",
             ),
             (
                 ["evaluate", "--gt", "{file}", "--pred", "{pred}", "--output-dir", "{out}"],
                 {"records": [{"sample_id": "s0", "center": [10, 0, 0.75], "dims": [4, 2, 1.5], "yaw": 0, "class_id": None}]},
-                "{file}: class_id must not be null",
+                "{file}: record 0: class_id must not be null",
             ),
             (
                 ["homography", "--scene", "{file}", "--output-dir", "{out}"],
@@ -1434,26 +1418,6 @@ class TestRejectedInput:
                 ["evaluate", "--gt", "{gt}", "--pred", "{pred}", "--config", "{file}", "--output-dir", "{out}"],
                 {"metrics": {"range_limit": True}},
                 "{file}: range_limit must be a number, got True",
-            ),
-            (
-                ["ordinal-loss", "--logits-json", "{file}", "--label", "0"],
-                {"logits": 5},
-                "{file}: expected an object with a 'logits' array of numbers",
-            ),
-            (
-                ["ordinal-loss", "--logits-json", "{file}", "--label", "0"],
-                {"logits": [1, None, 2, 3]},
-                "{file}: expected an object with a 'logits' array of numbers",
-            ),
-            (
-                ["ordinal-loss", "--logits-json", "{file}", "--label", "0"],
-                {"logits": [1e308, -1e308, 0, 0]},
-                "logits must be finite, and so must the difference within each pair",
-            ),
-            (
-                ["ordinal-loss", "--logits-json", "{file}", "--label", "2"],
-                {"logits": [1.7e308, 0, 1.7e308, 0]},
-                "ordinal loss overflows a float",
             ),
         ],
         ids=[
@@ -1487,10 +1451,6 @@ class TestRejectedInput:
             "homography-integer-camera-id",
             "augment-string-config-d-yaw",
             "evaluate-boolean-config-range-limit",
-            "ordinal-loss-scalar-logits",
-            "ordinal-loss-null-logit",
-            "ordinal-loss-logit-difference-overflow",
-            "ordinal-loss-sum-overflow",
         ],
     )
     def test_exits_2_with_precise_message(self, tmp_path, eval_files, capsys, argv, content, expected):
@@ -1546,7 +1506,7 @@ class TestLongValue:
         gt_path.write_text(json.dumps(data), encoding="utf-8")
         argv = ["evaluate", "--gt", str(gt_path), "--pred", str(pred_path), "--output-dir", str(tmp_path / "out")]
         line = self.run(capsys, argv)
-        assert line.startswith(f"error: {gt_path}: sample_id must be a non-empty string, got [0, 0, ")
+        assert line.startswith(f"error: {gt_path}: record 0: sample_id must be a non-empty string, got [0, 0, ")
 
 
 DEEP_ARRAY = "[" * 100_000 + "]" * 100_000
@@ -1561,13 +1521,11 @@ class TestUnparsableFile:
         out = ["--output-dir", str(tmp_path / "out")]
         if flag == "--scene":
             return ["homography", "--scene", str(bad), *out]
-        if flag == "--logits-json":
-            return ["ordinal-loss", "--logits-json", str(bad), "--label", "0"]
         paths = {"--gt": str(gt_path), "--pred": str(pred_path), flag: str(bad)}
         return ["evaluate", *[arg for item in paths.items() for arg in item], *out]
 
     @pytest.mark.parametrize("content", [DEEP_ARRAY.encode(), b'{"records": "\xff"}'], ids=["deep-array", "invalid-utf8"])
-    @pytest.mark.parametrize("flag", ["--gt", "--pred", "--config", "--scene", "--logits-json"])
+    @pytest.mark.parametrize("flag", ["--gt", "--pred", "--config", "--scene"])
     def test_exits_2_naming_the_file(self, tmp_path, eval_files, capsys, flag, content):
         bad = tmp_path / "bad.json"
         bad.write_bytes(content)
@@ -1679,7 +1637,7 @@ def flag(name, value):
 
 
 class TestArbitraryFlag:
-    """Any float in a numeric flag of depth-convert, bin-focal or ordinal-loss: exit 0, or exit 2 with one short error line."""
+    """Any float in a numeric flag of depth-convert or bin-focal: exit 0, or exit 2 with one short error line."""
 
     @staticmethod
     def depth_convert(data, root):
@@ -1708,18 +1666,7 @@ class TestArbitraryFlag:
             argv.append(flag("--subintervals", subintervals))
         return argv
 
-    @staticmethod
-    def ordinal_loss(data, root):
-        size = data.draw(st.sampled_from([4, 6]), label="logit count")
-        logits = data.draw(st.lists(flag_floats(), min_size=size, max_size=size), label="logits")
-        (root / "logits.json").write_text(json.dumps({"logits": logits}), encoding="utf-8")
-        argv = ["ordinal-loss", "--logits-json", str(root / "logits.json"), "--label", str(data.draw(st.integers(0, 3)))]
-        grl_lambda = data.draw(st.none() | flag_floats(), label="--grl-lambda")
-        if grl_lambda is not None:
-            argv.append(flag("--grl-lambda", grl_lambda))
-        return argv
-
-    @pytest.mark.parametrize("command", ["depth_convert", "bin_focal", "ordinal_loss"])
+    @pytest.mark.parametrize("command", ["depth_convert", "bin_focal"])
     @settings(max_examples=100, derandomize=True, deadline=None)
     @given(data=st.data())
     def test_exits_0_or_2_with_one_short_error_line(self, command, data):
@@ -1750,8 +1697,8 @@ class TestMisplacedScalar:
             ("scene.json", ("cameras", 0, "pose", "t"), None, "t must be an array, got null"),
             ("scene.json", ("boxes", 1), 0.5, "box 1 must be an object, got number"),
             ("gt.json", ("records", 1), None, "record 1 must be an object, got null"),
-            ("pred.json", ("records", 0, "center"), 5, "center must be an array, got number"),
-            ("gt.json", ("records", 1, "dims"), False, "dims must be an array, got boolean"),
+            ("pred.json", ("records", 0, "center"), 5, "record 0: center must be an array, got number"),
+            ("gt.json", ("records", 1, "dims"), False, "record 1: dims must be an array, got boolean"),
             ("run.json", ("metrics", "distance_thresholds"), 4.0, "distance_thresholds must be an array, got number"),
         ],
         ids=["camera", "intrinsics", "pose", "t", "box", "record", "center", "dims", "distance-thresholds"],
@@ -1832,7 +1779,6 @@ class TestFlags:
         "homography": ["homography", "--scene", "scene.json"],
         "depth-convert": ["depth-convert", "--direction", "to-metric", "--fx", "1000", "--fy", "1000", "--values", "1"],
         "bin-focal": ["bin-focal", "--focals", "700"],
-        "ordinal-loss": ["ordinal-loss", "--logits-json", "logits.json", "--label", "1"],
         "evaluate": ["evaluate", "--gt", "gt.json", "--pred", "pred.json"],
     }
 
@@ -1842,10 +1788,8 @@ class TestFlags:
             ("gen-scene", "--config"),
             ("depth-convert", "--config"),
             ("bin-focal", "--config"),
-            ("ordinal-loss", "--config"),
             ("depth-convert", "--seed"),
             ("bin-focal", "--seed"),
-            ("ordinal-loss", "--seed"),
             ("evaluate", "--seed"),
             # aliases of perturbation.d_* in the run config, and of sqrt(2) / --f-ref
             ("augment", "--d-yaw"),
@@ -1867,11 +1811,12 @@ class TestFlags:
 
     def test_readme_commands_parse(self):
         block = re.search(r"## CLI\n\n```sh\n(.*?)```", README.read_text(encoding="utf-8"), re.S).group(1)
-        lines = [line for line in block.splitlines() if line.startswith("bevkit ")]
-        assert len(lines) == 7
+        lines = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("bevkit ")]
         parser = build_parser()
-        for line in lines:
-            parser.parse_args(shlex.split(line)[1:])
+        (subparsers,) = [action for action in parser._actions if isinstance(action, argparse._SubParsersAction)]
+        assert {argv[0] for argv in lines} == set(subparsers.choices)
+        for argv in lines:
+            parser.parse_args(argv)
 
     def test_subcommand_set(self, capsys):
         parser = build_parser()
@@ -1882,13 +1827,13 @@ class TestFlags:
             "homography",
             "depth-convert",
             "bin-focal",
-            "ordinal-loss",
             "evaluate",
         }
-        with pytest.raises(SystemExit) as exc:
-            main(["selftest"])
-        assert exc.value.code == 2
-        assert "invalid choice: 'selftest'" in capsys.readouterr().err
+        for removed in (["selftest"], ["ordinal-loss", "--label", "0"]):
+            with pytest.raises(SystemExit) as exc:
+                main(removed)
+            assert exc.value.code == 2
+            assert f"invalid choice: '{removed[0]}'" in capsys.readouterr().err
 
 
 class TestBenchmarkReplays:

@@ -1,8 +1,13 @@
 import math
+import pickle
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bevkit.geometry import shown
 from bevkit.ordinal import (
     DATASET_SCHEMES,
     OrdinalDomainScheme,
@@ -190,3 +195,91 @@ class TestReverseGradient:
     def test_negative_lambda_rejected(self):
         with pytest.raises(ValueError):
             reverse_gradient(np.ones(2), -0.5)
+
+
+class TestLogitsRule:
+    """Logits and gradients are a list or tuple of real numbers, or a numpy array of integer or float dtype."""
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            [True, False, True, False],
+            ["1", "2", "3", "4"],
+            ["1", True],
+            [1, None, 2, 3],
+            {"a": 1},
+            5,
+            None,
+            "1234",
+            [[1.0, 2.0], [3.0, 4.0]],
+            np.array([True, False, True, False]),
+            np.array(["1", "2", "3", "4"]),
+            np.array([1, None, 2, 3], dtype=object),
+        ],
+        ids=[
+            "bools",
+            "strings",
+            "string-and-bool",
+            "null",
+            "dict",
+            "scalar",
+            "none",
+            "string",
+            "nested",
+            "bool-array",
+            "str-array",
+            "object-array",
+        ],
+    )
+    def test_non_numbers_rejected_by_name(self, bad):
+        message = f"must be a list, tuple or array of numbers, got {re.escape(shown(bad))}$"
+        for call in (ordinal_loss, ordinal_loss_grad):
+            with pytest.raises(ValueError, match=f"^logits {message}"):
+                call(bad, 0)
+        with pytest.raises(ValueError, match=f"^grad {message}"):
+            reverse_gradient(bad)
+
+    @pytest.mark.parametrize(
+        "logits, label, message",
+        [
+            ([1e308, -1e308, 0, 0], 0, "logits must be finite, and so must the difference within each pair"),
+            ([1.7e308, 0, 1.7e308, 0], 2, "ordinal loss overflows a float"),
+        ],
+        ids=["logit-difference-overflow", "sum-overflow"],
+    )
+    def test_overflow_rejected(self, logits, label, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ordinal_loss(logits, label)
+
+    @pytest.mark.parametrize(
+        "logits", [[0.5, -1, 2, 3.25, 0, -0.0], (0.5, -1, 2, 3.25, 0, -0.0), np.array([1, -2, 3, 4, 0, 5])]
+    )
+    def test_every_accepted_form_gives_the_float_array_bits(self, logits):
+        floats = np.array(logits, dtype=float)
+        for label in range(4):
+            for call in (ordinal_loss, ordinal_loss_grad):
+                assert pickle.dumps(call(logits, label)) == pickle.dumps(call(floats, label))
+        assert pickle.dumps(reverse_gradient(logits, 0.5)) == pickle.dumps(reverse_gradient(floats, 0.5))
+
+
+def any_floats():
+    """Any float, with NaN, the infinities, subnormals and +-1e308 drawn often."""
+    return st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, 5e-324, -1e-320, 1e-200, 1e308, -1e308])
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(
+    logits=st.sampled_from([4, 6]).flatmap(lambda size: st.lists(any_floats(), min_size=size, max_size=size)),
+    label=st.integers(0, 3),
+    grl_lambda=st.none() | any_floats(),
+)
+def test_any_floats_give_finite_values_or_one_short_error(logits, label, grl_lambda):
+    try:
+        values = [ordinal_loss(logits, label), *ordinal_loss_grad(logits, label)]
+        if grl_lambda is not None:
+            values += list(reverse_gradient(ordinal_loss_grad(logits, label), grl_lambda))
+    except ValueError as exc:
+        message = str(exc)
+        assert "\n" not in message and len(message) <= 1000, message[:200]
+    else:
+        assert all(math.isfinite(v) for v in values)

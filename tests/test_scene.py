@@ -223,14 +223,30 @@ class TestTableFromDict:
         with pytest.raises(type(expected.value)) as got:
             table_from_dict(data)
         assert str(got.value) == str(expected.value)
+        assert str(expected.value).startswith("record 2")
+
+    @pytest.mark.parametrize(
+        "bad, error, message",
+        [
+            ({"sample_id": "s0", "dims": [1, 1, 1], "yaw": 0}, ValueError, "missing required key 'center'"),
+            ({"center": [1, 2, 3], "dims": [1, 1, 1], "yaw": 0}, ValueError, "missing required key 'sample_id'"),
+            (record(score=None), ValueError, "score must not be null"),
+            (record(center=(10**400, 0.0, 0.0)), OverflowError, "int too large to convert to float"),
+        ],
+        ids=["missing-center", "missing-sample-id", "score-null", "center-beyond-float"],
+    )
+    def test_error_names_the_record_and_keeps_its_type(self, bad, error, message):
+        with pytest.raises(error) as got:
+            records_from_dict({"records": [record(), bad]})
+        assert type(got.value) is error and str(got.value) == f"record 1: {message}"
 
     @pytest.mark.parametrize(
         "records, message",
         [
-            ([record(), record(center=(1.5, True, 0.25))], "center must be a number, got True"),
-            ([record(center=(True, False, True))], "center must be a number, got True"),
-            ([record(yaw=True), record(yaw=False)], "yaw must be a finite number, got True"),
-            ([record(score=False), record(score=True)], "score must be a number, got False"),
+            ([record(), record(center=(1.5, True, 0.25))], "record 1: center must be a number, got True"),
+            ([record(center=(True, False, True))], "record 0: center must be a number, got True"),
+            ([record(yaw=True), record(yaw=False)], "record 0: yaw must be a finite number, got True"),
+            ([record(score=False), record(score=True)], "record 0: score must be a number, got False"),
         ],
         ids=["center-one-bool", "center-all-bool", "yaw-all-bool", "score-all-bool"],
     )

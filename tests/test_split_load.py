@@ -157,7 +157,7 @@ def test_same_tables_or_error_as_the_whole_file(tmp_path, name, big):
         ("good-version-before-bad-after", "unsupported records schema_version 2"),
         ("bad-version-before-none-after", "unsupported records schema_version 2"),
         ("trailing-comma", "json"),
-        ("bad-record-in-head-and-tail", "score must be in [0, 1], got 1.5"),
+        ("bad-record-in-head-and-tail", "record 1: score must be in [0, 1], got 1.5"),
         ("bad-record-in-tail", "record 7 must be an object, got number"),
         ("records-only-in-extra", "records: missing required key 'records'"),
     ],
@@ -196,7 +196,7 @@ def test_gt_error_first_when_gt_is_larger(tmp_path, capsys, gt_text, message):
     assert main(["evaluate", "--gt", gt, "--pred", pred, "--output-dir", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     if message is None:
-        assert err == f"error: {pred}: center must be 3 finite values, got (1.0, 2.0)\n"
+        assert err == f"error: {pred}: record 0: center must be 3 finite values, got (1.0, 2.0)\n"
     elif message == "json":
         with pytest.raises(ValueError) as error:
             json.loads(gt_text)

@@ -47,6 +47,7 @@ from .scene import (
     scene_to_dict,
     table_from_dict,
     tail_records,
+    within,
 )
 
 __all__ = ["main"]
@@ -64,12 +65,8 @@ def _load_json(path: str) -> dict:
 
 
 def _parse_file(path: str, parse):
-    """``parse`` of the JSON object in ``path``; a value it rejects raises ValueError naming the file."""
-    data = _load_json(path)
-    try:
-        return parse(data)
-    except (ValueError, TypeError, OverflowError) as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+    """``parse`` of the JSON object in ``path``; an error it raises names the file."""
+    return within(path, parse, _load_json(path))
 
 
 def _out_dir(args) -> Path:

@@ -243,10 +243,11 @@ def ground_distance(a: Box3D, b: Box3D) -> float:
     return math.hypot(a.center[0] - b.center[0], a.center[1] - b.center[1])
 
 
-def _require_scores(dets: DetectionTable) -> None:
+def _require_scores(dets: DetectionTable) -> DetectionTable:
     missing = np.flatnonzero(np.isnan(dets.score))
     if len(missing):
         raise ValueError(f"detection record {missing[0]} has no score")
+    return dets
 
 
 # Largest number of detection x ground-truth window pairs one numpy pass of
@@ -329,8 +330,8 @@ def _greedy_matches(
     are sorted once by (detection's place in the score order, distance,
     ground-truth row), so at each threshold a detection claims the first
     of its pairs under the threshold whose ground truth is unclaimed.
+    Every row of ``dets`` has a score: the callers check.
     """
-    _require_scores(dets)
     rank = {name: r for r, name in enumerate(sorted(set(gts.sample_ids).union(dets.sample_ids)))}
     gt_sample = np.array([rank[name] for name in gts.sample_ids], dtype=np.int64)[gts.sample]
     det_sample = np.array([rank[name] for name in dets.sample_ids], dtype=np.int64)[dets.sample]
@@ -383,7 +384,7 @@ def match_detections(
     order, with row indices into ``gts`` and ``dets``.  ``workers`` is
     accepted for compatibility and has no effect.
     """
-    _, (matches,) = _greedy_matches(_as_table(gts), _as_table(dets), (threshold,))
+    _, (matches,) = _greedy_matches(_as_table(gts), _require_scores(_as_table(dets)), (threshold,))
     return matches
 
 
@@ -430,7 +431,7 @@ def average_precision(
     gts, dets = _as_table(gts), _as_table(dets)
     if not len(gts):
         raise UndefinedAPError(f"no ground truths at threshold {threshold}")
-    order, (matches,) = _greedy_matches(gts, dets, (threshold,))
+    order, (matches,) = _greedy_matches(gts, _require_scores(dets), (threshold,))
     return _precision_area(_tp_flags(order, matches), len(gts), recall_floor, precision_floor)
 
 
@@ -526,8 +527,7 @@ def evaluate(
     gts = gts.select(_within_range(gts, cfg.range_limit))
     if not len(gts):
         raise UndefinedAPError(f"no ground truths within range_limit {cfg.range_limit} m")
-    _require_scores(dets)
-    dets = dets.select(_within_range(dets, cfg.range_limit))
+    dets = _require_scores(dets).select(_within_range(dets, cfg.range_limit))
 
     order, matched = _greedy_matches(gts, dets, cfg.distance_thresholds)
     per_threshold_ap: dict[float, float] = {}

@@ -3,7 +3,8 @@
 All files are UTF-8 JSON with angles in radians and lengths in meters;
 ``dumps_canonical`` fixes key order and indentation so identical inputs
 produce byte-identical files.  The corresponding schema documents live
-under docs/schemas/.
+under docs/schemas/.  ``within`` alone gives a parse error its location,
+once per level of the file (the file, ``camera 4``, its ``intrinsics``).
 
 A detection file's text can also be parsed in two halves, cut at the comma
 between two records (``records_cut``, ``head_records``, ``tail_records``).
@@ -22,6 +23,7 @@ import json
 import math
 import re
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
 
 import numpy as np
 
@@ -51,6 +53,7 @@ __all__ = [
     "tail_records",
     "generate_synthetic_scene",
     "render_pattern_image",
+    "within",
 ]
 
 SCHEMA_VERSION = 1
@@ -101,9 +104,17 @@ def dumps_canonical(data) -> str:
     return json.dumps(data, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def _require(data: dict, key: str, context: str):
+def within(where: str, parse, value):
+    """``parse(value)``; a ValueError, TypeError or OverflowError from it is re-raised, same type, as ``where: message``."""
+    try:
+        return parse(value)
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise type(exc)(f"{where}: {exc}") from exc
+
+
+def _require(data: dict, key: str):
     if key not in data:
-        raise ValueError(f"{context}: missing required key {key!r}")
+        raise ValueError(f"missing required key {key!r}")
     return data[key]
 
 
@@ -139,11 +150,11 @@ def _array(value, name: str):
     return value
 
 
-def _object(value, name: str) -> dict:
-    """``value`` if it is an object, so that its keys can be looked up."""
+def _object(value, name: str, parse):
+    """``parse`` of ``value``, which must be an object; the errors ``parse`` raises read ``name: ...``."""
     if not isinstance(value, dict):
         raise ValueError(f"{name} must be an object, got {_json_type(value)}")
-    return value
+    return within(name, parse, value)
 
 
 def _check_version(data: dict, kind: str) -> None:
@@ -153,25 +164,22 @@ def _check_version(data: dict, kind: str) -> None:
         raise ValueError(f"unsupported {kind} schema_version {shown(version)}")
 
 
-def _check_keys(data: dict, allowed: set[str], where: str = "") -> None:
+def _check_keys(data: dict, allowed: set[str]) -> None:
     for key in data:
         if key not in allowed:
-            raise ValueError(f"run config: unknown key {shown(key)}{where}")
+            raise ValueError(f"unknown key {shown(key)}")
 
 
-def _section(data: dict, key: str, cls) -> dict:
-    """The run-config section ``data[key]``, whose keys must be fields of ``cls``.
+def _section(cls, section: dict):
+    """``cls`` built from a run-config section, whose keys must be fields of ``cls``.
 
     A field whose default is a tuple must be given as an array.
     """
-    section = data[key]
-    if not isinstance(section, dict):
-        raise ValueError(f"run config: {key!r} must be an object, got {_json_type(section)}")
-    _check_keys(section, {f.name for f in fields(cls)}, f" in {key!r}")
+    _check_keys(section, {f.name for f in fields(cls)})
     for f in fields(cls):
         if isinstance(f.default, tuple) and f.name in section:
             _array(section[f.name], f.name)
-    return section
+    return cls(**section)
 
 
 def intrinsics_to_dict(intr: Intrinsics) -> dict:
@@ -179,7 +187,7 @@ def intrinsics_to_dict(intr: Intrinsics) -> dict:
 
 
 def intrinsics_from_dict(data: dict) -> Intrinsics:
-    return Intrinsics(**{f.name: _require(data, f.name, "intrinsics") for f in fields(Intrinsics)})
+    return Intrinsics(**{f.name: _require(data, f.name) for f in fields(Intrinsics)})
 
 
 def pose_to_dict(pose: Pose) -> dict:
@@ -188,10 +196,10 @@ def pose_to_dict(pose: Pose) -> dict:
 
 def pose_from_dict(data: dict) -> Pose:
     return Pose(
-        yaw=_require(data, "yaw", "pose"),
-        pitch=_require(data, "pitch", "pose"),
-        roll=_require(data, "roll", "pose"),
-        translation=_array(_require(data, "t", "pose"), "t"),
+        yaw=_require(data, "yaw"),
+        pitch=_require(data, "pitch"),
+        roll=_require(data, "roll"),
+        translation=_array(_require(data, "t"), "t"),
     )
 
 
@@ -205,9 +213,9 @@ def camera_to_dict(cam: CameraModel) -> dict:
 
 def camera_from_dict(data: dict) -> CameraModel:
     return CameraModel(
-        intrinsics=intrinsics_from_dict(_object(_require(data, "intrinsics", "camera"), "intrinsics")),
-        pose=pose_from_dict(_object(_require(data, "pose", "camera"), "pose")),
-        camera_id=_require(data, "camera_id", "camera"),
+        intrinsics=_object(_require(data, "intrinsics"), "intrinsics", intrinsics_from_dict),
+        pose=_object(_require(data, "pose"), "pose", pose_from_dict),
+        camera_id=_require(data, "camera_id"),
     )
 
 
@@ -225,9 +233,9 @@ def box_to_dict(box: Box3D) -> dict:
 
 def box_from_dict(data: dict) -> Box3D:
     return Box3D(
-        center=_array(_require(data, "center", "box"), "center"),
-        dims=_array(_require(data, "dims", "box"), "dims"),
-        yaw=_require(data, "yaw", "box"),
+        center=_array(_require(data, "center"), "center"),
+        dims=_array(_require(data, "dims"), "dims"),
+        yaw=_require(data, "yaw"),
         class_id=_optional(data, "class_id", DEFAULT_CLASS_ID),
         score=_optional(data, "score", None),
     )
@@ -247,11 +255,11 @@ def scene_to_dict(scene: Scene) -> dict:
 
 def scene_from_dict(data: dict) -> Scene:
     _check_version(data, "scene")
-    scene_id = _require(data, "scene_id", "scene")
-    cameras = _array(_require(data, "cameras", "scene"), "cameras")
-    boxes = _array(_require(data, "boxes", "scene"), "boxes")
-    cameras = tuple(camera_from_dict(_object(c, f"camera {i}")) for i, c in enumerate(cameras))
-    boxes = tuple(box_from_dict(_object(b, f"box {i}")) for i, b in enumerate(boxes))
+    scene_id = _require(data, "scene_id")
+    cameras = _array(_require(data, "cameras"), "cameras")
+    boxes = _array(_require(data, "boxes"), "boxes")
+    cameras = [_object(cam, f"camera {i}", camera_from_dict) for i, cam in enumerate(cameras)]
+    boxes = [_object(box, f"box {i}", box_from_dict) for i, box in enumerate(boxes)]
     image_paths = _optional(data, "image_paths", None)
     if image_paths is not None:
         image_paths = _array(image_paths, "image_paths")
@@ -261,16 +269,11 @@ def scene_from_dict(data: dict) -> Scene:
 def records_from_dict(data: dict) -> list[DetectionRecord]:
     """Detection records; an error in record i keeps its type and reads ``record i: ...``."""
     _check_version(data, "records")
-    entries = _array(_require(data, "records", "records"), "records")
-    records = []
-    for i, entry in enumerate(entries):
-        entry = _object(entry, f"record {i}")
-        try:
-            records.append(DetectionRecord(box=box_from_dict(entry), sample_id=_require(entry, "sample_id", "record")))
-        except (ValueError, TypeError, OverflowError) as exc:
-            # The record's index replaces the context ("box", "record") that a missing key's message names.
-            raise type(exc)(f"record {i}: {str(exc).removeprefix('box: ').removeprefix('record: ')}") from exc
-    return records
+
+    def record(entry: dict) -> DetectionRecord:
+        return DetectionRecord(box=box_from_dict(entry), sample_id=_require(entry, "sample_id"))
+
+    return [_object(entry, f"record {i}", record) for i, entry in enumerate(_array(_require(data, "records"), "records"))]
 
 
 def _numeric_column(values: list, shape: tuple[int, ...]) -> np.ndarray | None:
@@ -394,9 +397,9 @@ def run_config_from_dict(data: dict) -> RunConfig:
     """
     _check_version(data, "run config")
     # Each section's class is its RunConfig field's default factory.
-    sections = {f.name: f.default_factory for f in fields(RunConfig)}
+    sections = {f.name: partial(_section, f.default_factory) for f in fields(RunConfig)}
     _check_keys(data, {"schema_version", *sections})
-    return RunConfig(**{key: cls(**_section(data, key, cls)) for key, cls in sections.items() if key in data})
+    return RunConfig(**{key: _object(data[key], key, build) for key, build in sections.items() if key in data})
 
 
 def _ring_yaws(n_cameras: int, style: str) -> list[float]:

@@ -304,7 +304,7 @@ class TestAugmentCommand:
         assert main(["augment", "--scene", str(scene), "--workers", "2", "--output-dir", str(out)]) == 2
         shown_id = shown(camera_id.format(tmp=tmp_path))
         assert capsys.readouterr().err == (
-            f"error: {scene}: camera_id must name a file: no '/', '\\' or NUL, and not '.' or '..', got {shown_id}\n"
+            f"error: {scene}: camera 2: camera_id must name a file: no '/', '\\' or NUL, and not '.' or '..', got {shown_id}\n"
         )
         assert sorted(tmp_path.rglob("*")) == before
 
@@ -1227,6 +1227,13 @@ def test_cli_import_loads_only_the_standard_library_and_numpy():
     assert loaded - set(sys.stdlib_module_names) == {"bevkit", "numpy"}
 
 
+def seed_1_scene(edit) -> dict:
+    """The scene ``gen-scene --seed 1 --boxes 4`` writes, changed in place by ``edit``."""
+    data = scene_to_dict(generate_synthetic_scene(1, 6, 4))
+    edit(data)
+    return data
+
+
 class TestRejectedInput:
     @pytest.mark.parametrize(
         "argv, content, expected",
@@ -1287,22 +1294,22 @@ class TestRejectedInput:
             (
                 ["augment", "--scene", "{scene}", "--config", "{file}", "--output-dir", "{out}"],
                 {"perturbation": {"seed": -3}},
-                "{file}: seed must be a non-negative integer, got -3",
+                "{file}: perturbation: seed must be a non-negative integer, got -3",
             ),
             (
                 ["augment", "--scene", "{file}", "--output-dir", "{out}"],
                 {"scene_id": "s", "cameras": [], "boxes": [{"center": [10**400, 0, 0.75], "dims": [4, 2, 1.5], "yaw": 0}]},
-                "{file}: int too large to convert to float",
+                "{file}: box 0: int too large to convert to float",
             ),
             (
                 ["augment", "--scene", "{scene}", "--config", "{file}", "--output-dir", "{out}"],
                 {"perturbation": {"seed": 5.7}},
-                "{file}: seed must be a non-negative integer, got 5.7",
+                "{file}: perturbation: seed must be a non-negative integer, got 5.7",
             ),
             (
                 ["augment", "--scene", "{scene}", "--config", "{file}", "--output-dir", "{out}"],
                 {"perturbation": {"seed": True}},
-                "{file}: seed must be a non-negative integer, got True",
+                "{file}: perturbation: seed must be a non-negative integer, got True",
             ),
             (
                 ["augment", "--scene", "{file}", "--output-dir", "{out}"],
@@ -1317,7 +1324,7 @@ class TestRejectedInput:
                     ],
                     "boxes": [],
                 },
-                "{file}: width must be a positive integer, got 703.9",
+                "{file}: camera 0: intrinsics: width must be a positive integer, got 703.9",
             ),
             (
                 ["augment", "--scene", "{file}", "--output-dir", "{out}"],
@@ -1332,7 +1339,7 @@ class TestRejectedInput:
                     ],
                     "boxes": [],
                 },
-                "{file}: fx must be a finite number, got True",
+                "{file}: camera 0: intrinsics: fx must be a finite number, got True",
             ),
             (
                 ["augment", "--scene", "{file}", "--output-dir", "{out}"],
@@ -1347,7 +1354,7 @@ class TestRejectedInput:
                     ],
                     "boxes": [],
                 },
-                "{file}: yaw must be a finite number, got '0.5'",
+                "{file}: camera 0: pose: yaw must be a finite number, got '0.5'",
             ),
             (
                 ["evaluate", "--gt", "{file}", "--pred", "{pred}", "--output-dir", "{out}"],
@@ -1357,12 +1364,12 @@ class TestRejectedInput:
             (
                 ["evaluate", "--gt", "{gt}", "--pred", "{pred}", "--config", "{file}", "--output-dir", "{out}"],
                 {"metrics": {"range_limit": 10**400}},
-                "{file}: int too large to convert to float",
+                "{file}: metrics: int too large to convert to float",
             ),
             (
                 ["evaluate", "--gt", "{gt}", "--pred", "{pred}", "--config", "{file}", "--output-dir", "{out}"],
                 {"metrics": {"distance_thresholds": [0.5, math.nan, 2.0]}},
-                "{file}: distance thresholds must be positive and finite, got (0.5, nan, 2.0)",
+                "{file}: metrics: distance thresholds must be positive and finite, got (0.5, nan, 2.0)",
             ),
             (
                 ["evaluate", "--gt", "{file}", "--pred", "{pred}", "--output-dir", "{out}"],
@@ -1407,17 +1414,37 @@ class TestRejectedInput:
                     ],
                     "boxes": [],
                 },
-                "{file}: camera_id must be a non-empty string, got 9",
+                "{file}: camera 0: camera_id must be a non-empty string, got 9",
             ),
             (
                 ["augment", "--scene", "{scene}", "--config", "{file}", "--output-dir", "{out}"],
                 {"perturbation": {"d_yaw": "0.5"}},
-                "{file}: d_yaw must be a number, got '0.5'",
+                "{file}: perturbation: d_yaw must be a number, got '0.5'",
             ),
             (
                 ["evaluate", "--gt", "{gt}", "--pred", "{pred}", "--config", "{file}", "--output-dir", "{out}"],
                 {"metrics": {"range_limit": True}},
-                "{file}: range_limit must be a number, got True",
+                "{file}: metrics: range_limit must be a number, got True",
+            ),
+            (
+                ["homography", "--scene", "{file}", "--output-dir", "{out}"],
+                seed_1_scene(lambda data: data["boxes"][2].pop("center")),
+                "{file}: box 2: missing required key 'center'",
+            ),
+            (
+                ["homography", "--scene", "{file}", "--output-dir", "{out}"],
+                seed_1_scene(lambda data: data["boxes"][3].update(score=None)),
+                "{file}: box 3: score must not be null",
+            ),
+            (
+                ["homography", "--scene", "{file}", "--output-dir", "{out}"],
+                seed_1_scene(lambda data: data["cameras"][4]["intrinsics"].pop("fx")),
+                "{file}: camera 4: intrinsics: missing required key 'fx'",
+            ),
+            (
+                ["evaluate", "--gt", "{gt}", "--pred", "{pred}", "--config", "{file}", "--output-dir", "{out}"],
+                {"metrics": {"tp_threshold": 3.0}},
+                "{file}: metrics: tp_threshold 3.0 not among (0.5, 1.0, 2.0, 4.0)",
             ),
         ],
         ids=[
@@ -1451,6 +1478,10 @@ class TestRejectedInput:
             "homography-integer-camera-id",
             "augment-string-config-d-yaw",
             "evaluate-boolean-config-range-limit",
+            "homography-box-without-center",
+            "homography-null-box-score",
+            "homography-intrinsics-without-fx",
+            "evaluate-config-tp-threshold-not-among",
         ],
     )
     def test_exits_2_with_precise_message(self, tmp_path, eval_files, capsys, argv, content, expected):
@@ -1465,6 +1496,34 @@ class TestRejectedInput:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {expected.format(**names)}\n"
+
+
+README_RECORDS = [
+    {"sample_id": "s0", "center": [10.0 * i, 0.0, 0.75], "dims": [4.0, 2.0, 1.5], "yaw": 0.0, "score": 0.5} for i in range(6)
+]
+
+
+@pytest.mark.parametrize(
+    "name, doc, command",
+    [
+        ("run.json", {"metrics": {"range_limt": 100}}, "evaluate"),
+        ("run.json", {"perturbation": {"seed": 5.7}}, "homography"),
+        ("pred.json", {"records": [*README_RECORDS[:5], {**README_RECORDS[5], "score": None}]}, "evaluate"),
+        ("scene.json", seed_1_scene(lambda data: data["cameras"][4]["intrinsics"].pop("fx")), "homography"),
+    ],
+    ids=["unknown-metrics-key", "fractional-seed", "null-score", "intrinsics-without-fx"],
+)
+def test_readme_quotes_the_error_lines_the_cli_prints(tmp_path, monkeypatch, capsys, name, doc, command):
+    """Each error line the README quotes is, byte for byte, the line the CLI prints for its input."""
+    monkeypatch.chdir(tmp_path)
+    valid = {"records": README_RECORDS}
+    files = {"scene.json": seed_1_scene(lambda data: None), "gt.json": valid, "pred.json": valid, "run.json": {}, name: doc}
+    for file_name, file_doc in files.items():
+        Path(file_name).write_text(json.dumps(file_doc), encoding="utf-8")
+    argv = {"homography": ["--scene", "scene.json"], "evaluate": ["--gt", "gt.json", "--pred", "pred.json"]}[command]
+    assert main([command, *argv, "--config", "run.json", "--output-dir", "out"]) == 2
+    line = capsys.readouterr().err
+    assert f"\n{line}" in README.read_text(encoding="utf-8"), line
 
 
 class TestLongValue:
@@ -1497,7 +1556,7 @@ class TestLongValue:
         path = tmp_path / "scene.json"
         path.write_text(json.dumps(data), encoding="utf-8")
         line = self.run(capsys, ["homography", "--scene", str(path), "--output-dir", str(tmp_path / "out")])
-        assert line.startswith(f"error: {path}: center must be 3 finite values, got (0.5, 0.5, ")
+        assert line.startswith(f"error: {path}: box 0: center must be 3 finite values, got (0.5, 0.5, ")
 
     def test_sample_id_of_many_elements(self, tmp_path, eval_files, capsys):
         gt_path, pred_path = eval_files
@@ -1692,14 +1751,14 @@ class TestMisplacedScalar:
         "name, path, value, message",
         [
             ("scene.json", ("cameras", 1), None, "camera 1 must be an object, got null"),
-            ("scene.json", ("cameras", 0, "intrinsics"), 5, "intrinsics must be an object, got number"),
-            ("scene.json", ("cameras", 0, "pose"), True, "pose must be an object, got boolean"),
-            ("scene.json", ("cameras", 0, "pose", "t"), None, "t must be an array, got null"),
+            ("scene.json", ("cameras", 0, "intrinsics"), 5, "camera 0: intrinsics must be an object, got number"),
+            ("scene.json", ("cameras", 0, "pose"), True, "camera 0: pose must be an object, got boolean"),
+            ("scene.json", ("cameras", 0, "pose", "t"), None, "camera 0: pose: t must be an array, got null"),
             ("scene.json", ("boxes", 1), 0.5, "box 1 must be an object, got number"),
             ("gt.json", ("records", 1), None, "record 1 must be an object, got null"),
             ("pred.json", ("records", 0, "center"), 5, "record 0: center must be an array, got number"),
             ("gt.json", ("records", 1, "dims"), False, "record 1: dims must be an array, got boolean"),
-            ("run.json", ("metrics", "distance_thresholds"), 4.0, "distance_thresholds must be an array, got number"),
+            ("run.json", ("metrics", "distance_thresholds"), 4.0, "metrics: distance_thresholds must be an array, got number"),
         ],
         ids=["camera", "intrinsics", "pose", "t", "box", "record", "center", "dims", "distance-thresholds"],
     )
@@ -1720,12 +1779,12 @@ class TestMisplacedScalar:
 
 class TestRunConfigFile:
     REJECTED = [
-        ({"metrics": {"range_limt": 100}}, "run config: unknown key 'range_limt' in 'metrics'"),
-        ({"metric": {"range_limit": 100}}, "run config: unknown key 'metric'"),
-        ({"perturbation": {"d_yaw": 0.1, "yaw": 0.1}}, "run config: unknown key 'yaw' in 'perturbation'"),
-        ({"seed": 5}, "run config: unknown key 'seed'"),
-        ({"depth": {"reference_pixel_size": -1.0}}, "run config: unknown key 'depth'"),
-        ({"scheme": {"alpha": 500.0, "beta": 750.0, "num_subintervals": 5}}, "run config: unknown key 'scheme'"),
+        ({"metrics": {"range_limt": 100}}, "metrics: unknown key 'range_limt'"),
+        ({"metric": {"range_limit": 100}}, "unknown key 'metric'"),
+        ({"perturbation": {"d_yaw": 0.1, "yaw": 0.1}}, "perturbation: unknown key 'yaw'"),
+        ({"seed": 5}, "unknown key 'seed'"),
+        ({"depth": {"reference_pixel_size": -1.0}}, "unknown key 'depth'"),
+        ({"scheme": {"alpha": 500.0, "beta": 750.0, "num_subintervals": 5}}, "unknown key 'scheme'"),
     ]
     REJECTED_IDS = ["metrics-key", "top-level-key", "perturbation-key", "top-level-seed", "depth", "scheme"]
 

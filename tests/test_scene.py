@@ -316,14 +316,14 @@ class TestRunConfigSerialization:
     @pytest.mark.parametrize(
         "data, message",
         [
-            ({"seed": 5}, "run config: unknown key 'seed'"),
-            ({"depth": {"reference_pixel_size": 0.001}}, "run config: unknown key 'depth'"),
-            ({"scheme": {"alpha": 500.0, "beta": 750.0, "num_subintervals": 5}}, "run config: unknown key 'scheme'"),
-            ({"metric": {"range_limit": 100}}, "run config: unknown key 'metric'"),
-            ({"metrics": {"range_limt": 100}}, "run config: unknown key 'range_limt' in 'metrics'"),
-            ({"perturbation": {"d_yaw": 0.1, "yaw": 0.1}}, "run config: unknown key 'yaw' in 'perturbation'"),
-            ({"metrics": [1.0, 2.0]}, "run config: 'metrics' must be an object, got array"),
-            ({"perturbation": 0.02}, "run config: 'perturbation' must be an object, got number"),
+            ({"seed": 5}, "unknown key 'seed'"),
+            ({"depth": {"reference_pixel_size": 0.001}}, "unknown key 'depth'"),
+            ({"scheme": {"alpha": 500.0, "beta": 750.0, "num_subintervals": 5}}, "unknown key 'scheme'"),
+            ({"metric": {"range_limit": 100}}, "unknown key 'metric'"),
+            ({"metrics": {"range_limt": 100}}, "metrics: unknown key 'range_limt'"),
+            ({"perturbation": {"d_yaw": 0.1, "yaw": 0.1}}, "perturbation: unknown key 'yaw'"),
+            ({"metrics": [1.0, 2.0]}, "metrics must be an object, got array"),
+            ({"perturbation": 0.02}, "perturbation must be an object, got number"),
         ],
         ids=["top-level-seed", "depth", "scheme", "top-level-key", "metrics-key", "perturbation-key", "metrics-list", "perturbation-number"],
     )

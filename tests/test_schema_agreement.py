@@ -9,8 +9,10 @@ number) and runs the file through ``homography``, ``evaluate`` or
 when jsonschema rejects the file.  JSON Schema cannot state non-finite
 numbers or rules across fields, so those hold one way only: a NaN or an
 infinity always exits 2, and a file the schema accepts may exit 2 only
-with one of the ``ONE_WAY`` messages.  Which camera, box, record or array
-entry a case changes is drawn from a seeded generator.
+with one of the ``ONE_WAY`` messages.  Any other error in a camera, box or
+record names that entry (``camera 1: ...``) right after the file path.
+Which camera, box, record or array entry a case changes is drawn from a
+seeded generator.
 """
 
 import json
@@ -36,6 +38,9 @@ ONE_WAY = (
     "not among",  # tp_threshold is one of the distance thresholds
     "has no score",  # predictions carry a score, ground truth need not
 )
+
+# The word an error in entry i of each array names it by: "camera i", "box i", "record i".
+ENTRIES = {"cameras": "camera", "boxes": "box", "records": "record"}
 
 
 def valid_scene() -> dict:
@@ -181,5 +186,8 @@ def test_cli_rejects_exactly_what_the_schema_rejects(tmp_path, capsys, case):
     else:
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
+        one_way = any(rule in err for rule in ONE_WAY)
         if not schema_rejects and name != "non-finite":
-            assert any(rule in err for rule in ONE_WAY), f"the CLI rejects a file the schema accepts: {err}"
+            assert one_way, f"the CLI rejects a file the schema accepts: {err}"
+        if len(path) > 1 and path[0] in ENTRIES and not one_way:
+            assert err.startswith(f"error: {file}: {ENTRIES[path[0]]} {path[1]}"), err

@@ -159,7 +159,7 @@ def test_same_tables_or_error_as_the_whole_file(tmp_path, name, big):
         ("trailing-comma", "json"),
         ("bad-record-in-head-and-tail", "record 1: score must be in [0, 1], got 1.5"),
         ("bad-record-in-tail", "record 7 must be an object, got number"),
-        ("records-only-in-extra", "records: missing required key 'records'"),
+        ("records-only-in-extra", "missing required key 'records'"),
     ],
 )
 def test_error_line_names_the_first_fault(tmp_path, capsys, name, message):

@@ -121,12 +121,11 @@ class Homography:
         return cls(np.eye(3), provenance="identity-fallback")
 
     def apply(self, pixels: np.ndarray) -> np.ndarray:
-        """Map (n, 2) or (2,) pixels through the homography and dehomogenize."""
-        pts = np.atleast_2d(np.asarray(pixels, dtype=float))
+        """Map (n, 2) pixels through the homography and dehomogenize."""
+        pts = np.asarray(pixels, dtype=float)
         ones = np.ones((pts.shape[0], 1))
         mapped = np.hstack([pts, ones]) @ self.matrix.T
-        out = mapped[:, :2] / mapped[:, 2:3]
-        return out[0] if np.asarray(pixels).ndim == 1 else out
+        return mapped[:, :2] / mapped[:, 2:3]
 
     def row_major(self) -> list[float]:
         return [float(v) for v in self.matrix.reshape(-1)]

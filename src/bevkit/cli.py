@@ -53,19 +53,16 @@ from .scene import (
 __all__ = ["main"]
 
 
-def _load_json(path: str) -> dict:
+def _load_json(path: str):
     try:
         with open(path, encoding="utf-8") as handle:
-            data = json.load(handle)
+            return json.load(handle)
     except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad JSON or bad UTF-8
         raise ValueError(f"{path}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ValueError(f"{path}: expected a JSON object at the top level, got {type(data).__name__}")
-    return data
 
 
 def _parse_file(path: str, parse):
-    """``parse`` of the JSON object in ``path``; an error it raises names the file."""
+    """``parse`` of the JSON value in ``path``; an error it raises names the file."""
     return within(path, parse, _load_json(path))
 
 

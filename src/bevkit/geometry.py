@@ -197,9 +197,9 @@ class CameraModel:
         if not isinstance(self.camera_id, str) or not self.camera_id:
             raise ValueError(f"camera_id must be a non-empty string, got {shown(self.camera_id)}")
         # the id names the camera's raster, augmented/<camera_id>.pgm
-        if self.camera_id in (".", "..") or any(c in self.camera_id for c in "/\\\0"):
+        if self.camera_id in (".", "..") or any(c in "/\\\0" or "\ud800" <= c <= "\udfff" for c in self.camera_id):
             raise ValueError(
-                f"camera_id must name a file: no '/', '\\' or NUL, and not '.' or '..', got {shown(self.camera_id)}"
+                f"camera_id must name a file: no '/', '\\', NUL or surrogate, and not '.' or '..', got {shown(self.camera_id)}"
             )
 
 

@@ -5,6 +5,7 @@ All files are UTF-8 JSON with angles in radians and lengths in meters;
 produce byte-identical files.  The corresponding schema documents live
 under docs/schemas/.  ``within`` alone gives a parse error its location,
 once per level of the file (the file, ``camera 4``, its ``intrinsics``).
+The top level passes the same object check as every level in it.
 
 A detection file's text can also be parsed in two halves, cut at the comma
 between two records (``records_cut``, ``head_records``, ``tail_records``).
@@ -150,15 +151,16 @@ def _array(value, name: str):
     return value
 
 
-def _object(value, name: str, parse):
-    """``parse`` of ``value``, which must be an object; the errors ``parse`` raises read ``name: ...``."""
+def _object(value, name: str, parse=None):
+    """``value``, which must be an object, or ``parse`` of it; the errors ``parse`` raises read ``name: ...``."""
     if not isinstance(value, dict):
         raise ValueError(f"{name} must be an object, got {_json_type(value)}")
-    return within(name, parse, value)
+    return value if parse is None else within(name, parse, value)
 
 
-def _check_version(data: dict, kind: str) -> None:
-    """``schema_version`` may be omitted; given, it must be 1, and ``true`` is not 1."""
+def _check_version(data, kind: str) -> None:
+    """``data`` must be an object; its ``schema_version`` may be omitted, and given, it must be 1 (``true`` is not 1)."""
+    _object(data, "the top level")
     version = data.get("schema_version", SCHEMA_VERSION)
     if isinstance(version, bool) or version != SCHEMA_VERSION:
         raise ValueError(f"unsupported {kind} schema_version {shown(version)}")

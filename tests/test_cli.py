@@ -291,7 +291,7 @@ class TestAugmentCommand:
         assert not (out / "poses.json").exists()
 
     @pytest.mark.parametrize(
-        "camera_id", ["../../escaped", "{tmp}/abs/elsewhere/planted", "a/b", "a\\b", "a\x00b", ".", ".."]
+        "camera_id", ["../../escaped", "{tmp}/abs/elsewhere/planted", "a/b", "a\\b", "a\x00b", ".", "..", "\ud800"]
     )
     def test_camera_id_that_is_not_a_file_name_exits_2_writing_nothing(self, tmp_path, capsys, camera_id):
         scene = self.scene(tmp_path)
@@ -304,7 +304,8 @@ class TestAugmentCommand:
         assert main(["augment", "--scene", str(scene), "--workers", "2", "--output-dir", str(out)]) == 2
         shown_id = shown(camera_id.format(tmp=tmp_path))
         assert capsys.readouterr().err == (
-            f"error: {scene}: camera 2: camera_id must name a file: no '/', '\\' or NUL, and not '.' or '..', got {shown_id}\n"
+            f"error: {scene}: camera 2: camera_id must name a file: no '/', '\\', NUL or surrogate, and not '.' or '..', "
+            f"got {shown_id}\n"
         )
         assert sorted(tmp_path.rglob("*")) == before
 
@@ -1446,6 +1447,26 @@ class TestRejectedInput:
                 {"metrics": {"tp_threshold": 3.0}},
                 "{file}: metrics: tp_threshold 3.0 not among (0.5, 1.0, 2.0, 4.0)",
             ),
+            (
+                ["homography", "--scene", "{file}", "--output-dir", "{out}"],
+                [1],
+                "{file}: the top level must be an object, got array",
+            ),
+            (
+                ["evaluate", "--gt", "{gt}", "--pred", "{pred}", "--config", "{file}", "--output-dir", "{out}"],
+                [1],
+                "{file}: the top level must be an object, got array",
+            ),
+            (
+                ["evaluate", "--gt", "{file}", "--pred", "{pred}", "--output-dir", "{out}"],
+                [1],
+                "{file}: the top level must be an object, got array",
+            ),
+            (
+                ["evaluate", "--gt", "{gt}", "--pred", "{file}", "--output-dir", "{out}"],
+                [1],
+                "{file}: the top level must be an object, got array",
+            ),
         ],
         ids=[
             "bin-focal-nan",
@@ -1482,6 +1503,10 @@ class TestRejectedInput:
             "homography-null-box-score",
             "homography-intrinsics-without-fx",
             "evaluate-config-tp-threshold-not-among",
+            "homography-top-level-array-scene",
+            "evaluate-top-level-array-config",
+            "evaluate-top-level-array-gt",
+            "evaluate-top-level-array-pred",
         ],
     )
     def test_exits_2_with_precise_message(self, tmp_path, eval_files, capsys, argv, content, expected):
@@ -1510,8 +1535,9 @@ README_RECORDS = [
         ("run.json", {"perturbation": {"seed": 5.7}}, "homography"),
         ("pred.json", {"records": [*README_RECORDS[:5], {**README_RECORDS[5], "score": None}]}, "evaluate"),
         ("scene.json", seed_1_scene(lambda data: data["cameras"][4]["intrinsics"].pop("fx")), "homography"),
+        ("gt.json", [], "evaluate"),
     ],
-    ids=["unknown-metrics-key", "fractional-seed", "null-score", "intrinsics-without-fx"],
+    ids=["unknown-metrics-key", "fractional-seed", "null-score", "intrinsics-without-fx", "top-level-array"],
 )
 def test_readme_quotes_the_error_lines_the_cli_prints(tmp_path, monkeypatch, capsys, name, doc, command):
     """Each error line the README quotes is, byte for byte, the line the CLI prints for its input."""

@@ -127,6 +127,16 @@ class TestSceneSerialization:
             dumps_canonical({"values": [1.0, value]})
 
 
+@pytest.mark.parametrize("parse", [scene_from_dict, records_from_dict, table_from_dict, run_config_from_dict])
+@pytest.mark.parametrize(
+    "document, json_type", [(None, "null"), ([1], "array"), (True, "boolean"), ("x", "string"), (3, "number")]
+)
+def test_a_document_that_is_not_an_object_is_rejected_by_its_json_type(parse, document, json_type):
+    with pytest.raises(ValueError) as failure:
+        parse(document)
+    assert str(failure.value) == f"the top level must be an object, got {json_type}"
+
+
 def record(sample="s0", center=(10.0, 0.0, 0.75), dims=(4.0, 2.0, 1.5), yaw=0.0, **extra):
     return {"sample_id": sample, "center": list(center), "dims": list(dims), "yaw": yaw, **extra}
 

@@ -97,6 +97,7 @@ def mutations(value, key, rng: random.Random):
             yield "backslash", "a\\b"
             yield "nul", "a\x00b"
             yield "dot-dot", ".."
+            yield "surrogate", "a\ud800b"
     elif isinstance(value, int):
         yield "numeric-string", str(value)
         yield "fraction", value + 0.5

@@ -33,9 +33,9 @@ from .geometry import (
     CameraModel,
     Pose,
     ego_to_camera_rotation,
+    finite_number,
     in_image,
     project_points,
-    real_number,
     shown,
     whole_number,
 )
@@ -74,10 +74,7 @@ class PerturbationRange:
 
     def __post_init__(self) -> None:
         for name in ("d_yaw", "d_pitch", "d_roll"):
-            value = real_number(name, getattr(self, name))
-            if not math.isfinite(value) or value < 0.0:
-                raise ValueError(f"{name} must be a non-negative half-width, got {value!r}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, finite_number(name, getattr(self, name), "non-negative"))
         object.__setattr__(self, "seed", whole_number("seed", self.seed, 0))
 
 

@@ -34,11 +34,11 @@ class Box3D:
     score: float | None = None
 
     def __post_init__(self) -> None:
-        center = tuple(real_number("center", v) for v in self.center)
-        dims = tuple(real_number("dims", v) for v in self.dims)
-        if len(center) != 3 or not all(math.isfinite(v) for v in center):
+        center = tuple(finite_number("center", v) for v in self.center)
+        dims = tuple(finite_number("dims", v, "non-negative") for v in self.dims)
+        if len(center) != 3:
             raise ValueError(f"center must be 3 finite values, got {shown(center)}")
-        if len(dims) != 3 or not all(math.isfinite(v) and v >= 0.0 for v in dims):
+        if len(dims) != 3:
             raise ValueError(f"dims must be 3 non-negative values, got {shown(dims)}")
         if not isinstance(self.class_id, str):
             raise ValueError(f"class_id must be a string, got {shown(self.class_id)}")

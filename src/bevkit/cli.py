@@ -29,7 +29,7 @@ from .depth import (
     metric_to_scale_invariant,
     scale_invariant_to_metric,
 )
-from .geometry import Intrinsics
+from .geometry import Intrinsics, positive_number, whole_number
 from .metrics import evaluate
 from .ordinal import DATASET_SCHEMES, assign_label
 from .pnm import read_pnm, write_pnm
@@ -292,10 +292,8 @@ def _depth_config(args) -> DepthDecouplingConfig:
         if args.depth_min is None or args.depth_max is None:
             raise ValueError("--depth-min and --depth-max must be given together")
         kwargs["metric_depth_range"] = (args.depth_min, args.depth_max)
-    c = math.sqrt(2.0) / args.f_ref if args.f_ref else 0.0
-    if not 0.0 < c < math.inf:
-        raise ValueError(f"--f-ref must give a positive, finite c = sqrt(2) / --f-ref, got {args.f_ref!r}")
-    return DepthDecouplingConfig(reference_pixel_size=c, **kwargs)
+    c = math.sqrt(2.0) / args.f_ref if args.f_ref else math.inf
+    return DepthDecouplingConfig(reference_pixel_size=positive_number("c = sqrt(2) / --f-ref", c), **kwargs)
 
 
 def _cmd_depth_convert(args) -> int:
@@ -495,8 +493,7 @@ def main(argv: list[str] | None = None) -> int:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        if getattr(args, "workers", 1) < 1:
-            raise ValueError(f"workers must be >= 1, got {args.workers}")
+        whole_number("--workers", getattr(args, "workers", 1), 1)
         return args.func(args)
     except (ValueError, TypeError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

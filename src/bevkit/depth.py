@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .geometry import Intrinsics, real_number
+from .geometry import Intrinsics, positive_number, real_number
 
 __all__ = [
     "DEFAULT_REFERENCE_FOCAL",
@@ -51,13 +51,10 @@ class DepthDecouplingConfig:
     metric_depth_range: tuple[float, float] = DATASET_DEPTH_RANGES["nuscenes"]
 
     def __post_init__(self) -> None:
-        c = real_number("reference_pixel_size", self.reference_pixel_size)
-        if not 0.0 < c < math.inf:
-            raise ValueError(f"reference_pixel_size must be positive, got {c!r}")
-        object.__setattr__(self, "reference_pixel_size", c)
-        lo, hi = (real_number("metric_depth_range", v) for v in self.metric_depth_range)
-        if not 0.0 < lo < hi < math.inf:
-            raise ValueError(f"metric_depth_range must satisfy 0 < min < max, got {self.metric_depth_range!r}")
+        object.__setattr__(self, "reference_pixel_size", positive_number("reference_pixel_size", self.reference_pixel_size))
+        lo, hi = (positive_number("metric_depth_range", v) for v in self.metric_depth_range)
+        if not lo < hi:
+            raise ValueError(f"metric_depth_range must satisfy min < max, got {self.metric_depth_range!r}")
         object.__setattr__(self, "metric_depth_range", (lo, hi))
 
 
@@ -100,9 +97,7 @@ def scale_invariant_to_metric(d: float, intr: Intrinsics, cfg: DepthDecouplingCo
 
     A result too large for a float raises ValueError.
     """
-    d = real_number("d", d)
-    if not 0.0 < d < math.inf:
-        raise ValueError(f"scale-invariant depth must be positive and finite, got {d}")
+    d = positive_number("d", d)
     d_m = cfg.reference_pixel_size / pixel_size(intr) * d
     if d_m == math.inf:
         raise ValueError(f"metric depth for scale-invariant depth {d} overflows a float at fx={intr.fx}, fy={intr.fy}")
@@ -119,9 +114,7 @@ def resize_intrinsics(intr: Intrinsics, r_x: float, r_y: float) -> Intrinsics:
     Focal lengths and the principal point scale linearly; width and
     height round half-up so the result is platform independent.
     """
-    r_x, r_y = real_number("r_x", r_x), real_number("r_y", r_y)
-    if not (0.0 < r_x < math.inf and 0.0 < r_y < math.inf):
-        raise ValueError(f"resize rates must be positive, got ({r_x!r}, {r_y!r})")
+    r_x, r_y = positive_number("r_x", r_x), positive_number("r_y", r_y)
     return Intrinsics(
         fx=r_x * intr.fx,
         fy=r_y * intr.fy,

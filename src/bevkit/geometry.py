@@ -112,11 +112,25 @@ def real_number(name: str, value) -> float:
     return float(value)
 
 
-def finite_number(name: str, value) -> float:
-    """``value`` as a float if ``is_real`` and finite; anything else raises ValueError."""
-    if not is_real(value) or not math.isfinite(value):
-        raise ValueError(f"{name} must be a finite number, got {shown(value)}")
-    return float(value)
+def finite_number(name: str, value, sign: str = "") -> float:
+    """``value`` as a float if ``is_real`` and finite; anything else raises ValueError.
+
+    The one range rule for input scalars: ``sign`` "non-negative" also
+    rejects a value below 0, and "positive" (``positive_number``) one at or below 0.
+    """
+    if is_real(value) and math.isfinite(value) and (not sign or value > 0 or value == 0 and sign == "non-negative"):
+        return float(value)
+    raise ValueError(f"{name} must be a {sign + ' ' if sign else ''}finite number, got {shown(value)}")
+
+
+def positive_number(name: str, value) -> float:
+    """``finite_number`` above 0: focal lengths, scales, distance thresholds and range limits."""
+    return finite_number(name, value, "positive")
+
+
+def is_path(text: str) -> bool:
+    """Whether the file system takes ``text`` as a path: it holds no NUL and no surrogate code point."""
+    return not any(c == "\0" or "\ud800" <= c <= "\udfff" for c in text)
 
 
 @dataclass(frozen=True)
@@ -135,12 +149,10 @@ class Intrinsics:
     height: int
 
     def __post_init__(self) -> None:
-        for name in ("fx", "fy", "px", "py"):
-            object.__setattr__(self, name, finite_number(name, getattr(self, name)))
+        for name, sign in (("fx", "positive"), ("fy", "positive"), ("px", ""), ("py", "")):
+            object.__setattr__(self, name, finite_number(name, getattr(self, name), sign))
         for name in ("width", "height"):
             object.__setattr__(self, name, whole_number(name, getattr(self, name), 1))
-        if self.fx <= 0.0 or self.fy <= 0.0:
-            raise ValueError(f"focal lengths must be positive, got fx={self.fx}, fy={self.fy}")
         if not (0.0 <= self.px < self.width):
             raise ValueError(f"px={self.px} outside [0, {self.width})")
         if not (0.0 <= self.py < self.height):
@@ -197,7 +209,7 @@ class CameraModel:
         if not isinstance(self.camera_id, str) or not self.camera_id:
             raise ValueError(f"camera_id must be a non-empty string, got {shown(self.camera_id)}")
         # the id names the camera's raster, augmented/<camera_id>.pgm
-        if self.camera_id in (".", "..") or any(c in "/\\\0" or "\ud800" <= c <= "\udfff" for c in self.camera_id):
+        if self.camera_id in (".", "..") or not is_path(self.camera_id) or any(c in "/\\" for c in self.camera_id):
             raise ValueError(
                 f"camera_id must name a file: no '/', '\\', NUL or surrogate, and not '.' or '..', got {shown(self.camera_id)}"
             )

@@ -33,7 +33,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .boxes import Box3D
-from .geometry import real_number, shown
+from .geometry import finite_number, positive_number, real_number, shown
 
 __all__ = [
     "UndefinedAPError",
@@ -131,28 +131,21 @@ class DetectionTable:
         """``from_columns`` over this table's records, then ``other``'s; both built by ``from_columns``."""
         samples, sample_codes = _vocabulary(self.sample_ids + other.sample_ids)
         classes, class_codes = _vocabulary(self.class_ids + other.class_ids)
-        return DetectionTable(
-            sample_ids=samples,
-            class_ids=classes,
-            sample=np.concatenate([self.sample, sample_codes[len(self.sample_ids) :][other.sample]]),
-            class_index=np.concatenate([self.class_index, class_codes[len(self.class_ids) :][other.class_index]]),
-            center=np.concatenate([self.center, other.center]),
-            dims=np.concatenate([self.dims, other.dims]),
-            yaw=np.concatenate([self.yaw, other.yaw]),
-            score=np.concatenate([self.score, other.score]),
+        other = replace(
+            other,
+            sample=sample_codes[len(self.sample_ids) :][other.sample],
+            class_index=class_codes[len(self.class_ids) :][other.class_index],
         )
+        rows = {name: np.concatenate([getattr(self, name), getattr(other, name)]) for name in _ROW_COLUMNS}
+        return DetectionTable(sample_ids=samples, class_ids=classes, **rows)
 
     def select(self, keep: np.ndarray) -> "DetectionTable":
         """The rows where ``keep`` is true."""
-        return replace(
-            self,
-            sample=self.sample[keep],
-            class_index=self.class_index[keep],
-            center=self.center[keep],
-            dims=self.dims[keep],
-            yaw=self.yaw[keep],
-            score=self.score[keep],
-        )
+        return replace(self, **{name: getattr(self, name)[keep] for name in _ROW_COLUMNS})
+
+
+# The columns of ``DetectionTable`` that hold one entry per row.
+_ROW_COLUMNS = ("sample", "class_index", "center", "dims", "yaw", "score")
 
 
 def _as_table(records: DetectionTable | Sequence[DetectionRecord]) -> DetectionTable:
@@ -175,19 +168,16 @@ class MetricConfig:
     precision_floor: float = 0.1
 
     def __post_init__(self) -> None:
-        thresholds = tuple(real_number("distance threshold", t) for t in self.distance_thresholds)
-        if not thresholds or not all(0.0 < t < math.inf for t in thresholds):
-            raise ValueError(f"distance thresholds must be positive and finite, got {shown(thresholds)}")
+        thresholds = tuple(positive_number("distance threshold", t) for t in self.distance_thresholds)
+        if not thresholds:
+            raise ValueError("distance thresholds must not be empty")
         if any(b <= a for a, b in zip(thresholds, thresholds[1:])):
             raise ValueError(f"distance thresholds must be ascending, got {shown(thresholds)}")
         object.__setattr__(self, "distance_thresholds", thresholds)
         object.__setattr__(self, "tp_threshold", real_number("tp_threshold", self.tp_threshold))
         if self.tp_threshold not in thresholds:
             raise ValueError(f"tp_threshold {self.tp_threshold} not among {shown(thresholds)}")
-        range_limit = real_number("range_limit", self.range_limit)
-        if not 0.0 < range_limit < math.inf:
-            raise ValueError(f"range_limit must be positive and finite, got {range_limit!r}")
-        object.__setattr__(self, "range_limit", range_limit)
+        object.__setattr__(self, "range_limit", positive_number("range_limit", self.range_limit))
         for name in ("recall_floor", "precision_floor"):
             value = real_number(name, getattr(self, name))
             if not (0.0 <= value < 1.0):
@@ -382,9 +372,11 @@ def match_detections(
     is claimed at most once.  Equidistant candidates resolve to the lower
     ground-truth input index.  The result is in detection processing
     order, with row indices into ``gts`` and ``dets``.  ``workers`` is
-    accepted for compatibility and has no effect.
+    accepted for compatibility and has no effect.  ``threshold`` obeys
+    ``MetricConfig``'s rule for a distance threshold.
     """
-    _, (matches,) = _greedy_matches(_as_table(gts), _require_scores(_as_table(dets)), (threshold,))
+    cfg = MetricConfig(distance_thresholds=(threshold,), tp_threshold=threshold)
+    _, (matches,) = _greedy_matches(_as_table(gts), _require_scores(_as_table(dets)), cfg.distance_thresholds)
     return matches
 
 
@@ -424,15 +416,22 @@ def average_precision(
     Precision at each grid recall is interpolated as the maximum precision
     at any recall to the right.  The grid bin at exactly the recall floor
     is excluded, and the clipped precision mass is rescaled by
-    1 / (1 - precision_floor) so a perfect detector scores 1.
+    1 / (1 - precision_floor) so a perfect detector scores 1.  The
+    threshold and the floors obey ``MetricConfig``'s rules.
 
     Raises UndefinedAPError when there are no ground truths.
     """
+    cfg = MetricConfig(
+        distance_thresholds=(threshold,),
+        tp_threshold=threshold,
+        recall_floor=recall_floor,
+        precision_floor=precision_floor,
+    )
     gts, dets = _as_table(gts), _as_table(dets)
     if not len(gts):
         raise UndefinedAPError(f"no ground truths at threshold {threshold}")
-    order, (matches,) = _greedy_matches(gts, _require_scores(dets), (threshold,))
-    return _precision_area(_tp_flags(order, matches), len(gts), recall_floor, precision_floor)
+    order, (matches,) = _greedy_matches(gts, _require_scores(dets), cfg.distance_thresholds)
+    return _precision_area(_tp_flags(order, matches), len(gts), cfg.recall_floor, cfg.precision_floor)
 
 
 def _mean_errors(
@@ -484,11 +483,11 @@ def tp_errors(matched_boxes: Sequence[tuple[Box3D, Box3D]]) -> TPErrors:
 
 def nds_star(m_ap: float, m_ate: float, m_ase: float, m_aoe: float) -> float:
     """Aggregate score from mAP and the three TP errors, each clamped at 1."""
+    m_ap = real_number("mAP", m_ap)
     if not (0.0 <= m_ap <= 1.0):
         raise ValueError(f"mAP must be in [0, 1], got {m_ap!r}")
-    for name, value in (("mATE", m_ate), ("mASE", m_ase), ("mAOE", m_aoe)):
-        if value < 0.0 or not math.isfinite(value):
-            raise ValueError(f"{name} must be a finite non-negative error, got {value!r}")
+    errors = (("mATE", m_ate), ("mASE", m_ase), ("mAOE", m_aoe))
+    m_ate, m_ase, m_aoe = (finite_number(name, value, "non-negative") for name, value in errors)
     recovered = (1.0 - min(1.0, m_ate)) + (1.0 - min(1.0, m_ase)) + (1.0 - min(1.0, m_aoe))
     return (3.0 * m_ap + recovered) / 6.0
 

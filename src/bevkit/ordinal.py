@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import is_real, real_number, shown, whole_number
+from .geometry import finite_number, is_real, positive_number, shown, whole_number
 
 __all__ = [
     "OrdinalDomainScheme",
@@ -49,8 +49,8 @@ class OrdinalDomainScheme:
     thresholds: tuple[float, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        alpha, beta = real_number("alpha", self.alpha), real_number("beta", self.beta)
-        if not -math.inf < alpha < beta < math.inf:
+        alpha, beta = finite_number("alpha", self.alpha), finite_number("beta", self.beta)
+        if not alpha < beta:
             raise ValueError(f"need alpha < beta, got alpha={alpha}, beta={beta}")
         k = whole_number("num_subintervals", self.num_subintervals, 1)
         thresholds = tuple(alpha + (beta - alpha) * i / k for i in range(k + 1))
@@ -80,9 +80,7 @@ def assign_label(scheme: OrdinalDomainScheme, focal: float) -> int:
     Returns 0 below the first edge, K + 1 at or above the last, and i + 1
     for focal in [t_i, t_{i+1}).
     """
-    focal = real_number("focal", focal)
-    if not 0.0 < focal < math.inf:
-        raise ValueError(f"focal length must be positive and finite, got {focal!r}")
+    focal = positive_number("focal", focal)
     # the count of edges <= focal
     return bisect.bisect_right(scheme.thresholds, focal)
 
@@ -146,7 +144,4 @@ def ordinal_loss_grad(logits, label: int) -> np.ndarray:
 
 def reverse_gradient(grad, grl_lambda: float = 1.0) -> np.ndarray:
     """Scaled gradient negation, -lambda * grad (forward pass is the identity)."""
-    grl_lambda = real_number("grl_lambda", grl_lambda)
-    if not 0.0 <= grl_lambda < math.inf:
-        raise ValueError(f"lambda must be >= 0, got {grl_lambda!r}")
-    return -grl_lambda * _real_array("grad", grad)
+    return -finite_number("grl_lambda", grl_lambda, "non-negative") * _real_array("grad", grad)

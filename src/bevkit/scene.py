@@ -30,7 +30,7 @@ import numpy as np
 
 from .augment import PerturbationRange
 from .boxes import DEFAULT_CLASS_ID, Box3D
-from .geometry import CameraModel, Intrinsics, Pose, ego_to_camera_rotation, is_real, shown, whole_number, wrap_angle
+from .geometry import CameraModel, Intrinsics, Pose, ego_to_camera_rotation, is_path, is_real, shown, whole_number, wrap_angle
 from .metrics import DetectionRecord, DetectionTable, MetricConfig
 from .ordinal import DATASET_SCHEMES
 
@@ -82,6 +82,9 @@ class Scene:
             paths = tuple(self.image_paths)
             if not all(isinstance(p, str) for p in paths):
                 raise ValueError(f"image paths must be strings, got {shown(paths)}")
+            for index, path in enumerate(paths):
+                if not is_path(path):
+                    raise ValueError(f"image path {index} must name a file: no NUL or surrogate, got {shown(path)}")
             if len(paths) != len(self.cameras):
                 raise ValueError(
                     f"got {len(paths)} image paths for {len(self.cameras)} cameras"
@@ -483,7 +486,7 @@ def generate_synthetic_scene(
 
 def render_pattern_image(width: int, height: int, camera_index: int = 0) -> np.ndarray:
     """Deterministic textured test raster (uint8 graymap) for warp pipelines."""
-    x = np.arange(width)
-    y = np.arange(height)[:, None]
-    pattern = (3 * x + 5 * y + 17 * camera_index) % 251
+    x = np.arange(whole_number("width", width, 1))
+    y = np.arange(whole_number("height", height, 1))[:, None]
+    pattern = (3 * x + 5 * y + 17 * whole_number("camera_index", camera_index, 0)) % 251
     return pattern.astype(np.uint8)

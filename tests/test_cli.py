@@ -309,13 +309,29 @@ class TestAugmentCommand:
         )
         assert sorted(tmp_path.rglob("*")) == before
 
+    @pytest.mark.parametrize("command", ["augment", "homography"])
+    @pytest.mark.parametrize("image_path", ["images/\ud800.pgm", "images/a\x00b.pgm"], ids=["surrogate", "nul"])
+    def test_image_path_that_is_not_a_file_name_exits_2_writing_nothing(self, tmp_path, capsys, image_path, command):
+        scene = self.scene(tmp_path)
+        data = json.loads(scene.read_text())
+        data["image_paths"][3] = image_path
+        scene.write_text(json.dumps(data))
+        before = sorted(tmp_path.rglob("*"))
+        capsys.readouterr()
+        out = tmp_path / "out" / "aug"
+        assert main([command, "--scene", str(scene), "--output-dir", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {scene}: image path 3 must name a file: no NUL or surrogate, got {shown(image_path)}\n"
+        )
+        assert sorted(tmp_path.rglob("*")) == before
+
     @pytest.mark.parametrize("workers", [0, -3])
     def test_workers_below_1_exit_2_before_any_output(self, tmp_path, capsys, workers):
         scene = self.scene(tmp_path)
         capsys.readouterr()
         out = tmp_path / "aug"
         assert main(["augment", "--scene", str(scene), "--workers", str(workers), "--output-dir", str(out)]) == 2
-        assert capsys.readouterr().err == f"error: workers must be >= 1, got {workers}\n"
+        assert capsys.readouterr().err == f"error: --workers must be a positive integer, got {workers}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -654,14 +670,15 @@ class TestDepthConvert:
         data = json.loads(capsys.readouterr().out)
         assert data["converted"][0] == pytest.approx(10.0 * 707.0 / float(focal), rel=1e-12)
 
-    @pytest.mark.parametrize("f_ref", ["0", "-1", "nan", "inf", "1e-320"])
-    def test_non_positive_reference_focal_exits_2(self, capsys, f_ref):
+    @pytest.mark.parametrize(
+        "f_ref, c",
+        [("0", "inf"), ("-1", "-1.4142135623730951"), ("nan", "nan"), ("inf", "0.0"), ("1e-320", "inf")],
+        ids=["0", "-1", "nan", "inf", "1e-320"],
+    )
+    def test_non_positive_reference_focal_exits_2(self, capsys, f_ref, c):
         argv = ["depth-convert", "--direction", "to-metric", "--fx", "1000", "--fy", "1000", "--f-ref", f_ref, "--values", "20"]
         assert main(argv) == 2
-        assert capsys.readouterr() == (
-            "",
-            f"error: --f-ref must give a positive, finite c = sqrt(2) / --f-ref, got {float(f_ref)!r}\n",
-        )
+        assert capsys.readouterr() == ("", f"error: c = sqrt(2) / --f-ref must be a positive finite number, got {c}\n")
 
 
 class TestBinFocal:
@@ -775,7 +792,7 @@ class TestEvaluateCommand:
         missing, out = str(tmp_path / "missing.json"), tmp_path / "report"
         argv = ["evaluate", "--gt", missing, "--pred", missing, "--workers", str(workers), "--output-dir", str(out)]
         assert main(argv) == 2
-        assert capsys.readouterr().err == f"error: workers must be >= 1, got {workers}\n"
+        assert capsys.readouterr().err == f"error: --workers must be a positive integer, got {workers}\n"
         assert not out.exists()
 
     def test_malformed_json_exits_2(self, tmp_path, eval_files, capsys):
@@ -856,8 +873,8 @@ class TestEvaluateCommand:
         "bad, message",
         [
             (dict(GOOD_RECORD, center=[10.0, 0.0]), "record 3: center must be 3 finite values, got (10.0, 0.0)"),
-            (dict(GOOD_RECORD, center=[float("nan"), 0.0, 0.75]), "record 3: center must be 3 finite values, got (nan, 0.0, 0.75)"),
-            (dict(GOOD_RECORD, dims=[4.0, -2.0, 1.5]), "record 3: dims must be 3 non-negative values, got (4.0, -2.0, 1.5)"),
+            (dict(GOOD_RECORD, center=[float("nan"), 0.0, 0.75]), "record 3: center must be a finite number, got nan"),
+            (dict(GOOD_RECORD, dims=[4.0, -2.0, 1.5]), "record 3: dims must be a non-negative finite number, got -2.0"),
             (dict(GOOD_RECORD, score=1.5), "record 3: score must be in [0, 1], got 1.5"),
             (dict(GOOD_RECORD, sample_id=""), "record 3: sample_id must be a non-empty string, got ''"),
             ({k: v for k, v in GOOD_RECORD.items() if k != "sample_id"}, "record 3: missing required key 'sample_id'"),
@@ -1239,17 +1256,17 @@ class TestRejectedInput:
     @pytest.mark.parametrize(
         "argv, content, expected",
         [
-            (["bin-focal", "--focals", "nan"], None, "focal length must be positive and finite, got nan"),
-            (["bin-focal", "--focals", "700", "inf"], None, "focal length must be positive and finite, got inf"),
+            (["bin-focal", "--focals", "nan"], None, "focal must be a positive finite number, got nan"),
+            (["bin-focal", "--focals", "700", "inf"], None, "focal must be a positive finite number, got inf"),
             (
                 ["depth-convert", "--direction", "to-metric", "--fx", "1000", "--fy", "1000", "--values", "nan"],
                 None,
-                "scale-invariant depth must be positive and finite, got nan",
+                "d must be a positive finite number, got nan",
             ),
             (
                 ["depth-convert", "--direction", "to-metric", "--fx", "1000", "--fy", "1000", "--values", "inf"],
                 None,
-                "scale-invariant depth must be positive and finite, got inf",
+                "d must be a positive finite number, got inf",
             ),
             (
                 ["depth-convert", "--direction", "to-scale-invariant", "--fx", "1e-320", "--fy", "1", "--values", "10"],
@@ -1340,7 +1357,7 @@ class TestRejectedInput:
                     ],
                     "boxes": [],
                 },
-                "{file}: camera 0: intrinsics: fx must be a finite number, got True",
+                "{file}: camera 0: intrinsics: fx must be a positive finite number, got True",
             ),
             (
                 ["augment", "--scene", "{file}", "--output-dir", "{out}"],
@@ -1370,12 +1387,12 @@ class TestRejectedInput:
             (
                 ["evaluate", "--gt", "{gt}", "--pred", "{pred}", "--config", "{file}", "--output-dir", "{out}"],
                 {"metrics": {"distance_thresholds": [0.5, math.nan, 2.0]}},
-                "{file}: metrics: distance thresholds must be positive and finite, got (0.5, nan, 2.0)",
+                "{file}: metrics: distance threshold must be a positive finite number, got nan",
             ),
             (
                 ["evaluate", "--gt", "{file}", "--pred", "{pred}", "--output-dir", "{out}"],
                 {"records": [{"sample_id": "s0", "center": [1.0, True, 0.5], "dims": [4, 2, 1.5], "yaw": 0}]},
-                "{file}: record 0: center must be a number, got True",
+                "{file}: record 0: center must be a finite number, got True",
             ),
             (
                 ["evaluate", "--gt", "{gt}", "--pred", "{file}", "--output-dir", "{out}"],
@@ -1420,12 +1437,12 @@ class TestRejectedInput:
             (
                 ["augment", "--scene", "{scene}", "--config", "{file}", "--output-dir", "{out}"],
                 {"perturbation": {"d_yaw": "0.5"}},
-                "{file}: perturbation: d_yaw must be a number, got '0.5'",
+                "{file}: perturbation: d_yaw must be a non-negative finite number, got '0.5'",
             ),
             (
                 ["evaluate", "--gt", "{gt}", "--pred", "{pred}", "--config", "{file}", "--output-dir", "{out}"],
                 {"metrics": {"range_limit": True}},
-                "{file}: metrics: range_limit must be a number, got True",
+                "{file}: metrics: range_limit must be a positive finite number, got True",
             ),
             (
                 ["homography", "--scene", "{file}", "--output-dir", "{out}"],
@@ -1536,8 +1553,9 @@ README_RECORDS = [
         ("pred.json", {"records": [*README_RECORDS[:5], {**README_RECORDS[5], "score": None}]}, "evaluate"),
         ("scene.json", seed_1_scene(lambda data: data["cameras"][4]["intrinsics"].pop("fx")), "homography"),
         ("gt.json", [], "evaluate"),
+        ("run.json", {"metrics": {"range_limit": 0}}, "evaluate"),
     ],
-    ids=["unknown-metrics-key", "fractional-seed", "null-score", "intrinsics-without-fx", "top-level-array"],
+    ids=["unknown-metrics-key", "fractional-seed", "null-score", "intrinsics-without-fx", "top-level-array", "zero-range-limit"],
 )
 def test_readme_quotes_the_error_lines_the_cli_prints(tmp_path, monkeypatch, capsys, name, doc, command):
     """Each error line the README quotes is, byte for byte, the line the CLI prints for its input."""

@@ -14,11 +14,17 @@ from bevkit.geometry import (
     Pose,
     ego_to_camera_rotation,
     euler_to_rotation,
+    finite_number,
     in_image,
+    positive_number,
     project_points,
+    shown,
     wrap_angle,
 )
+from bevkit.augment import PerturbationRange
+from bevkit.boxes import Box3D
 from bevkit.depth import DepthDecouplingConfig, metric_to_scale_invariant, resize_intrinsics, scale_invariant_to_metric
+from bevkit.metrics import MetricConfig, nds_star
 from bevkit.ordinal import DATASET_SCHEMES, OrdinalDomainScheme, assign_label, ordinal_loss, ordinal_loss_grad, reverse_gradient
 from reference_cases import reference_project_point
 
@@ -239,9 +245,9 @@ class TestValidation:
     @pytest.mark.parametrize(
         "make, message",
         [
-            (lambda: Intrinsics(fx=True, fy=100.0, px=10.0, py=10.0, width=100, height=100), "fx must be a finite number, got True"),
+            (lambda: Intrinsics(fx=True, fy=100.0, px=10.0, py=10.0, width=100, height=100), "fx must be a positive finite number, got True"),
             (lambda: Intrinsics(fx=100.0, fy=100.0, px="10", py=10.0, width=100, height=100), "px must be a finite number, got '10'"),
-            (lambda: Intrinsics(fx=100.0, fy=math.inf, px=10.0, py=10.0, width=100, height=100), "fy must be a finite number, got inf"),
+            (lambda: Intrinsics(fx=100.0, fy=math.inf, px=10.0, py=10.0, width=100, height=100), "fy must be a positive finite number, got inf"),
             (lambda: Pose(yaw="0.5", pitch=0.0, roll=0.0), "yaw must be a finite number, got '0.5'"),
             (lambda: Pose(0.0, 0.0, False), "roll must be a finite number, got False"),
             (lambda: Pose(0.0, 0.0, 0.0, translation=(0.0, True, 0.0)), "translation must be a finite number, got True"),
@@ -286,8 +292,64 @@ NUMBER_PARAMETERS = [
 ]
 
 
+# (name in the message, call, sign rule) for each scalar that obeys ``finite_number``'s range rule.
+RANGE_SITES = [
+    pytest.param("fx", lambda v: Intrinsics(fx=v, fy=100.0, px=1.0, py=1.0, width=2, height=2), "positive", id="fx"),
+    pytest.param("fy", lambda v: Intrinsics(fx=100.0, fy=v, px=1.0, py=1.0, width=2, height=2), "positive", id="fy"),
+    pytest.param("d_yaw", lambda v: PerturbationRange(d_yaw=v), "non-negative", id="d-yaw"),
+    pytest.param("d_pitch", lambda v: PerturbationRange(d_pitch=v), "non-negative", id="d-pitch"),
+    pytest.param("d_roll", lambda v: PerturbationRange(d_roll=v), "non-negative", id="d-roll"),
+    pytest.param("reference_pixel_size", lambda v: DepthDecouplingConfig(reference_pixel_size=v), "positive", id="c"),
+    pytest.param("metric_depth_range", lambda v: DepthDecouplingConfig(metric_depth_range=(v, 90.0)), "positive", id="depth-min"),
+    pytest.param("metric_depth_range", lambda v: DepthDecouplingConfig(metric_depth_range=(2.0, v)), "positive", id="depth-max"),
+    pytest.param("d", lambda v: scale_invariant_to_metric(v, INTR, DepthDecouplingConfig()), "positive", id="d"),
+    pytest.param("r_x", lambda v: resize_intrinsics(INTR, v, 0.5), "positive", id="r-x"),
+    pytest.param("r_y", lambda v: resize_intrinsics(INTR, 0.5, v), "positive", id="r-y"),
+    pytest.param("alpha", lambda v: OrdinalDomainScheme(v, 750.0, 5), "", id="alpha"),
+    pytest.param("beta", lambda v: OrdinalDomainScheme(-750.0, v, 5), "", id="beta"),
+    pytest.param("focal", lambda v: assign_label(DATASET_SCHEMES["nuscenes"], v), "positive", id="focal"),
+    pytest.param("grl_lambda", lambda v: reverse_gradient(LOGITS, v), "non-negative", id="grl-lambda"),
+    pytest.param("distance threshold", lambda v: MetricConfig((0.5, v), 0.5), "positive", id="distance-threshold"),
+    pytest.param("range_limit", lambda v: MetricConfig(range_limit=v), "positive", id="range-limit"),
+    pytest.param("mATE", lambda v: nds_star(0.5, v, 0.1, 0.1), "non-negative", id="m-ate"),
+    pytest.param("mAOE", lambda v: nds_star(0.5, 0.1, 0.1, v), "non-negative", id="m-aoe"),
+    pytest.param("center", lambda v: Box3D((1.0, v, 0.0), (1.0, 1.0, 1.0), 0.0), "", id="center"),
+    pytest.param("dims", lambda v: Box3D((1.0, 1.0, 0.0), (1.0, 1.0, v), 0.0), "non-negative", id="dims"),
+]
+
+# Values each sign rule rejects, besides a bool and a string.
+OUT_OF_RANGE = {
+    "": [math.nan, math.inf, -math.inf],
+    "non-negative": [-1.5, -1e-300, math.nan, math.inf, -math.inf],
+    "positive": [0, 0.0, -0.0, -1.5, math.nan, math.inf, -math.inf],
+}
+
+
 class TestNumberRule:
-    """``geometry``'s number rule holds for every scalar a caller hands depth, ordinal and geometry."""
+    """``geometry``'s number and range rules hold for every scalar a caller hands the value types and functions."""
+
+    @pytest.mark.parametrize("sign", OUT_OF_RANGE)
+    def test_sign_rules(self, sign):
+        kind = f"{sign} finite" if sign else "finite"
+        for bad in [*OUT_OF_RANGE[sign], True, "1"]:
+            with pytest.raises(ValueError) as exc:
+                finite_number("x", bad, sign)
+            assert str(exc.value) == f"x must be a {kind} number, got {shown(bad)}"
+        for good in {"": [-2, 0, 1e308], "non-negative": [0, -0.0, 1e-300, 2], "positive": [1e-300, 3]}[sign]:
+            assert finite_number("x", good, sign) == good and type(finite_number("x", good, sign)) is float
+
+    def test_positive_number_is_the_positive_rule(self):
+        assert positive_number("x", 2) == 2.0
+        with pytest.raises(ValueError, match=r"^x must be a positive finite number, got 0$"):
+            positive_number("x", 0)
+
+    @pytest.mark.parametrize("name, call, sign", RANGE_SITES)
+    def test_every_site_applies_its_sign_rule(self, name, call, sign):
+        kind = f"{sign} finite" if sign else "finite"
+        for bad in OUT_OF_RANGE[sign]:
+            with pytest.raises(ValueError) as exc:
+                call(bad)
+            assert str(exc.value) == f"{name} must be a {kind} number, got {shown(bad)}"
 
     @pytest.mark.parametrize("name, call, whole", NUMBER_PARAMETERS)
     def test_bools_and_strings_rejected_by_name(self, name, call, whole):

@@ -322,6 +322,70 @@ class TestNDSStar:
             nds_star(0.5, -0.1, 0.0, 0.0)
 
 
+ENTRY_GTS = [gt(10.0, 0.0)]
+ENTRY_DETS = [det(10.3, 0.0, 0.9)]
+
+
+class TestEntryPointScalars:
+    """The metric entry points take their scalars through ``MetricConfig``'s and ``geometry``'s rules."""
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: nds_star(True, 0.1, 0.1, 0.1), "mAP must be a number, got True"),
+            (lambda: nds_star("0.5", 0.1, 0.1, 0.1), "mAP must be a number, got '0.5'"),
+            (lambda: nds_star(0.5, False, 0.1, 0.1), "mATE must be a non-negative finite number, got False"),
+            (lambda: nds_star(0.5, 0.1, "0.1", 0.1), "mASE must be a non-negative finite number, got '0.1'"),
+            (lambda: average_precision(ENTRY_GTS, ENTRY_DETS, True), "distance threshold must be a positive finite number, got True"),
+            (lambda: average_precision(ENTRY_GTS, ENTRY_DETS, "1.0"), "distance threshold must be a positive finite number, got '1.0'"),
+            (lambda: average_precision(ENTRY_GTS, ENTRY_DETS, math.nan), "distance threshold must be a positive finite number, got nan"),
+            (lambda: average_precision(ENTRY_GTS, ENTRY_DETS, math.inf), "distance threshold must be a positive finite number, got inf"),
+            (lambda: average_precision(ENTRY_GTS, ENTRY_DETS, 0.0), "distance threshold must be a positive finite number, got 0.0"),
+            (lambda: average_precision(ENTRY_GTS, ENTRY_DETS, -1.0), "distance threshold must be a positive finite number, got -1.0"),
+            (lambda: average_precision(ENTRY_GTS, ENTRY_DETS, 1.0, recall_floor=1.0), "recall_floor must be in [0, 1), got 1.0"),
+            (lambda: average_precision(ENTRY_GTS, ENTRY_DETS, 1.0, recall_floor=5.0), "recall_floor must be in [0, 1), got 5.0"),
+            (lambda: average_precision(ENTRY_GTS, ENTRY_DETS, 1.0, precision_floor=1.0), "precision_floor must be in [0, 1), got 1.0"),
+            (lambda: average_precision(ENTRY_GTS, ENTRY_DETS, 1.0, precision_floor=5.0), "precision_floor must be in [0, 1), got 5.0"),
+            (lambda: match_detections(ENTRY_GTS, ENTRY_DETS, True), "distance threshold must be a positive finite number, got True"),
+            (lambda: match_detections(ENTRY_GTS, ENTRY_DETS, "1.0"), "distance threshold must be a positive finite number, got '1.0'"),
+            (lambda: match_detections(ENTRY_GTS, ENTRY_DETS, math.nan), "distance threshold must be a positive finite number, got nan"),
+            (lambda: match_detections(ENTRY_GTS, ENTRY_DETS, math.inf), "distance threshold must be a positive finite number, got inf"),
+            (lambda: match_detections(ENTRY_GTS, ENTRY_DETS, 0), "distance threshold must be a positive finite number, got 0"),
+            (lambda: match_detections(ENTRY_GTS, ENTRY_DETS, -1.0), "distance threshold must be a positive finite number, got -1.0"),
+        ],
+        ids=[
+            "nds-bool-map",
+            "nds-string-map",
+            "nds-bool-ate",
+            "nds-string-ase",
+            "ap-bool",
+            "ap-string",
+            "ap-nan",
+            "ap-inf",
+            "ap-zero",
+            "ap-negative",
+            "ap-recall-floor-1",
+            "ap-recall-floor-5",
+            "ap-precision-floor-1",
+            "ap-precision-floor-5",
+            "match-bool",
+            "match-string",
+            "match-nan",
+            "match-inf",
+            "match-zero",
+            "match-negative",
+        ],
+    )
+    def test_rejected_naming_the_parameter(self, call, message):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == message
+
+    def test_checked_before_the_ground_truths(self):
+        with pytest.raises(ValueError, match=r"^recall_floor must be in \[0, 1\), got 5\.0$"):
+            average_precision([], ENTRY_DETS, 1.0, recall_floor=5.0)
+
+
 class TestEvaluate:
     def fixture(self):
         gts = [
@@ -549,15 +613,15 @@ class TestEvaluate:
         [
             (
                 {"distance_thresholds": (0.5, math.nan, 2.0), "tp_threshold": 2.0},
-                "distance thresholds must be positive and finite, got (0.5, nan, 2.0)",
+                "distance threshold must be a positive finite number, got nan",
             ),
             (
                 {"distance_thresholds": (0.5, 1.0, math.inf), "tp_threshold": 1.0},
-                "distance thresholds must be positive and finite, got (0.5, 1.0, inf)",
+                "distance threshold must be a positive finite number, got inf",
             ),
-            ({"range_limit": math.nan}, "range_limit must be positive and finite, got nan"),
-            ({"range_limit": math.inf}, "range_limit must be positive and finite, got inf"),
-            ({"range_limit": 0}, "range_limit must be positive and finite, got 0.0"),
+            ({"range_limit": math.nan}, "range_limit must be a positive finite number, got nan"),
+            ({"range_limit": math.inf}, "range_limit must be a positive finite number, got inf"),
+            ({"range_limit": 0}, "range_limit must be a positive finite number, got 0"),
         ],
         ids=["threshold-nan", "threshold-inf", "range-nan", "range-inf", "range-zero"],
     )

@@ -78,6 +78,23 @@ class TestGenerateSyntheticScene:
         with pytest.raises(ValueError, match="n_cameras must be a positive integer, got 5.5"):
             generate_synthetic_scene(0, n_cameras=5.5)
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((2.5, 3), "width must be a positive integer, got 2.5"),
+            ((True, 2), "width must be a positive integer, got True"),
+            ((4, -1), "height must be a positive integer, got -1"),
+            ((4, 0), "height must be a positive integer, got 0"),
+            ((4, 3, -1), "camera_index must be a non-negative integer, got -1"),
+            ((4, 3, 0.5), "camera_index must be a non-negative integer, got 0.5"),
+        ],
+        ids=["fractional-width", "bool-width", "negative-height", "zero-height", "negative-index", "fractional-index"],
+    )
+    def test_pattern_image_takes_whole_numbers(self, args, message):
+        with pytest.raises(ValueError) as exc:
+            render_pattern_image(*args)
+        assert str(exc.value) == message
+
     def test_frontal_style_supported(self):
         scene = generate_synthetic_scene(2, 5, 4, rig_style="frontal")
         assert len(scene.cameras) == 5
@@ -253,8 +270,8 @@ class TestTableFromDict:
     @pytest.mark.parametrize(
         "records, message",
         [
-            ([record(), record(center=(1.5, True, 0.25))], "record 1: center must be a number, got True"),
-            ([record(center=(True, False, True))], "record 0: center must be a number, got True"),
+            ([record(), record(center=(1.5, True, 0.25))], "record 1: center must be a finite number, got True"),
+            ([record(center=(True, False, True))], "record 0: center must be a finite number, got True"),
             ([record(yaw=True), record(yaw=False)], "record 0: yaw must be a finite number, got True"),
             ([record(score=False), record(score=True)], "record 0: score must be a number, got False"),
         ],

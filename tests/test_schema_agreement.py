@@ -2,7 +2,7 @@
 
 Each case changes one field of a schema-valid file (a bool, a numeric
 string, a null, a nested list, a wrong length, an object or a string for an
-array, a non-string id, a camera id that is not a file name, a missing
+array, a non-string id, a camera id or image path that is not a file name, a missing
 key, a negative or out-of-range value, an integer or a huge integer for a
 number) and runs the file through ``homography``, ``evaluate`` or
 ``--config``.  The CLI must exit 2 with a one-line ``error: ...`` exactly
@@ -95,8 +95,9 @@ def mutations(value, key, rng: random.Random):
         if key == "camera_id":
             yield "path", "../escaped"
             yield "backslash", "a\\b"
-            yield "nul", "a\x00b"
             yield "dot-dot", ".."
+        if key == "camera_id" or isinstance(key, int):  # a camera id or an image path
+            yield "nul", "a\x00b"
             yield "surrogate", "a\ud800b"
     elif isinstance(value, int):
         yield "numeric-string", str(value)
